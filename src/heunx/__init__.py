@@ -17,9 +17,10 @@ from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      NonConvergenceError, NoSolutionError, NumericalError,
                      PoleError, PreconditionError, SingularPointError,
                      ValidationError)
-from .evaluator import (detect_truncation, evaluate_expansion,
-                        evaluate_expansion_deriv, evaluation_table,
-                        forcing_constant, forcing_defect, ode_residual)
+from .evaluator import (Evaluation, detect_truncation, evaluate,
+                        evaluate_expansion, evaluate_expansion_deriv,
+                        evaluation_table, forced_residual, forcing_constant,
+                        forcing_defect, homogeneous_residual, ode_residual)
 from .oracle import (FrobeniusSeries, cross_check, frobenius_coefficients,
                      frobenius_eval)
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
@@ -43,15 +44,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientSource", "CoefficientStream", "ConstraintReport",
     "DivisionByZeroError", "DomainError", "EvalResult", "EvalStatus",
-    "FrobeniusSeries", "HeunParams", "HeunxError", "IssueCode",
+    "Evaluation", "FrobeniusSeries", "HeunParams", "HeunxError", "IssueCode",
     "JIT_ENABLED", "NoSolutionError", "NonConvergenceError",
     "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
     "SeriesControl", "SingularPointError", "ValidatedHeunParams",
     "ValidationError", "ValidationIssue", "backend_name", "case_to_dict",
     "coeff_P", "coeff_Q", "coeff_R", "collect_issues", "cross_check",
     "degree_claim_defect", "delta_for_reduction", "delta_from_fuchsian",
-    "detect_truncation", "evaluate_expansion", "evaluate_expansion_deriv",
-    "evaluation_table", "forcing_constant", "forcing_defect",
+    "detect_truncation", "evaluate", "evaluate_expansion",
+    "evaluate_expansion_deriv", "evaluation_table", "forced_residual",
+    "forcing_constant", "forcing_defect", "homogeneous_residual",
     "frobenius_coefficients", "frobenius_eval", "gauss_2f1",
     "gauss_2f1_deriv", "identity_lhs", "identity_scale", "is_nonpos_int",
     "leading_difference", "load_params_file", "ode_residual", "params_from_dict",

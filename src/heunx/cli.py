@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 
 from .errors import (DivisionByZeroError, DomainError, NonConvergenceError,
                      NoSolutionError, NumericalError, PoleError,
                      PreconditionError, SingularPointError, ValidationError)
-from .evaluator import (MAX_ABS_Z, SINGULAR_GUARD, evaluate_expansion,
-                        evaluate_expansion_deriv, evaluation_table,
-                        forcing_defect, ode_residual)
+from .evaluator import (check_disk, check_interior, evaluate,
+                        evaluation_table, forced_residual,
+                        homogeneous_residual)
 from .oracle import cross_check
-from .params import PARAM_KEYS, HeunParams, params_from_dict, require_valid
+from .params import load_params_file, params_to_dict, require_valid
 from .recurrence import (CoefficientSource, recurrence_residual,
                          stream_to_csv, three_term_coefficients,
                          two_term_coefficients)
@@ -65,39 +66,26 @@ def _parse_floats(text: str) -> list:
     return out
 
 
-def _load_raw(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise PreconditionError(f"cannot read parameter file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(f"parameter file is not valid JSON: {exc}") from exc
-
-
-def _full_params(path: str) -> HeunParams:
-    return params_from_dict(_load_raw(path))
-
-
-def _guard_domain(z_list, a: float, *, exclude_singular: bool) -> None:
-    for z in z_list:
-        if abs(z) > MAX_ABS_Z:
-            raise PreconditionError(
-                f"z = {z!r} is outside the evaluation domain (|z| <= {MAX_ABS_Z})")
-        if exclude_singular and (abs(z) <= SINGULAR_GUARD
-                                 or abs(z - 1.0) <= SINGULAR_GUARD
-                                 or abs(z - a) <= SINGULAR_GUARD):
-            raise PreconditionError(f"z = {z!r} coincides with a singular point")
+def _z_points(ns, a: float, *, interior: bool) -> list:
+    """The --z list, each point checked by the evaluator's domain rules."""
+    zs = _parse_floats(ns.z)
+    if not zs:
+        raise PreconditionError("--z must list at least one point")
+    for z in zs:
+        check_disk(z)
+        if interior:
+            check_interior(z, a)
+    return zs
 
 
 def cmd_reduce(ns) -> int:
-    data = _load_raw(ns.params)
     n_case = ns.n
     if n_case < 0:
         raise PreconditionError("--n must be non-negative")
-    p0 = params_from_dict(data, optional=("q", "delta"))
     de = float(n_case + 2)
-    if "delta" in data and abs(p0.delta - de) > 1e-12:
+    # q is solved for; a file without delta takes the one N implies
+    p0 = load_params_file(ns.params, optional={"q": 0.0, "delta": de})
+    if abs(p0.delta - de) > 1e-12:
         raise PreconditionError(
             f"delta = {p0.delta!r} in the file is inconsistent with N = {n_case} "
             f"(needs {de!r})")
@@ -107,17 +95,13 @@ def cmd_reduce(ns) -> int:
             f"epsilon = {p0.epsilon!r} violates the exponent-sum relation at "
             f"delta = {de!r} (expected {ep_expected!r})")
 
-    notes = []
+    closed = {0: q_candidates_N0, 1: q_candidates_N1, 2: q_candidates_N2}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if ns.force_general or n_case >= 3:
+        if ns.force_general or n_case not in closed:
             cases = solve_reduction_general(p0.a, p0.alpha, p0.beta, p0.gamma, n_case)
-        elif n_case == 0:
-            cases = q_candidates_N0(p0.a, p0.alpha, p0.beta, p0.gamma)
-        elif n_case == 1:
-            cases = q_candidates_N1(p0.a, p0.alpha, p0.beta, p0.gamma)
         else:
-            cases = q_candidates_N2(p0.a, p0.alpha, p0.beta, p0.gamma)
+            cases = closed[n_case](p0.a, p0.alpha, p0.beta, p0.gamma)
         notes = [str(w.message) for w in caught]
 
     if ns.format == "csv":
@@ -138,7 +122,7 @@ def cmd_reduce(ns) -> int:
 
 
 def cmd_coeffs(ns) -> int:
-    p = require_valid(_full_params(ns.params))
+    p = require_valid(load_params_file(ns.params))
     es = _parse_floats(ns.e)
     if ns.n_max < 0:
         raise PreconditionError("--n-max must be non-negative")
@@ -164,31 +148,23 @@ def cmd_coeffs(ns) -> int:
 
 
 def _build_case(ns) -> ReductionCase:
-    p = _full_params(ns.params)
+    p = load_params_file(ns.params)
     es = _parse_floats(ns.e)
     return ReductionCase.build(p, es)
 
 
 def cmd_eval(ns) -> int:
     case = _build_case(ns)
-    zs = _parse_floats(ns.z)
-    if not zs:
-        raise PreconditionError("--z must list at least one point")
-    _guard_domain(zs, case.params.a, exclude_singular=False)
+    zs = _z_points(ns, case.params.a, interior=False)
     ctl = SeriesControl(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
     if ns.format == "json":
         rows = []
         for z in zs:
-            u = evaluate_expansion(case, z, ctl)
-            du = evaluate_expansion_deriv(case, z, 1, ctl)
-            ddu = evaluate_expansion_deriv(case, z, 2, ctl)
-            try:
-                resid = ode_residual(case, z, ctl)
-            except SingularPointError:
-                resid = float("nan")
-            rows.append({"z": z, "u": u.value, "du": du.value, "ddu": ddu.value,
-                         "residual": _jsonable(resid), "terms_used": u.terms_used,
-                         "status": u.status.value})
+            ev = evaluate(case, z, ctl)
+            rows.append({"z": z, "u": ev.u, "du": ev.du, "ddu": ev.ddu,
+                         "residual": _jsonable(homogeneous_residual(case, ev)),
+                         "terms_used": ev.terms_used,
+                         "status": ev.status[0].value})
         _print_json({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol,
                                                   "max_terms": ctl.max_terms}})
     else:
@@ -198,13 +174,10 @@ def cmd_eval(ns) -> int:
 
 def cmd_residual(ns) -> int:
     case = _build_case(ns)
-    zs = _parse_floats(ns.z)
-    if not zs:
-        raise PreconditionError("--z must list at least one point")
-    _guard_domain(zs, case.params.a, exclude_singular=True)
+    zs = _z_points(ns, case.params.a, interior=True)
     ctl = SeriesControl(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
-    rows = [(z, ode_residual(case, z, ctl), forcing_defect(case, z, ctl))
-            for z in zs]
+    rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
+            for ev in (evaluate(case, z, ctl) for z in zs)]
     if ns.format == "json":
         _print_json({"rows": [{"z": z, "residual": r, "forced_residual": f}
                               for z, r, f in rows],
@@ -218,16 +191,12 @@ def cmd_residual(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    p = require_valid(_full_params(ns.params))
+    p = require_valid(load_params_file(ns.params))
     es = _parse_floats(ns.e)
-    zs = _parse_floats(ns.z)
-    if not zs:
-        raise PreconditionError("--z must list at least one point")
-    _guard_domain(zs, p.a, exclude_singular=True)
+    zs = _z_points(ns, p.a, interior=True)
     ctl = SeriesControl(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
 
-    stream = two_term_coefficients(p, es, ns.n_stream)
-    rec_value = recurrence_residual(stream)
+    rec_value = recurrence_residual(two_term_coefficients(p, es, ns.n_stream))
     rec_ok = rec_value <= ns.recurrence_tol
 
     report = verify_reduction(p, es)
@@ -243,11 +212,12 @@ def cmd_verify(ns) -> int:
 
     if colloc_ok:
         case = ReductionCase.build(p, es)
-        ode_values = [ode_residual(case, z, ctl) for z in zs]
+        evs = [evaluate(case, z, ctl) for z in zs]
+        ode_values = [homogeneous_residual(case, ev) for ev in evs]
         ode_ok = max(ode_values) <= ns.ode_tol
         cross_value = cross_check(case, zs, ctl=ctl)
         cross_ok = cross_value <= ns.cross_tol
-        forced = [forcing_defect(case, z, ctl) for z in zs]
+        forced = [forced_residual(case, ev) for ev in evs]
         checks["ode_residual"] = {"values": ode_values, "tol": ns.ode_tol,
                                   "passed": ode_ok}
         checks["cross_check"] = {"value": cross_value, "tol": ns.cross_tol,
@@ -263,7 +233,7 @@ def cmd_verify(ns) -> int:
                   and checks["cross_check"]["passed"])
     _print_json({"passed": passed, "checks": checks,
                  "z": zs, "e": es,
-                 "params": {k: getattr(p, k) for k in PARAM_KEYS}})
+                 "params": params_to_dict(p)})
     return EXIT_OK if passed else EXIT_NO_SOLUTION
 
 
@@ -322,9 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_lists(argv) -> list:
+    """`--z -0.5,0.25` as `--z=-0.5,0.25`: argparse reads a token that starts
+    with '-' as an option unless the whole token is one number."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--z", "--e") and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_attach_negative_lists(
+        sys.argv[1:] if argv is None else argv))
     try:
         return ns.func(ns)
     except (ValidationError, PreconditionError, DomainError, PoleError,

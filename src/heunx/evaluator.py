@@ -25,6 +25,7 @@ is the residual that certifies the summation end to end.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +43,45 @@ _MCAP = 24              # tail corrections decay like (|z| m / M)^m; 24 is spare
 _M_START = 128
 
 
-def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl,
-             max_abs_z: float):
-    """(u, u', u'', terms_used, tails) with adaptive direct-sum length."""
+def check_disk(z: float, max_abs_z: float = MAX_ABS_Z) -> None:
+    """The evaluation domain: |z| within the guard margin of the unit disk."""
     if abs(z) > min(max_abs_z, 1.0 - 1e-12):
         raise DomainError(f"|z| = {abs(z)!r} is outside the safe disk "
                           f"(margin {max_abs_z})")
+
+
+def _is_singular(z: float, a: float) -> bool:
+    return min(abs(z), abs(z - 1.0), abs(z - a)) <= SINGULAR_GUARD
+
+
+def check_interior(z: float, a: float) -> None:
+    """The equation's own domain: z away from the singular points 0, 1, a."""
+    if _is_singular(z, a):
+        raise SingularPointError(f"z = {z!r} coincides with a singular point")
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One tail-resummed summation at z; every value and residual reads it.
+    `tails` and `status` hold one entry per derivative order 0, 1, 2."""
+
+    z: float
+    u: float
+    du: float
+    ddu: float
+    terms_used: int
+    tails: tuple
+    status: tuple
+
+    def result(self, order: int) -> EvalResult:
+        return EvalResult((self.u, self.du, self.ddu)[order], self.terms_used,
+                          self.tails[order], self.status[order])
+
+
+def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
+    """(u, u', u'', terms_used, tails), doubling the direct-sum length M
+    until every tail settles. `evaluate` is its only caller; perfbench's
+    tracer wraps it by this name and reads terms_used at index 3."""
     p = case.params
     es = np.asarray(case.e_list, dtype=np.float64)
     n0 = termination_index(p)
@@ -75,20 +109,27 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl,
         big_m = min(2 * big_m, ctl.max_terms)
 
 
-def _as_result(value: float, terms: int, tail: float, ctl: SeriesControl) -> EvalResult:
-    converged = tail <= ctl.rel_tol * abs(value) or abs(value) < VALUE_FLOOR
-    status = EvalStatus.CONVERGED if converged else EvalStatus.MAX_TERMS_REACHED
-    return EvalResult(float(value), int(terms), float(tail), status)
+def evaluate(case: ReductionCase, z: float, ctl: SeriesControl | None = None,
+             max_abs_z: float = MAX_ABS_Z) -> Evaluation:
+    """The one summation of (u, u', u'') at z behind every value and residual."""
+    if ctl is None:
+        ctl = SeriesControl()
+    z = float(z)
+    check_disk(z, max_abs_z)
+    u, du, ddu, terms, tails = _sum_all(case, z, ctl)
+    values = tuple(map(float, (u, du, ddu)))
+    tails = tuple(map(float, tails))
+    status = tuple(EvalStatus.CONVERGED
+                   if t <= ctl.rel_tol * abs(v) or abs(v) < VALUE_FLOOR
+                   else EvalStatus.MAX_TERMS_REACHED for v, t in zip(values, tails))
+    return Evaluation(z, *values, int(terms), tails, status)
 
 
 def evaluate_expansion(case: ReductionCase, z: float,
                        ctl: SeriesControl | None = None,
                        max_abs_z: float = MAX_ABS_Z) -> EvalResult:
     """u(z) = sum_n c_n 2F1(alpha, beta; gamma+epsilon+n; z), tail resummed."""
-    if ctl is None:
-        ctl = SeriesControl()
-    u, _, _, terms, tails = _sum_all(case, z, ctl, max_abs_z)
-    return _as_result(u, terms, tails[0], ctl)
+    return evaluate(case, z, ctl, max_abs_z).result(0)
 
 
 def evaluate_expansion_deriv(case: ReductionCase, z: float, order: int,
@@ -97,17 +138,21 @@ def evaluate_expansion_deriv(case: ReductionCase, z: float, order: int,
     """Term-wise derivative of the expansion, order 1 or 2."""
     if order not in (1, 2):
         raise NumericalError("derivative order must be 1 or 2")
-    if ctl is None:
-        ctl = SeriesControl()
-    _, du, ddu, terms, tails = _sum_all(case, z, ctl, max_abs_z)
-    value = du if order == 1 else ddu
-    return _as_result(value, terms, tails[order], ctl)
+    return evaluate(case, z, ctl, max_abs_z).result(order)
 
 
-def _check_interior(z: float, a: float) -> None:
-    if (abs(z) <= SINGULAR_GUARD or abs(z - 1.0) <= SINGULAR_GUARD
-            or abs(z - a) <= SINGULAR_GUARD):
-        raise SingularPointError(f"z = {z!r} coincides with a singular point")
+def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:
+    """Scale-free residual of the homogeneous equation at ev.z; nan where
+    ev.z is a singular point of the equation."""
+    p = case.params
+    z = ev.z
+    if _is_singular(z, p.a):
+        return float("nan")
+    pc = p.gamma / z + p.delta / (z - 1.0) + p.epsilon / (z - p.a)
+    qc = (p.alpha * p.beta * z - p.q) / (z * (z - 1.0) * (z - p.a))
+    num = abs(ev.ddu + pc * ev.du + qc * ev.u)
+    den = abs(ev.ddu) + abs(pc * ev.du) + abs(qc * ev.u) + 1e-300
+    return float(num / den)
 
 
 def ode_residual(case: ReductionCase, z: float,
@@ -120,16 +165,8 @@ def ode_residual(case: ReductionCase, z: float,
     docstring, and this residual then sits at O(1) honestly. Use
     forcing_defect for the certification that holds in every case.
     """
-    if ctl is None:
-        ctl = SeriesControl()
-    p = case.params
-    _check_interior(z, p.a)
-    u, du, ddu, _, _ = _sum_all(case, z, ctl, MAX_ABS_Z)
-    pc = p.gamma / z + p.delta / (z - 1.0) + p.epsilon / (z - p.a)
-    qc = (p.alpha * p.beta * z - p.q) / (z * (z - 1.0) * (z - p.a))
-    num = abs(ddu + pc * du + qc * u)
-    den = abs(ddu) + abs(pc * du) + abs(qc * u) + 1e-300
-    return float(num / den)
+    check_interior(z, case.params.a)
+    return homogeneous_residual(case, evaluate(case, z, ctl))
 
 
 def forcing_constant(case: ReductionCase) -> float:
@@ -161,23 +198,26 @@ def forcing_constant(case: ReductionCase) -> float:
     return value
 
 
-def forcing_defect(case: ReductionCase, z: float,
-                   ctl: SeriesControl | None = None) -> float:
-    """Scale-free residual of the constant-forced equation; the end-to-end
-    certificate that holds for every accepted reduction, terminating or not."""
-    if ctl is None:
-        ctl = SeriesControl()
+def forced_residual(case: ReductionCase, ev: Evaluation) -> float:
+    """Scale-free residual of the constant-forced equation at ev.z."""
     p = case.params
-    _check_interior(z, p.a)
-    u, du, ddu, _, _ = _sum_all(case, z, ctl, MAX_ABS_Z)
+    z = ev.z
     w = z * (z - 1.0) * (z - p.a)
     wp = (p.gamma * (z - 1.0) * (z - p.a) + p.delta * z * (z - p.a)
           + p.epsilon * z * (z - 1.0))
     wq = p.alpha * p.beta * z - p.q
     c = forcing_constant(case)
-    num = abs(w * ddu + wp * du + wq * u + c)
-    den = abs(w * ddu) + abs(wp * du) + abs(wq * u) + abs(c) + 1e-300
+    num = abs(w * ev.ddu + wp * ev.du + wq * ev.u + c)
+    den = abs(w * ev.ddu) + abs(wp * ev.du) + abs(wq * ev.u) + abs(c) + 1e-300
     return float(num / den)
+
+
+def forcing_defect(case: ReductionCase, z: float,
+                   ctl: SeriesControl | None = None) -> float:
+    """Scale-free residual of the constant-forced equation; the end-to-end
+    certificate that holds for every accepted reduction, terminating or not."""
+    check_interior(z, case.params.a)
+    return forced_residual(case, evaluate(case, z, ctl))
 
 
 def detect_truncation(case: ReductionCase, n_limit: int = 500):
@@ -197,18 +237,9 @@ def evaluation_table(case: ReductionCase, z_values,
     points that coincide with a singular location. Floats are emitted with
     repr so output is byte-deterministic.
     """
-    if ctl is None:
-        ctl = SeriesControl()
-    p = case.params
     lines = ["z,u,du,ddu,residual,terms_used"]
     for z in z_values:
-        z = float(z)
-        u, du, ddu, terms, _ = _sum_all(case, z, ctl, MAX_ABS_Z)
-        try:
-            _check_interior(z, p.a)
-            resid = ode_residual(case, z, ctl)
-        except SingularPointError:
-            resid = float("nan")
-        lines.append(f"{z!r},{float(u)!r},{float(du)!r},{float(ddu)!r},"
-                     f"{float(resid)!r},{terms}")
+        ev = evaluate(case, z, ctl)
+        lines.append(f"{ev.z!r},{ev.u!r},{ev.du!r},{ev.ddu!r},"
+                     f"{homogeneous_residual(case, ev)!r},{ev.terms_used}")
     return "\n".join(lines) + "\n"

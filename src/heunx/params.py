@@ -102,36 +102,35 @@ class ValidatedHeunParams(HeunParams):
 
 def validate_params(p: HeunParams):
     """Validated wrapper when all invariants hold, else the full issue list."""
-    issues = collect_issues(p)
-    if issues:
-        return issues
-    return ValidatedHeunParams(**p.as_dict())
+    try:
+        return require_valid(p)
+    except ValidationError as exc:
+        return exc.issues
 
 
 def require_valid(p: HeunParams) -> ValidatedHeunParams:
     """validate_params that raises instead of returning issues."""
-    result = validate_params(p)
-    if isinstance(result, list):
-        raise ValidationError(result)
-    return result
+    return ValidatedHeunParams(**p.as_dict())
 
 
-def params_from_dict(data: dict, *, optional: tuple = ()) -> HeunParams:
+def params_from_dict(data: dict, *, optional: tuple | dict = ()) -> HeunParams:
     """Build HeunParams from a JSON-style mapping.
 
     Unknown keys are rejected. Keys listed in `optional` may be absent and
-    default to 0.0 (the reduction workflow solves for q itself).
+    default to 0.0 (the reduction workflow solves for q itself), or to the
+    value `optional` maps them to when it is a dict.
     """
     if not isinstance(data, dict):
         raise PreconditionError("parameter file must contain a JSON object")
     unknown = sorted(set(data) - set(PARAM_KEYS))
     if unknown:
         raise PreconditionError(f"unknown parameter keys: {', '.join(unknown)}")
+    defaults = optional if isinstance(optional, dict) else dict.fromkeys(optional, 0.0)
     values = {}
     for key in PARAM_KEYS:
         if key not in data:
-            if key in optional:
-                values[key] = 0.0
+            if key in defaults:
+                values[key] = defaults[key]
                 continue
             raise PreconditionError(f"missing parameter key: {key}")
         v = data[key]
@@ -145,7 +144,8 @@ def params_to_dict(p: HeunParams) -> dict:
     return {k: getattr(p, k) for k in PARAM_KEYS}
 
 
-def load_params_file(path: str, *, optional: tuple = ()) -> HeunParams:
+def load_params_file(path: str, *, optional: tuple | dict = ()) -> HeunParams:
+    """The one reader of parameter files: JSON, then params_from_dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -162,11 +162,7 @@ def stream_to_csv(stream: CoefficientStream, p: HeunParams | None = None) -> str
     Ratio and residual are nan where undefined (n = 0, zero predecessor,
     n < 2). Floats are emitted with repr so output is byte-deterministic.
     """
-    if p is None:
-        p = stream.params
-    rows = _kernels.recurrence_residual_rows(
-        p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
-        np.asarray(stream.values, dtype=np.float64))
+    rows = residual_rows(stream, p)
     lines = ["n,c_n,ratio,residual"]
     vals = stream.values
     for n in range(len(vals)):

@@ -109,7 +109,7 @@ def _probe_point() -> float:
             return x
 
 
-def verify_reduction(case_or_params, e_list=None) -> ConstraintReport:
+def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     """Collocation check of the reduction identity.
 
     Evaluates identity_lhs at n = 1..N+3 plus one off-grid non-integer
@@ -118,12 +118,7 @@ def verify_reduction(case_or_params, e_list=None) -> ConstraintReport:
     A_0..A_{N+1} on integer nodes and reports how far the forward-difference
     leading coefficient sits from its closed form 2+N-delta.
     """
-    if isinstance(case_or_params, ReductionCase):
-        p = case_or_params.params
-        es = case_or_params.e_list
-    else:
-        p = case_or_params
-        es = tuple(float(e) for e in (e_list if e_list is not None else ()))
+    es = tuple(float(e) for e in e_list)
     n_case = len(es)
 
     points = [float(k) for k in range(1, n_case + 4)]
@@ -164,8 +159,8 @@ class ReductionCase:
     N: int
     params: ValidatedHeunParams
     e_list: tuple
-    ansatz_upper: tuple
-    ansatz_lower: tuple
+    ansatz_upper: tuple = field(init=False)
+    ansatz_lower: tuple = field(init=False)
     q_root_index: int
     report: ConstraintReport = field(default=None, compare=False, repr=False)
 
@@ -181,10 +176,8 @@ class ReductionCase:
                 raise PreconditionError(f"e = {e!r} is a non-positive integer")
         g = p.gamma + p.epsilon
         upper = tuple(1.0 + e for e in self.e_list) + (g - p.alpha, g - p.beta)
-        lower = tuple(self.e_list) + (g,)
-        if (max(abs(x - y) for x, y in zip(self.ansatz_upper, upper)) > 1e-12
-                or max(abs(x - y) for x, y in zip(self.ansatz_lower, lower)) > 1e-12):
-            raise PreconditionError("ansatz sequences do not match params and e_list")
+        object.__setattr__(self, "ansatz_upper", upper)
+        object.__setattr__(self, "ansatz_lower", tuple(self.e_list) + (g,))
         report = verify_reduction(p, self.e_list)
         if not report.passed or report.a_top_gap > A_TOP_TOL:
             raise PreconditionError(
@@ -195,11 +188,7 @@ class ReductionCase:
     def build(cls, params: HeunParams, e_list, q_root_index: int = 0) -> "ReductionCase":
         p = require_valid(params)
         es = tuple(float(e) for e in e_list)
-        g = p.gamma + p.epsilon
-        upper = tuple(1.0 + e for e in es) + (g - p.alpha, g - p.beta)
-        lower = es + (g,)
-        return cls(N=len(es), params=p, e_list=es, ansatz_upper=upper,
-                   ansatz_lower=lower, q_root_index=q_root_index)
+        return cls(N=len(es), params=p, e_list=es, q_root_index=q_root_index)
 
 
 def case_to_dict(case: ReductionCase) -> dict:

@@ -90,9 +90,6 @@ def gauss_2f1_deriv(a: float, b: float, c: float, z: float, order: int,
         ctl = SeriesControl()
     _check_series_args(c, z)
     factor = a * b / c
-    if order == 1:
-        shifted = gauss_2f1(a + 1.0, b + 1.0, c + 1.0, z, ctl)
-        return factor * shifted.value
-    factor *= (a + 1.0) * (b + 1.0) / (c + 1.0)
-    shifted = gauss_2f1(a + 2.0, b + 2.0, c + 2.0, z, ctl)
-    return factor * shifted.value
+    if order == 2:
+        factor *= (a + 1.0) * (b + 1.0) / (c + 1.0)
+    return factor * gauss_2f1(a + order, b + order, c + order, z, ctl).value

@@ -1,4 +1,5 @@
-"""Black-box checks of the command-line interface via subprocess."""
+"""Black-box checks of the command-line interface via subprocess, plus one
+in-process count of the summations each command makes."""
 
 import importlib.util
 import json
@@ -8,7 +9,13 @@ import sys
 
 import pytest
 
+import heunx._kernels
+import heunx.cli
+
 CLI = [sys.executable, "-m", "heunx.cli"]
+# the child imports the same heunx as this process, also when pytest put
+# src/ on sys.path itself
+SRC = os.path.dirname(os.path.dirname(heunx.cli.__file__))
 
 # reduce-style input: q and delta left for the solver
 ANCHOR_SEARCH = {"a": 2.0, "alpha": 3.0, "beta": 2.0, "gamma": 1.0, "epsilon": 3.0}
@@ -25,6 +32,8 @@ NO_ROOT_SEARCH = {"a": -0.5, "alpha": 0.2, "beta": 0.1, "gamma": 2.0,
 
 def run_cli(*args, env=None):
     merged = dict(os.environ)
+    merged["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     if env:
         merged.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
@@ -192,3 +201,40 @@ def test_backends_agree(write_params):
     for left, right in zip(rows_jit[1:], rows_plain[1:]):
         for x, y in zip(left.split(",")[:4], right.split(",")[:4]):
             assert float(x) == pytest.approx(float(y), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "--z", "-0.5,0.25"),
+    ("coeffs", "--e", "-1.6,2.5"),
+])
+def test_list_may_start_with_a_minus(write_params, args):
+    path = write_params(ANCHOR_FULL)
+    command, option, value = args
+    spaced = run_cli(command, "--params", path, option, value)
+    joined = run_cli(command, "--params", path, f"{option}={value}")
+    assert spaced.returncode == 0 and joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+
+
+# At these points the anchor needs 129 terms and M is never doubled, so one
+# expansion_core call is one summation of (u, u', u'').
+@pytest.mark.parametrize("args, most", [
+    (("eval", "--z=0.1,0.25", "--format", "csv"), 2),
+    (("eval", "--z=0.1,0.25", "--format", "json"), 2),
+    (("residual", "--z=0.1,0.25"), 2),
+    # one sum per default point, plus cross_check's own sums at 0 and each point
+    (("verify",), 7),
+])
+def test_each_point_is_summed_once(write_params, monkeypatch, args, most):
+    path = write_params(ANCHOR_FULL)
+    calls = []
+    core = heunx._kernels.expansion_core
+
+    def counted(*core_args):
+        calls.append(core_args[8])    # z
+        return core(*core_args)
+
+    monkeypatch.setattr(heunx._kernels, "expansion_core", counted)
+    code = heunx.cli.main([args[0], "--params", path, *args[1:]])
+    assert code in (0, 3)
+    assert len(calls) <= most
