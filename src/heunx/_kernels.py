@@ -21,6 +21,8 @@ STATUS_NO_CONVERGE = 5
 STATUS_NUMERICAL = 6
 
 TINY = 1e-300
+VALUE_FLOOR = 1e-280  # below this a value has no relative tail
+EPS = 2.0 ** -52
 INT_SNAP = 1e-9  # integer-proximity rule shared with parameter validation
 
 
@@ -530,24 +532,59 @@ def expansion_weights(g, x1, x2, es, mcap):
 
 
 @maybe_njit
-def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, mcap, inner_tol,
-                   max_terms_inner, consec, n0):
+def expansion_prefix(g, x1, x2, es, big_m, mcap, n0):
+    """The z-independent pieces of a summation with direct-sum length big_m:
+    c_0..c_mstop with mstop = min(big_m, n0 - 1), the closed weights W_m
+    and the partial weights W_m^{<=mstop} = sum_{n<=mstop} c_n / (g+n)_m
+    for m = 0..mcap. Every point of one case shares them.
+
+    Returns (cs, wt, wle, status).
+    """
+    wt, st = expansion_weights(g, x1, x2, es, mcap)
+    mstop = big_m
+    if n0 - 1 < mstop:
+        mstop = n0 - 1
+    cs = two_term_ratio_stream(g, x1, x2, es, mstop, n0)
+    wle = np.zeros(mcap + 1)
+    for n in range(mstop + 1):
+        rr = cs[n]
+        wle[0] += rr
+        for m in range(1, mcap + 1):
+            rr /= g + n + m - 1.0
+            wle[m] += rr
+    return cs, wt, wle, st
+
+
+@maybe_njit
+def settled(tail, value, tol):
+    """The one convergence test: a tail within tol of its value, or a value
+    too small to measure a tail against."""
+    return tail <= tol * abs(value) or abs(value) < VALUE_FLOOR
+
+
+@maybe_njit
+def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, cs, wt, wle,
+                   inner_tol, max_terms_inner, consec):
     """Value and first two derivatives of the summed expansion at z.
 
-    Direct sum over n <= big_m plus the exact tail: the n/m double sum is
-    swapped and the inner sums over n > big_m are differences of the
-    closed-form weights W_m and their partial counterparts.
+    Takes the case parameters in the kernels' common order; the
+    coefficients c_0..c_mstop and the weights W_m, W_m^{<=mstop} come
+    precomputed from expansion_prefix at direct-sum length big_m. Direct
+    sum over n <= mstop plus the exact tail: swapping the n/m double sum
+    leaves sum_m h_m z^m s_m with h_m = (al)_m (be)_m / m! and
+    s_m = W_m - W_m^{<=mstop} = sum_{n>mstop} c_n / (g+n)_m.
+
+    That difference is rounding noise once s_m falls below eps W_m, so the
+    tails are estimated without it: every accepted reduction has
+    g = al + be - 1 - N, hence c_n ~ n^-2 and
+    s_m ~ |c_M| M / ((m+1) (g+M+1)_m) at M = big_m, exactly 0 when the
+    stream ends by M. The m-sum stops at the first m >= 1 where the next
+    term's estimate, per derivative order, is below eps of the running
+    value in all three orders; those estimates are the returned tails.
 
     Returns (u, du, ddu, terms_used, tail0, tail1, tail2, status).
     """
     g = ga + ep
-    x1 = g - al
-    x2 = g - be
-
-    wt, st = expansion_weights(g, x1, x2, es, mcap)
-    if st != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, st
-
     if z == 0.0:
         # every term function is 1 at the origin; the weights are exact sums
         u = wt[0]
@@ -555,54 +592,49 @@ def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, mcap, inner_tol,
         ddu = al * be * (al + 1.0) * (be + 1.0) * wt[2]
         return u, du, ddu, 1, 0.0, 0.0, 0.0, STATUS_OK
 
-    mstop = big_m
-    if n0 - 1 < mstop:
-        mstop = n0 - 1
-
-    wle = np.zeros(mcap + 1)
+    mstop = len(cs) - 1
     u = 0.0
     du = 0.0
     ddu = 0.0
-    cn = 1.0
     worst = STATUS_OK
     for n in range(mstop + 1):
-        if n > 0:
-            r = (x1 - 1.0 + n) * (x2 - 1.0 + n) / ((g - 1.0 + n) * n)
-            for k in range(len(es)):
-                r *= (es[k] + n) / (es[k] - 1.0 + n)
-            cn *= r
         f0, f1, f2, _, _, st = f21_with_derivs(al, be, g + n, z, inner_tol,
                                                max_terms_inner, consec)
         if st != STATUS_OK and worst == STATUS_OK:
             worst = st
+        cn = cs[n]
         u += cn * f0
         du += cn * f1
         ddu += cn * f2
-        rr = cn
-        wle[0] += rr
-        for m in range(1, mcap + 1):
-            rr /= g + n + m - 1.0
-            wle[m] += rr
 
-    # exact tail: corrections ordered in m decay like (|z| / big_m)^m
-    t0 = 0.0
-    t1 = 0.0
-    t2 = 0.0
+    # |c_M| M; the stream ended by M when mstop < big_m
+    base = 0.0
+    if mstop == big_m:
+        base = abs(cs[mstop]) * big_m
+    tail0 = 0.0
+    tail1 = 0.0
+    tail2 = 0.0
     hm = 1.0
     zp = 1.0  # z^m
     zi = 1.0 / z
-    for m in range(mcap + 1):
+    az = abs(z)
+    pm = 1.0  # (g+M+1)_m
+    for m in range(len(wt)):
         s = wt[m] - wle[m]
         fm = float(m)
-        t0 = hm * zp * s
-        t1 = hm * fm * zp * zi * s
-        t2 = hm * fm * (fm - 1.0) * zp * zi * zi * s
-        u += t0
-        du += t1
-        ddu += t2
+        u += hm * zp * s
+        du += hm * fm * zp * zi * s
+        ddu += hm * fm * (fm - 1.0) * zp * zi * zi * s
         hm *= (al + m) * (be + m) / (m + 1.0)
         zp *= z
-    tail0 = abs(t0)
-    tail1 = abs(t1)
-    tail2 = abs(t2)
+        pm *= g + big_m + 1.0 + m
+        # the next term, m+1, estimates each order's remainder; not at m = 0,
+        # where term 1 carries no u'' though term 2 does
+        fn = fm + 1.0
+        tail0 = abs(hm * zp) * base / ((fn + 1.0) * abs(pm))
+        tail1 = tail0 * fn / az
+        tail2 = tail1 * fm / az
+        if (m >= 1 and settled(tail0, u, EPS) and settled(tail1, du, EPS)
+                and settled(tail2, ddu, EPS)):
+            break
     return u, du, ddu, mstop + 1, tail0, tail1, tail2, worst

@@ -6,6 +6,18 @@ n and power sums turns every tail into a difference of closed-form gamma
 weights, so results carry full double precision even though the raw
 coefficients only decay like n^{-2}.
 
+Past a direct sum of length M the tail is sum_m h_m z^m s_m with
+s_m = sum_{n>M} c_n / (g+n)_m, g = gamma+epsilon. Computed as a
+difference of weights, s_m turns into rounding noise once it falls below
+eps times the weights, so the truncation is measured without that
+difference: g = alpha+beta-1-N for every accepted reduction, so c_n ~ n^-2
+and s_m ~ |c_M| M / ((m+1) (g+M+1)_m). The m-sum stops at the first m whose
+next term, so estimated, is below eps in all three derivative orders, and
+those estimates are the reported tails. At a fixed m they fall like
+M^-(m+2), so M is doubled only while a tail is above the requested
+tolerance. c_0..c_M and the weights depend on the case and M only and are
+computed once for all points of a case.
+
 A structural fact drives the diagnostics here: term by term, applying the
 differential operator and clearing denominators maps F_n onto the exact
 combination R_n F_{n-1} + Q_n F_n + P_n F_{n+1}. Summed against a two-term
@@ -25,6 +37,7 @@ is the residual that certifies the summation end to end.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +51,12 @@ from .special import EvalResult, EvalStatus, SeriesControl
 
 MAX_ABS_Z = 0.95        # guard margin inside the unit disk of the term functions
 SINGULAR_GUARD = 1e-8
-VALUE_FLOOR = 1e-280
-_MCAP = 24              # tail corrections decay like (|z| m / M)^m; 24 is spare
-_M_START = 128
+# The m-sum stops once the next tail term is below eps; on |z| <= 0.9 that is
+# by m = 13 at M = 128 for the benchmark cases. _MCAP sizes the weight
+# arrays with room for larger alpha, beta; a tail still above the tolerance
+# at _MCAP doubles M.
+_MCAP = 24
+_M_START = 128          # direct-sum length to start from; tail terms fall like (|z| m / M)^m
 
 
 def check_disk(z: float, max_abs_z: float = MAX_ABS_Z) -> None:
@@ -63,7 +79,9 @@ def check_interior(z: float, a: float) -> None:
 @dataclass(frozen=True)
 class Evaluation:
     """One tail-resummed summation at z; every value and residual reads it.
-    `tails` and `status` hold one entry per derivative order 0, 1, 2."""
+    `tails` and `status` hold one entry per derivative order 0, 1, 2: the
+    estimated truncation left in that order and whether it is within
+    rel_tol. `doublings` counts how often the direct-sum length M doubled."""
 
     z: float
     u: float
@@ -72,41 +90,71 @@ class Evaluation:
     terms_used: int
     tails: tuple
     status: tuple
+    doublings: int
 
     def result(self, order: int) -> EvalResult:
         return EvalResult((self.u, self.du, self.ddu)[order], self.terms_used,
                           self.tails[order], self.status[order])
 
 
+# params -> {(e_list, big_m): (cs, wt, wle)}, dropped with the params object
+_PREFIXES = weakref.WeakKeyDictionary()
+
+
+def _z_independent(case: ReductionCase, big_m: int, n0: int):
+    """c_0..c_mstop, W_m and W_m^{<=mstop} of `case` at direct-sum length
+    big_m, computed once while the case's parameters live."""
+    p = case.params
+    known = _PREFIXES.setdefault(p, {})
+    key = (tuple(case.e_list), big_m)
+    if key not in known:
+        g = p.gamma + p.epsilon
+        es = np.asarray(case.e_list, dtype=np.float64)
+        cs, wt, wle, status = _kernels.expansion_prefix(
+            g, g - p.alpha, g - p.beta, es, int(big_m), _MCAP, n0)
+        if status == _kernels.STATUS_POLE:
+            raise PoleError("gamma-factor pole in the tail weights")
+        if status != _kernels.STATUS_OK:
+            raise NumericalError("tail weights failed")
+        known[key] = (cs, wt, wle)
+    return known[key]
+
+
+def _settled(tails, values, ctl: SeriesControl) -> tuple:
+    return tuple(bool(_kernels.settled(t, v, ctl.rel_tol))
+                 for t, v in zip(tails, values))
+
+
 def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
-    """(u, u', u'', terms_used, tails), doubling the direct-sum length M
-    until every tail settles. `evaluate` is its only caller; perfbench's
-    tracer wraps it by this name and reads terms_used at index 3."""
+    """(u, u', u'', terms_used, tails, doublings), doubling the direct-sum
+    length M until every truncation tail is settled. `evaluate` is its only
+    caller; perfbench's tracer wraps it by this name and reads terms_used
+    at index 3."""
     p = case.params
     es = np.asarray(case.e_list, dtype=np.float64)
     n0 = termination_index(p)
     big_m = _M_START
     if n0 < big_m:
         big_m = max(n0, 8)
+    doublings = 0
     while True:
+        cs, wt, wle = _z_independent(case, big_m, n0)
         u, du, ddu, terms, t0, t1, t2, status = _kernels.expansion_core(
             p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es,
-            float(z), int(big_m), _MCAP, ctl.rel_tol / 10.0,
-            ctl.max_terms, ctl.consecutive_small, n0)
+            float(z), int(big_m), cs, wt, wle, ctl.rel_tol / 10.0,
+            ctl.max_terms, ctl.consecutive_small)
         if status == _kernels.STATUS_MAX_TERMS:
             raise NonConvergenceError("an inner hypergeometric series did not settle")
-        if status == _kernels.STATUS_POLE:
-            raise PoleError("gamma-factor pole in the tail weights")
         if status != _kernels.STATUS_OK:
             raise NumericalError("expansion summation failed")
         if not all(map(math.isfinite, (u, du, ddu))):
             raise NumericalError("expansion summation produced a non-finite value")
-        done = (t0 <= ctl.rel_tol * abs(u) + VALUE_FLOOR
-                and t1 <= ctl.rel_tol * abs(du) + VALUE_FLOOR
-                and t2 <= ctl.rel_tol * abs(ddu) + VALUE_FLOOR)
+        tails = (t0, t1, t2)
+        done = all(_settled(tails, (u, du, ddu), ctl))
         if done or big_m >= ctl.max_terms or big_m >= n0:
-            return u, du, ddu, terms, (t0, t1, t2)
+            return u, du, ddu, terms, tails, doublings
         big_m = min(2 * big_m, ctl.max_terms)
+        doublings += 1
 
 
 def evaluate(case: ReductionCase, z: float, ctl: SeriesControl | None = None,
@@ -116,13 +164,12 @@ def evaluate(case: ReductionCase, z: float, ctl: SeriesControl | None = None,
         ctl = SeriesControl()
     z = float(z)
     check_disk(z, max_abs_z)
-    u, du, ddu, terms, tails = _sum_all(case, z, ctl)
+    u, du, ddu, terms, tails, doublings = _sum_all(case, z, ctl)
     values = tuple(map(float, (u, du, ddu)))
     tails = tuple(map(float, tails))
-    status = tuple(EvalStatus.CONVERGED
-                   if t <= ctl.rel_tol * abs(v) or abs(v) < VALUE_FLOOR
-                   else EvalStatus.MAX_TERMS_REACHED for v, t in zip(values, tails))
-    return Evaluation(z, *values, int(terms), tails, status)
+    status = tuple(EvalStatus.CONVERGED if ok else EvalStatus.MAX_TERMS_REACHED
+                   for ok in _settled(tails, values, ctl))
+    return Evaluation(z, *values, int(terms), tails, status, doublings)
 
 
 def evaluate_expansion(case: ReductionCase, z: float,

@@ -1,13 +1,15 @@
 """Summation of the expansion, its derivatives, and the equation residuals."""
 
+import numpy as np
 import pytest
 
 from heunx import (DomainError, EvalStatus, SeriesControl, SingularPointError,
-                   detect_truncation, evaluate_expansion,
+                   _kernels, detect_truncation, evaluate, evaluate_expansion,
                    evaluate_expansion_deriv, evaluation_table,
                    forcing_constant, forcing_defect, gauss_2f1,
                    gauss_2f1_deriv, ode_residual, q_candidates_N0,
                    q_candidates_N2)
+from heunx.recurrence import termination_index
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,43 @@ def test_truncated_control_matches_default(anchor_case):
     tight = evaluate_expansion(anchor_case, 0.4, SeriesControl())
     loose = evaluate_expansion(anchor_case, 0.4, SeriesControl(rel_tol=1e-10))
     assert loose.value == pytest.approx(tight.value, rel=1e-13)
+
+
+def test_stopping_rule_at_the_anchor(anchor_case):
+    # the resummed tail is exact, so z = -0.9 needs no long direct sum
+    ev = evaluate(anchor_case, -0.9)
+    assert ev.terms_used <= 256
+    assert ev.doublings == 0
+    assert ev.status == (EvalStatus.CONVERGED,) * 3
+    w = 1.0 - ev.z
+    assert ev.u == pytest.approx(3.0 / w, rel=1e-14)
+    assert ev.du == pytest.approx(3.0 / w ** 2, rel=1e-13)
+    assert ev.ddu == pytest.approx(6.0 / w ** 3, rel=1e-12)
+
+
+def _core_at(case, z, big_m, mcap):
+    p = case.params
+    g = p.gamma + p.epsilon
+    es = np.asarray(case.e_list, dtype=np.float64)
+    cs, wt, wle, st = _kernels.expansion_prefix(
+        g, g - p.alpha, g - p.beta, es, big_m, mcap, termination_index(p))
+    assert st == _kernels.STATUS_OK
+    return _kernels.expansion_core(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
+                                   p.epsilon, es, z, big_m, cs, wt, wle,
+                                   1e-15, 10000, 3)
+
+
+def test_tail_estimate_measures_truncation():
+    case = q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0]
+    # full m-sum: it stops once the next term is below eps in every order
+    for big_m in (128, 256):
+        out = _core_at(case, -0.9, big_m, 24)
+        for value, tail in zip(out[:3], out[4:7]):
+            assert tail <= _kernels.EPS * abs(value)
+    # an m-sum cut at m = 4: what is left is truncation, falling like M^-6
+    short = [_core_at(case, -0.9, big_m, 4)[4:7] for big_m in (128, 256)]
+    for t128, t256 in zip(*short):
+        assert 0.0 < t256 < t128 / 16.0
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 2.0, 1e-12])
