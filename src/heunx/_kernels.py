@@ -1,9 +1,11 @@
 """Numeric cores behind the public API.
 
-Every function here is numba-compatible and side-effect free; the jitted and
-plain backends share this source (see _jit). Failures surface as status
-codes rather than exceptions so the kernels compile under nopython mode;
-wrappers translate the codes into typed errors.
+Every function here is side-effect free, and all but newton_general are
+numba-compatible; the jitted and plain backends share this source (see
+_jit). Failures surface as status codes rather than exceptions so the
+kernels compile under nopython mode; wrappers translate the codes into
+typed errors. newton_general takes a few Newton steps per reduction root
+and solves each step through numpy's LAPACK, so it stays plain Python.
 """
 
 import math
@@ -143,16 +145,16 @@ def two_term_ratio_stream(g, x1, x2, es, nmax, n0):
 
     x1 = gamma+eps-alpha, x2 = gamma+eps-beta; n0 is the termination index
     (already snapped by the caller) or a value > nmax when none exists.
+    Multiplied up in order, so c_n is the product a row-by-row loop gives.
     """
     c = np.zeros(nmax + 1)
     c[0] = 1.0
-    for n in range(1, nmax + 1):
-        if n >= n0:
-            break  # remaining entries stay exactly 0
-        r = (x1 - 1.0 + n) * (x2 - 1.0 + n) / ((g - 1.0 + n) * n)
-        for k in range(len(es)):
-            r *= (es[k] + n) / (es[k] - 1.0 + n)
-        c[n] = c[n - 1] * r
+    top = min(nmax, n0 - 1)  # remaining entries stay exactly 0
+    n = np.arange(1.0, top + 1.0)
+    r = (x1 - 1.0 + n) * (x2 - 1.0 + n) / ((g - 1.0 + n) * n)
+    for k in range(len(es)):
+        r *= (es[k] + n) / (es[k] - 1.0 + n)
+    c[1:top + 1] = np.cumprod(r)
     return c
 
 
@@ -202,14 +204,21 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
 
 @maybe_njit
 def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
-    """Scale-free residual of the three-term relation at each n >= 2."""
+    """Scale-free residual of the three-term relation at each n >= 2: all
+    rows at once, each in the arithmetic order of coeff_r, coeff_q, coeff_p."""
     nmax = len(values) - 1
     rows = np.zeros(nmax + 1)
-    for n in range(2, nmax + 1):
-        t1 = coeff_r(n, a, ga, ep) * values[n]
-        t2 = coeff_q(n - 1, a, q, al, be, ga, de, ep) * values[n - 1]
-        t3 = coeff_p(n - 2, a, q, al, be, ga, de, ep) * values[n - 2]
-        rows[n] = abs(t1 + t2 + t3) / (abs(t1) + abs(t2) + abs(t3) + TINY)
+    n = np.arange(2.0, nmax + 1.0)
+    m = n - 2.0
+    g = ep + ga
+    f1 = m + g - al
+    f2 = m + g - be
+    f1[np.abs(f1) < INT_SNAP] = 0.0  # the snap of coeff_p
+    f2[np.abs(f2) < INT_SNAP] = 0.0
+    t1 = coeff_r(n, a, ga, ep) * values[2:]
+    t2 = coeff_q(n - 1.0, a, q, al, be, ga, de, ep) * values[1:nmax]
+    t3 = -a / (m + g) * (m + ep) * f1 * f2 * values[:nmax - 1]
+    rows[2:] = np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + TINY)
     return rows
 
 
@@ -376,88 +385,51 @@ def colloc_scale(a, al, be, ga, n_case, q, es):
 
 
 @maybe_njit
-def solve_small(mat, rhs):
-    """Gaussian elimination with partial pivoting for the tiny Newton systems."""
-    n = len(rhs)
-    a = mat.copy()
-    b = rhs.copy()
-    for col in range(n):
-        piv = col
-        best = abs(a[col, col])
-        for r in range(col + 1, n):
-            if abs(a[r, col]) > best:
-                best = abs(a[r, col])
-                piv = r
-        if best < 1e-200:
-            return b, False
-        if piv != col:
-            for cc in range(n):
-                tmp = a[col, cc]
-                a[col, cc] = a[piv, cc]
-                a[piv, cc] = tmp
-            tmp = b[col]
-            b[col] = b[piv]
-            b[piv] = tmp
-        for r in range(col + 1, n):
-            f = a[r, col] / a[col, col]
-            for cc in range(col, n):
-                a[r, cc] -= f * a[col, cc]
-            b[r] -= f * b[col]
-    x = np.zeros(n)
-    for r in range(n - 1, -1, -1):
-        s = b[r]
-        for cc in range(r + 1, n):
-            s -= a[r, cc] * x[cc]
-        x[r] = s / a[r, r]
-    return x, True
+def colloc_jacobian(a, al, be, ga, n_case, q, es):
+    """Exact Jacobian of colloc_residual in (q, e_1..e_N): q enters only
+    through -q P(n-1), and e_k through each summand's e-product."""
+    de = n_case + 2.0
+    ep = 1.0 + al + be - ga - de
+    jac = np.zeros((n_case + 1, n_case + 1))
+    for i in range(n_case + 1):
+        n = i + 1.0
+        # the summands' factors in front of P(n), P(n-1) and P(n-2)
+        f1, f2, f3 = identity_terms(a, q, al, be, ga, de, ep, es[:0], n)
+        dq = -1.0
+        for k in range(n_case):
+            dq *= es[k] - 1.0 + n
+            d1 = d2 = d3 = 1.0
+            for j in range(n_case):
+                if j != k:
+                    d1 *= es[j] + n
+                    d2 *= es[j] - 1.0 + n
+                    d3 *= es[j] - 2.0 + n
+            jac[i, k + 1] = f1 * d1 + f2 * d2 + f3 * d3
+        jac[i, 0] = dq
+    return jac
 
 
-@maybe_njit
 def newton_general(a, al, be, ga, n_case, q0, es0, tol, maxit):
-    """Damped Newton with finite-difference Jacobian on the collocation map.
+    """Newton polish of a reduction (q, e_1..e_N) on the collocation map,
+    with the exact Jacobian; a step is kept only while it lowers the largest
+    residual, for at most maxit steps.
 
     Returns (q, es, scaled_residual, converged).
     """
-    dim = n_case + 1
-    x = np.zeros(dim)
-    x[0] = q0
-    for k in range(n_case):
-        x[k + 1] = es0[k]
+    x = np.concatenate(([q0], es0))
     f = colloc_residual(a, al, be, ga, n_case, x[0], x[1:])
-    fn = np.max(np.abs(f))
     for _ in range(maxit):
-        sc = colloc_scale(a, al, be, ga, n_case, x[0], x[1:])
-        if fn <= tol * (sc + 1.0):
-            return x[0], x[1:].copy(), fn / (sc + 1.0), True
-        jac = np.zeros((dim, dim))
-        for j in range(dim):
-            h = 1e-7 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            fp = colloc_residual(a, al, be, ga, n_case, xp[0], xp[1:])
-            for i in range(dim):
-                jac[i, j] = (fp[i] - f[i]) / h
-        step, ok = solve_small(jac, f)
-        if not ok:
-            return x[0], x[1:].copy(), fn / (sc + 1.0), False
-        lam = 1.0
-        improved = False
-        for _ in range(25):
-            xt = x - lam * step
-            ft = colloc_residual(a, al, be, ga, n_case, xt[0], xt[1:])
-            ftn = np.max(np.abs(ft))
-            if ftn < fn:
-                x = xt
-                f = ft
-                fn = ftn
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
+        try:
+            xt = x - np.linalg.solve(colloc_jacobian(a, al, be, ga, n_case, x[0], x[1:]), f)
+        except np.linalg.LinAlgError:
+            break  # singular Jacobian: keep the last point
+        ft = colloc_residual(a, al, be, ga, n_case, xt[0], xt[1:])
+        if not np.max(np.abs(ft)) < np.max(np.abs(f)):
             break
-    sc = colloc_scale(a, al, be, ga, n_case, x[0], x[1:])
-    conv = fn <= tol * (sc + 1.0)
-    return x[0], x[1:].copy(), fn / (sc + 1.0), conv
+        x, f = xt, ft
+    fn = np.max(np.abs(f))
+    sc = colloc_scale(a, al, be, ga, n_case, x[0], x[1:]) + 1.0
+    return x[0], x[1:], fn / sc, fn <= tol * sc
 
 
 @maybe_njit

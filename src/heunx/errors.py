@@ -39,7 +39,7 @@ class PreconditionError(HeunxError):
 
 
 class NoSolutionError(HeunxError):
-    """All solver seeds exhausted without an admissible solution."""
+    """No root of the q-condition holds in double as an admissible reduction."""
 
 
 class SingularPointError(HeunxError):

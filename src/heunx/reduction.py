@@ -8,11 +8,15 @@ degree N+1, so vanishing at N+2 collocation points certifies the reduction
 without any symbolic algebra. The leading coefficient of that polynomial
 is 2+N-delta independently of q and the e_k, which gives a second, free
 cross-check.
+
+The identity is bilinear in q and in the coefficients of
+P(n) = prod_k (e_k + n), so solve_reduction_general takes every q-root from
+one eigen solve. Roots of larger N are ill-conditioned in double, so the
+certificate also checks the three-term relation on the first 50 coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,14 +27,18 @@ from . import _kernels
 from .errors import NoSolutionError, PreconditionError
 from .params import (HeunParams, ValidatedHeunParams, is_nonpos_int,
                      require_valid)
+from .recurrence import termination_index
 
 VERIFY_TOL = 1e-9       # collocation pass threshold, relative to summand scale
 A_TOP_TOL = 1e-8        # leading-coefficient agreement with 2+N-delta
-DEDUP_TOL = 1e-8        # two solutions within this are the same root
+STREAM_ROWS = 50        # ratio-stream rows c_0..c_50 the certificate checks
+# the general solver returns a root only two decades inside VERIFY_TOL:
+# rounding alone moves an ill-conditioned root's defect by a decade, so at
+# VERIFY_TOL the returned set would change with the last bit of the input
+GENERAL_TOL = VERIFY_TOL * 1e-2
 NEWTON_TOL = 1e-12
-NEWTON_MAXIT = 60
-MAX_SEEDS = 200
-_PROBE_SEED = 1729      # fixed seed: the off-grid probe point is reproducible
+POLISH_STEPS = 6
+_PROBE_POINT = 0.3074202960516803  # off-grid, non-integer collocation point
 
 
 class NoRealRootWarning(UserWarning):
@@ -42,7 +50,8 @@ class DegenerateConstraintWarning(UserWarning):
 
 
 class DiscardedRootWarning(UserWarning):
-    """A real q-root was dropped: complex or forbidden-integer e_k."""
+    """A real q-root was dropped: complex or forbidden-integer e_k, or a
+    three-term defect too large for the root to hold in double."""
 
 
 def identity_lhs(p: HeunParams, e_list, n: float) -> float:
@@ -99,32 +108,45 @@ class ConstraintReport:
     passed: bool
     tolerance_used: float
     a_top_gap: float
+    stream_defect: float
 
 
-def _probe_point() -> float:
-    rng = np.random.default_rng(_PROBE_SEED)
-    while True:
-        x = float(rng.uniform(0.0, 10.0))
-        if abs(x - round(x)) > 1e-3:
-            return x
+def _stream_defect(p: HeunParams, e_list) -> float:
+    """Largest scale-free three-term defect of the ratio stream c_0..c_50.
+
+    The quantity `verify` reports as its recurrence residual, from the ratio
+    alone (no closed-form agreement check); inf when the stream leaves the
+    floats, as it does at a non-positive integer e_k.
+    """
+    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
+    g = p.gamma + p.epsilon
+    with np.errstate(all="ignore"):
+        c = _kernels.two_term_ratio_stream(g, g - p.alpha, g - p.beta, es,
+                                           STREAM_ROWS, termination_index(p))
+        rows = _kernels.recurrence_residual_rows(
+            p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, c)
+    worst = float(np.max(rows[2:]))
+    return worst if math.isfinite(worst) else math.inf
 
 
 def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
-    """Collocation check of the reduction identity.
+    """The reduction certificate.
 
     Evaluates identity_lhs at n = 1..N+3 plus one off-grid non-integer
-    point; passes iff every value is below VERIFY_TOL times the local
-    summand scale (floored at 1). Also fits the full coefficient vector
-    A_0..A_{N+1} on integer nodes and reports how far the forward-difference
-    leading coefficient sits from its closed form 2+N-delta.
+    point, each against VERIFY_TOL times the local summand scale (floored
+    at 1). Also fits the full coefficient vector A_0..A_{N+1} on integer
+    nodes and reports how far the forward-difference leading coefficient
+    sits from its closed form 2+N-delta, and takes the _stream_defect of
+    the first 50 coefficients. Passes iff all three hold: every identity value,
+    the gap within A_TOP_TOL and the defect within VERIFY_TOL.
     """
     es = tuple(float(e) for e in e_list)
     n_case = len(es)
 
     points = [float(k) for k in range(1, n_case + 4)]
-    points.append(_probe_point())
+    points.append(_PROBE_POINT)
     values = [identity_lhs(p, es, n) for n in points]
-    passed = all(
+    colloc_ok = all(
         abs(v) <= VERIFY_TOL * max(identity_scale(p, es, n), 1.0)
         for v, n in zip(values, points)
     )
@@ -137,14 +159,16 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
 
     a_top = leading_difference(p, es, n_case + 1)
     a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
+    defect = _stream_defect(p, es)
 
     return ConstraintReport(
         collocation_points=tuple(points),
         identity_values=tuple(float(v) for v in values),
         extracted_A=tuple(float(c) for c in coeffs),
-        passed=passed,
+        passed=colloc_ok and a_top_gap <= A_TOP_TOL and defect <= VERIFY_TOL,
         tolerance_used=VERIFY_TOL,
         a_top_gap=float(a_top_gap),
+        stream_defect=defect,
     )
 
 
@@ -152,8 +176,10 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
 class ReductionCase:
     """An accepted (q, e_1..e_N) point together with its derived ansatz data.
 
-    Construction re-runs the collocation verifier; an instance existing is
-    the certificate that its parameters really collapse the recurrence.
+    Construction runs verify_reduction, or takes the report of a run the
+    caller already made (which must be verify_reduction(params, e_list));
+    an instance existing is the certificate that its parameters really
+    collapse the recurrence.
     """
 
     N: int
@@ -178,17 +204,36 @@ class ReductionCase:
         upper = tuple(1.0 + e for e in self.e_list) + (g - p.alpha, g - p.beta)
         object.__setattr__(self, "ansatz_upper", upper)
         object.__setattr__(self, "ansatz_lower", tuple(self.e_list) + (g,))
-        report = verify_reduction(p, self.e_list)
-        if not report.passed or report.a_top_gap > A_TOP_TOL:
+        report = self.report or verify_reduction(p, self.e_list)
+        if not report.passed:
             raise PreconditionError(
-                "collocation verification failed for the proposed reduction")
+                "verification failed for the proposed reduction "
+                f"({STREAM_ROWS}-row defect {report.stream_defect:.2e})")
         object.__setattr__(self, "report", report)
 
     @classmethod
-    def build(cls, params: HeunParams, e_list, q_root_index: int = 0) -> "ReductionCase":
+    def build(cls, params: HeunParams, e_list, q_root_index: int = 0,
+              report: ConstraintReport = None) -> "ReductionCase":
         p = require_valid(params)
         es = tuple(float(e) for e in e_list)
-        return cls(N=len(es), params=p, e_list=es, q_root_index=q_root_index)
+        return cls(N=len(es), params=p, e_list=es, q_root_index=q_root_index,
+                   report=report)
+
+
+def _ill_conditioned(report: ConstraintReport, tol: float) -> str:
+    return (f"ill-conditioned in double ({STREAM_ROWS}-row three-term defect "
+            f"{report.stream_defect:.2e} > {tol:.0e})")
+
+
+def _certified(params: HeunParams, e_list, q_root_index: int) -> list:
+    """[the case at (params, e_list)], or [] after a DiscardedRootWarning
+    when it fails the certificate."""
+    report = verify_reduction(params, e_list)
+    if report.passed:
+        return [ReductionCase.build(params, e_list, q_root_index, report=report)]
+    warnings.warn(f"root q = {params.q!r} dropped: "
+                  + _ill_conditioned(report, VERIFY_TOL), DiscardedRootWarning)
+    return []
 
 
 def case_to_dict(case: ReductionCase) -> dict:
@@ -241,10 +286,10 @@ def q_for_N0(a: float, alpha: float, beta: float, gamma: float) -> float:
 
 
 def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float) -> list:
-    """The order-0 reduction as a verified case (always exactly one)."""
+    """The order-0 reduction as a verified case (exactly one, unless it
+    fails the certificate)."""
     q = q_for_N0(a, alpha, beta, gamma)
-    params = _build_params(a, q, alpha, beta, gamma, 0)
-    return [ReductionCase.build(params, (), q_root_index=0)]
+    return _certified(_build_params(a, q, alpha, beta, gamma, 0), (), 0)
 
 
 def _quadratic_q_coeffs(a, alpha, beta, gamma):
@@ -277,9 +322,9 @@ def _real_quadratic_roots(coeffs) -> list:
 def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float) -> list:
     """Order-1 reductions: quadratic in q, then e_1 linear in q.
 
-    Roots whose e_1 lands on a non-positive integer are discarded with a
-    warning; a negative discriminant is reported as a warning and yields an
-    empty list rather than an error.
+    Roots whose e_1 lands on a non-positive integer or that fail the
+    certificate are discarded with a warning; a negative discriminant is
+    reported as a warning and yields an empty list rather than an error.
     """
     coeffs = _quadratic_q_coeffs(a, alpha, beta, gamma)
     roots = _real_quadratic_roots(coeffs)
@@ -294,8 +339,7 @@ def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float) -> list:
             warnings.warn(f"root q = {q!r} discarded: e_1 = {e1!r} is a "
                           "non-positive integer", DiscardedRootWarning)
             continue
-        params = _build_params(a, q, alpha, beta, gamma, 1)
-        cases.append(ReductionCase.build(params, (e1,), q_root_index=idx))
+        cases += _certified(_build_params(a, q, alpha, beta, gamma, 1), (e1,), idx)
     return cases
 
 
@@ -324,8 +368,9 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
     ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
 
     Requires alpha != 3, beta != 3 and a != 1 (the ratio relation divides
-    by (a-1)(alpha-3)(beta-3)). Complex q-roots and complex or
-    forbidden-integer e-pairs are reported and skipped, never returned.
+    by (a-1)(alpha-3)(beta-3)). Complex q-roots, complex or
+    forbidden-integer e-pairs and roots that fail the certificate are
+    reported and skipped, never returned.
     """
     if abs(alpha - 3.0) < 1e-12 or abs(beta - 3.0) < 1e-12:
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
@@ -369,94 +414,73 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
             warnings.warn(f"root q = {q!r} skipped: an e_k is a non-positive "
                           "integer", DiscardedRootWarning)
             continue
-        params = _build_params(a, q, alpha, beta, gamma, 2)
-        cases.append(ReductionCase.build(params, (e1, e2), q_root_index=idx))
+        cases += _certified(_build_params(a, q, alpha, beta, gamma, 2), (e1, e2), idx)
     return cases
 
 
-def _default_seeds(a, alpha, beta, gamma, n_case):
-    """Deterministic multi-start grid along the e-sum line.
-
-    Every accepted solution sits on the _e_sum_rule line, so the e seeds are
-    symmetric spreads around its center per coarse q; the q offsets are the
-    only real exploration axis. A few positive half-integer permutations are
-    kept as insurance for basins the centered spreads miss."""
-    coeffs = _quadratic_q_coeffs(a, alpha, beta, gamma)
-    raw = np.roots(coeffs)
-    base_qs = sorted({float(r.real) for r in raw})
-    offsets = (0.0, -1.0, 1.0, -3.0, 3.0, -8.0, 8.0)
-    spreads = (0.5, 1.5, 3.0)
-    seeds = []
-    for off in offsets:
-        for q0 in base_qs:
-            q = q0 + off
-            center = _e_sum_rule(a, alpha, beta, gamma, n_case, q) / max(n_case, 1)
-            for d in spreads:
-                es = tuple(center + d * (i - 0.5 * (n_case - 1))
-                           for i in range(n_case))
-                seeds.append((q, es))
-                if n_case <= 1:
-                    break  # a single e is pinned by the sum, spreads repeat it
-    half_ints = [k + 0.5 for k in range(n_case + 1)]
-    for ep in itertools.permutations(half_ints, n_case):
-        for q0 in base_qs:
-            seeds.append((q0, ep))
-    return seeds[:MAX_SEEDS]
+def _pencil(p: HeunParams, n_case: int):
+    """(A, B) with the collocation identity at n = 1..N+1 equal to (A - q B) x,
+    x the coefficients of P(n) = prod_k (e_k + n) in the basis (n - (N+2)/2)^j,
+    centred on the nodes. B, the Vandermonde matrix of P(n-1), is nonsingular."""
+    nodes = np.arange(1.0, n_case + 2.0)
+    # the factors in front of P(n), P(n-1) (at q = 0) and P(n-2)
+    factors = np.array([_kernels.identity_terms(p.a, 0.0, p.alpha, p.beta, p.gamma,
+                                                p.delta, p.epsilon, np.zeros(0), n)
+                        for n in nodes])
+    t = nodes - (n_case + 2) / 2.0
+    blocks = [np.vander(t - k, n_case + 1, increasing=True) for k in range(3)]
+    return sum(factors[:, k, None] * blocks[k] for k in range(3)), blocks[1]
 
 
 def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
-                            n_case: int, seed_grid=None) -> list:
-    """Order-N reductions by damped Newton on the collocation residuals.
+                            n_case: int) -> list:
+    """Every order-N reduction, from one generalized eigenproblem.
 
-    The unknowns (q, e_1..e_N) must zero identity_lhs at n = 1..N+1; the
-    remaining node n = N+2 and the leading coefficient come for free, which
-    verify_reduction confirms per survivor. Seeds are deterministic, results
-    are deduplicated at 1e-8 and sorted by q, and the search stops once N+1
-    distinct solutions (the degree of the q-condition) are in hand.
+    The N+1 eigenvalues of the pencil (_pencil) are the q-roots. The e_k of
+    a real one are the negated roots of its eigenvector's polynomial, then
+    (q, e) is polished by _kernels.newton_general. Returns, sorted by q, the
+    cases whose certificate passes with a 50-row defect of at most
+    GENERAL_TOL. Every other root gets one warning with its reason: complex
+    q, a complex e-pair, a non-positive integer e_k, or ill-conditioned in
+    double with its defect. With no case left, NoSolutionError lists them.
     """
     if n_case < 0:
         raise PreconditionError("reduction order N must be non-negative")
-    _build_params(a, 0.0, alpha, beta, gamma, n_case)  # fail fast on bad draw
-    seeds = list(seed_grid) if seed_grid is not None else _default_seeds(
-        a, alpha, beta, gamma, n_case)
+    big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
+    qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
+    cases, dropped = [], []
 
-    found = []  # (q, es_sorted)
-    best_resid = math.inf
-    for q0, e0 in seeds:
-        q, es, resid, ok = _kernels.newton_general(
-            a, alpha, beta, gamma, n_case, float(q0),
-            np.asarray(e0, dtype=np.float64), NEWTON_TOL, NEWTON_MAXIT)
-        best_resid = min(best_resid, resid)
-        if not ok:
-            continue
-        es_sorted = tuple(sorted(float(e) for e in es))
-        if any(is_nonpos_int(e) for e in es_sorted):
-            continue
-        duplicate = False
-        for q_seen, es_seen in found:
-            gap = abs(q - q_seen)
-            for x, y in zip(es_sorted, es_seen):
-                gap = max(gap, abs(x - y))
-            if gap <= DEDUP_TOL * (1.0 + abs(q_seen)):
-                duplicate = True
-                break
-        if duplicate:
-            continue
-        report = verify_reduction(
-            _build_params(a, q, alpha, beta, gamma, n_case), es_sorted)
-        if not report.passed or report.a_top_gap > A_TOP_TOL:
-            continue
-        found.append((float(q), es_sorted))
-        if len(found) >= n_case + 1:
-            break
+    def drop(q, why, category=DiscardedRootWarning):
+        dropped.append(f"root q = {q!r} dropped: {why}")
+        warnings.warn(dropped[-1], category)
 
-    if not found:
-        raise NoSolutionError(
-            f"no order-{n_case} reduction found from {len(seeds)} seeds "
-            f"(best scaled residual {best_resid:.3e})")
-    found.sort(key=lambda item: item[0])
-    cases = []
-    for idx, (q, es_sorted) in enumerate(found):
+    real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
+    for j in np.flatnonzero(~real):
+        drop(complex(qs[j]), "q is complex", NoRealRootWarning)
+    for idx, j in enumerate(sorted(np.flatnonzero(real), key=lambda j: qs[j].real)):
+        q = float(qs[j].real)
+        x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
+        roots = np.roots(x.real[::-1]) + (n_case + 2) / 2.0
+        if len(roots) < n_case:
+            drop(q, "an e_k is infinite")
+            continue
+        if np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))):
+            drop(q, "the e_k include a complex pair")
+            continue
+        q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q,
+                                              -roots.real, NEWTON_TOL, POLISH_STEPS)
+        q, es = float(q), tuple(sorted(float(e) for e in es))
+        if any(is_nonpos_int(e) for e in es):
+            drop(q, "an e_k is a non-positive integer")
+            continue
         params = _build_params(a, q, alpha, beta, gamma, n_case)
-        cases.append(ReductionCase.build(params, es_sorted, q_root_index=idx))
+        report = verify_reduction(params, es)
+        if report.passed and report.stream_defect <= GENERAL_TOL:
+            cases.append(ReductionCase.build(params, es, idx, report=report))
+        else:
+            drop(q, _ill_conditioned(report, GENERAL_TOL))
+
+    if not cases:
+        raise NoSolutionError(f"no order-{n_case} reduction holds in double: "
+                              + "; ".join(dropped))
     return cases

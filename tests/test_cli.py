@@ -11,6 +11,7 @@ import pytest
 
 import heunx._kernels
 import heunx.cli
+import heunx.reduction
 
 CLI = [sys.executable, "-m", "heunx.cli"]
 # the child imports the same heunx as this process, also when pytest put
@@ -238,3 +239,24 @@ def test_each_point_is_summed_once(write_params, monkeypatch, args, most):
     code = heunx.cli.main([args[0], "--params", path, *args[1:]])
     assert code in (0, 3)
     assert len(calls) <= most
+
+
+def test_certificate_runs_once_per_case(write_params, monkeypatch, capsys):
+    calls = []
+    verify = heunx.reduction.verify_reduction
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    for module in (heunx.reduction, heunx.cli):
+        monkeypatch.setattr(module, "verify_reduction", counted)
+    assert heunx.cli.main(["verify", "--params", write_params(ANCHOR_FULL)]) in (0, 3)
+    assert len(calls) == 1
+
+    calls.clear()
+    capsys.readouterr()
+    bench = {"a": 2.0, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": -0.4}
+    assert heunx.cli.main(["reduce", "--params", write_params(bench), "--n", "3"]) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert len(cases) == 3 and len(calls) == 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import heunx._kernels
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    coeff_P, coeff_Q, coeff_R, q_candidates_N0, q_candidates_N2,
@@ -137,3 +138,43 @@ def test_stream_csv_shape():
     assert first[2] == "nan" and first[3] == "nan"
     row2 = lines[3].split(",")
     assert float(row2[2]) == pytest.approx(0.6, rel=1e-13)
+
+
+def _ratio_stream_by_rows(g, x1, x2, es, nmax, n0):
+    c = np.zeros(nmax + 1)
+    c[0] = 1.0
+    for n in range(1, min(nmax, n0 - 1) + 1):
+        r = (x1 - 1.0 + n) * (x2 - 1.0 + n) / ((g - 1.0 + n) * n)
+        for e in es:
+            r *= (e + n) / (e - 1.0 + n)
+        c[n] = c[n - 1] * r
+    return c
+
+
+def _residual_rows_by_rows(p, values):
+    rows = np.zeros(len(values))
+    for n in range(2, len(values)):
+        t1 = coeff_R(n, p) * values[n]
+        t2 = coeff_Q(n - 1, p) * values[n - 1]
+        t3 = coeff_P(n - 2, p) * values[n - 2]
+        rows[n] = abs(t1 + t2 + t3) / (abs(t1) + abs(t2) + abs(t3) + 1e-300)
+    return rows
+
+
+def test_vectorised_stream_kernels_match_row_loops():
+    # same arithmetic per row, so equal to the bit; includes a terminating
+    # case, whose P factor is snapped to an exact zero
+    terminating = q_candidates_N0(2.0, 1.0, 2.4, 0.8)[0]
+    cases = [terminating] + q_candidates_N2(2.0, 2.5, 1.7, 0.6)[:1] + [
+        q_candidates_N0(*draw)[0] for draw in
+        np.random.default_rng(5).uniform(-3.0, 3.0, size=(20, 4))
+        if abs(draw[0] - 1.0) > 0.05]
+    for case in cases:
+        p, es = case.params, np.asarray(case.e_list, dtype=np.float64)
+        g = p.gamma + p.epsilon
+        args = (g, g - p.alpha, g - p.beta, es, 60, termination_index(p))
+        stream = heunx._kernels.two_term_ratio_stream(*args)
+        assert np.array_equal(stream, _ratio_stream_by_rows(*args))
+        rows = heunx._kernels.recurrence_residual_rows(
+            p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, stream)
+        assert np.array_equal(rows, _residual_rows_by_rows(p, stream))

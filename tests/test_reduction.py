@@ -1,5 +1,8 @@
 """Reduction identity, closed-form q-conditions, and the general solver."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,11 @@ from heunx import (HeunParams, NoSolutionError, PreconditionError,
                    case_to_dict, degree_claim_defect, delta_for_reduction,
                    identity_lhs, identity_scale, leading_difference,
                    q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                   q_for_N0, solve_reduction_general, verify_reduction)
-from heunx.reduction import (DegenerateConstraintWarning, NoRealRootWarning,
-                             _cubic_q_coeffs, _quadratic_q_coeffs)
+                   q_for_N0, recurrence_residual, solve_reduction_general,
+                   two_term_coefficients, verify_reduction)
+from heunx.reduction import (GENERAL_TOL, DegenerateConstraintWarning,
+                             NoRealRootWarning, _cubic_q_coeffs,
+                             _quadratic_q_coeffs)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
@@ -225,3 +230,55 @@ def test_general_solver_rejects_invalid_draw():
     # gamma+epsilon = alpha+beta-1-N lands on 0: forbidden for every q
     with pytest.raises(ValidationError):
         solve_reduction_general(2.0, 0.5, 1.5, 0.7, 1)
+
+
+# the reduce-sweep benchmark's panel draw at seed 1
+PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
+              1.5176724071367766)
+
+
+def _general_with_notes(draw, n_case):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cases = solve_reduction_general(*draw, n_case)
+        except NoSolutionError:
+            cases = []
+    return cases, [str(w.message) for w in caught]
+
+
+def _fifty_row_defect(case):
+    return recurrence_residual(two_term_coefficients(case.params, case.e_list, 50))
+
+
+@pytest.mark.parametrize("n_case", range(9))
+def test_general_solver_accounts_for_every_root(n_case):
+    # one eigen solve: each of the N+1 roots is a case or one note
+    cases, notes = _general_with_notes(N2_DRAW, n_case)
+    assert len(cases) + len(notes) == n_case + 1
+    assert all(" dropped: " in note for note in notes)
+    qs = [c.params.q for c in cases]
+    assert qs == sorted(qs)
+    for case in cases:
+        assert _fifty_row_defect(case) <= GENERAL_TOL
+    if n_case == 2:
+        assert min(abs(q - 4.25) for q in qs) < 1e-9   # the K = 1 root
+    if n_case == 4:
+        assert min(abs(q - 20.084068) for q in qs) < 1e-5
+
+
+def test_general_solver_on_the_panel_draw():
+    cases, _ = _general_with_notes(PANEL_DRAW, 3)
+    assert [round(c.params.q, 3) for c in cases] == [26.871, 41.8]
+    for case in cases:
+        assert _fifty_row_defect(case) <= GENERAL_TOL
+
+    with pytest.raises(NoSolutionError) as info:
+        solve_reduction_general(*PANEL_DRAW, 6)
+    reasons = str(info.value).split(": ", 1)[1].split("; ")
+    assert len(reasons) == 7
+    ill = [r for r in reasons if "ill-conditioned" in r]
+    assert len(ill) == 2
+    for reason in ill:
+        defect = float(re.search(r"defect (\S+) >", reason).group(1))
+        assert defect > GENERAL_TOL
