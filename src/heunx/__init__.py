@@ -6,13 +6,10 @@ This package finds the parameter choices (delta = N+2, q on a degree-(N+1)
 polynomial condition, auxiliary shifts e_1..e_N) that collapse the
 recurrence to two terms, builds the resulting gamma-function coefficient
 closed forms, sums the expansion with exact tail resummation, and certifies
-every step against an independent power-series oracle.
-
-Backend selection: hot kernels are compiled with numba when available; set
-HEUNX_NUMBA=0 to force the pure-numpy fallback (same code paths, no jit).
+every step against an independent power-series oracle. Everything runs
+in plain numpy.
 """
 
-from ._jit import JIT_ENABLED, backend_name
 from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      NonConvergenceError, NoSolutionError, NumericalError,
                      PoleError, PreconditionError, SingularPointError,
@@ -45,10 +42,10 @@ __all__ = [
     "CoefficientSource", "CoefficientStream", "ConstraintReport",
     "DivisionByZeroError", "DomainError", "EvalResult", "EvalStatus",
     "Evaluation", "FrobeniusSeries", "HeunParams", "HeunxError", "IssueCode",
-    "JIT_ENABLED", "NoSolutionError", "NonConvergenceError",
+    "NoSolutionError", "NonConvergenceError",
     "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
     "SeriesControl", "SingularPointError", "ValidatedHeunParams",
-    "ValidationError", "ValidationIssue", "backend_name", "case_to_dict",
+    "ValidationError", "ValidationIssue", "case_to_dict",
     "coeff_P", "coeff_Q", "coeff_R", "collect_issues", "cross_check",
     "degree_claim_defect", "delta_for_reduction", "delta_from_fuchsian",
     "detect_truncation", "evaluate", "evaluate_expansion",

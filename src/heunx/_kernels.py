@@ -1,34 +1,26 @@
-"""Numeric cores behind the public API.
+"""Numeric cores behind the public API, in plain numpy.
 
-Every function here is side-effect free, and all but newton_general are
-numba-compatible; the jitted and plain backends share this source (see
-_jit). Failures surface as status codes rather than exceptions so the
-kernels compile under nopython mode; wrappers translate the codes into
-typed errors. newton_general takes a few Newton steps per reduction root
-and solves each step through numpy's LAPACK, so it stays plain Python.
+Every function here is side-effect free. A failure raises the typed error
+where it happens: PoleError, DivisionByZeroError, NonConvergenceError or
+NumericalError. The integer-proximity rule is params.is_nonpos_int.
 """
 
 import math
 
 import numpy as np
 
-from ._jit import maybe_njit
-
-STATUS_OK = 0
-STATUS_MAX_TERMS = 1
-STATUS_DOMAIN = 2
-STATUS_POLE = 3
-STATUS_DIV_ZERO = 4
-STATUS_NO_CONVERGE = 5
-STATUS_NUMERICAL = 6
+from .errors import (DivisionByZeroError, NonConvergenceError, NumericalError,
+                     PoleError)
+from .params import INT_SNAP, is_nonpos_int
 
 TINY = 1e-300
 VALUE_FLOOR = 1e-280  # below this a value has no relative tail
 EPS = 2.0 ** -52
-INT_SNAP = 1e-9  # integer-proximity rule shared with parameter validation
+# closer to 0 a series in z equals its origin value to the last bit, and
+# the 1/z^2 of a second derivative overflows; such a z is taken as 0
+NEAR_ORIGIN = 1e-150
 
 
-@maybe_njit
 def poch(x, n):
     """Rising factorial (x)_n as a finite product; exact 1 for n = 0."""
     out = 1.0
@@ -37,20 +29,6 @@ def poch(x, n):
     return out
 
 
-@maybe_njit
-def nonpos_int_snap(x):
-    """Round x to the nearest non-positive integer if within INT_SNAP, else return 1.
-
-    Returns (is_snapped, snapped_value); snapped_value is meaningful only
-    when is_snapped.
-    """
-    r = np.rint(x)
-    if abs(x - r) < INT_SNAP and r <= 0.0:
-        return True, r
-    return False, 1.0
-
-
-@maybe_njit
 def lgamma_signed(x):
     """log|Gamma(x)| and the sign of Gamma(x); sign 0 flags a pole."""
     if x > 0.0:
@@ -64,53 +42,36 @@ def lgamma_signed(x):
     return math.lgamma(x), sign
 
 
-@maybe_njit
 def gauss_2f1_at_one(a, b, c):
     """2F1(a,b;c;1) = Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).
 
-    Valid for c-a-b > 0; a reciprocal gamma pole gives an exact 0.
+    Valid for c-a-b > 0; a reciprocal gamma pole gives an exact 0. Only the
+    tail weights use it, and its errors say so.
     """
     ln, sn = lgamma_signed(c)
     lm, sm = lgamma_signed(c - a - b)
     lp, sp = lgamma_signed(c - a)
     lq, sq = lgamma_signed(c - b)
     if sp == 0.0 or sq == 0.0:
-        return 0.0, STATUS_OK
+        return 0.0
     if sn == 0.0 or sm == 0.0:
-        return 0.0, STATUS_POLE
+        raise PoleError("gamma-factor pole in the tail weights")
     logv = ln + lm - lp - lq
     if logv > 700.0:
-        return 0.0, STATUS_NUMERICAL
-    return sn * sm * sp * sq * math.exp(logv), STATUS_OK
+        raise NumericalError("tail weights failed")
+    return sn * sm * sp * sq * math.exp(logv)
 
 
-@maybe_njit
-def f21_value(a, b, c, z, rel_tol, max_terms, consec):
-    """Plain 2F1 series sum; stops after `consec` successive small terms."""
-    s = 1.0
-    term = 1.0
-    small = 0
-    m = 0
-    while m < max_terms:
-        term *= (a + m) * (b + m) * z / ((c + m) * (m + 1.0))
-        s += term
-        m += 1
-        if abs(term) <= rel_tol * (abs(s) + TINY):
-            small += 1
-            if small >= consec:
-                return s, m + 1, abs(term), STATUS_OK
-        else:
-            small = 0
-    return s, m + 1, abs(term), STATUS_MAX_TERMS
-
-
-@maybe_njit
 def f21_with_derivs(a, b, c, z, rel_tol, max_terms, consec):
-    """2F1 and its first two z-derivatives in one pass over the series."""
-    if z == 0.0:
+    """2F1 and its first two z-derivatives in one pass over the series;
+    stops after `consec` successive terms small in the value and in u''.
+
+    Returns (f, f', f'', terms_used, last_term).
+    """
+    if abs(z) < NEAR_ORIGIN:
         f1 = a * b / c
         f2 = a * b * (a + 1.0) * (b + 1.0) / (c * (c + 1.0))
-        return 1.0, f1, f2, 1, 0.0, STATUS_OK
+        return 1.0, f1, f2, 1, 0.0
     zi = 1.0 / z
     zi2 = zi * zi
     s0 = 1.0
@@ -133,62 +94,57 @@ def f21_with_derivs(a, b, c, z, rel_tol, max_terms, consec):
         if ok0 and ok2:
             small += 1
             if small >= consec:
-                return s0, s1, s2, m + 1, t0, STATUS_OK
+                return s0, s1, s2, m + 1, t0
         else:
             small = 0
-    return s0, s1, s2, m + 1, abs(term), STATUS_MAX_TERMS
+    raise NonConvergenceError("an inner hypergeometric series did not settle")
 
 
-@maybe_njit
 def two_term_ratio_stream(g, x1, x2, es, nmax, n0):
     """Coefficients via the iterated two-term ratio; exact zeros from n0 on.
 
     x1 = gamma+eps-alpha, x2 = gamma+eps-beta; n0 is the termination index
     (already snapped by the caller) or a value > nmax when none exists.
     Multiplied up in order, so c_n is the product a row-by-row loop gives.
+    Each shifted factor is x + (n - 1) with the integer part exact: x - 1 + n
+    would leave a small x (an e_k near 0) at n = 1 with an absolute error
+    of eps, a large relative one.
     """
     c = np.zeros(nmax + 1)
     c[0] = 1.0
     top = min(nmax, n0 - 1)  # remaining entries stay exactly 0
     n = np.arange(1.0, top + 1.0)
-    r = (x1 - 1.0 + n) * (x2 - 1.0 + n) / ((g - 1.0 + n) * n)
+    r = (x1 + (n - 1.0)) * (x2 + (n - 1.0)) / ((g + (n - 1.0)) * n)
     for k in range(len(es)):
-        r *= (es[k] + n) / (es[k] - 1.0 + n)
+        r *= (es[k] + n) / (es[k] + (n - 1.0))
     c[1:top + 1] = np.cumprod(r)
     return c
 
 
-@maybe_njit
 def closed_form_stream(g, x1, x2, es, nmax, n0):
     """Coefficients from the gamma closed form, kept as paired Pochhammer
     ratios (x1)_n/n! and (x2)_n/(g)_n so nothing overflows for n up to 1e4."""
     c = np.zeros(nmax + 1)
     c[0] = 1.0
-    an = 1.0  # (x1)_n / n!
-    bn = 1.0  # (x2)_n / (g)_n
-    for n in range(1, nmax + 1):
-        if n >= n0:
-            break
-        an *= (x1 + n - 1.0) / n
-        bn *= (x2 + n - 1.0) / (g + n - 1.0)
-        ep = 1.0
-        for k in range(len(es)):
-            ep *= (es[k] + n) / es[k]
-        c[n] = an * bn * ep
+    top = min(nmax, n0 - 1)  # remaining entries stay exactly 0
+    n = np.arange(1.0, top + 1.0)
+    an = np.cumprod((x1 + (n - 1.0)) / n)  # (x1)_n / n!
+    bn = np.cumprod((x2 + (n - 1.0)) / (g + (n - 1.0)))  # (x2)_n / (g)_n
+    ep = 1.0
+    for k in range(len(es)):
+        ep *= (es[k] + n) / es[k]
+    c[1:top + 1] = an * bn * ep
     return c
 
 
-@maybe_njit
 def coeff_r(n, a, ga, ep):
     return (1.0 - a) * n * (ep + ga + n - 1.0)
 
 
-@maybe_njit
 def coeff_q(n, a, q, al, be, ga, de, ep):
     return -coeff_r(n, a, ga, ep) + a * (1.0 + n - de) * (n + ep) + (a * al * be - q)
 
 
-@maybe_njit
 def coeff_p(n, a, q, al, be, ga, de, ep):
     g = ep + ga
     f1 = n + g - al
@@ -199,10 +155,11 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
         f1 = 0.0
     if abs(f2) < INT_SNAP:
         f2 = 0.0
+    if abs(n + g) < 1e-12:
+        raise DivisionByZeroError(f"n+epsilon+gamma vanishes at n = {n!r}")
     return -a / (n + g) * (n + ep) * f1 * f2
 
 
-@maybe_njit
 def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
     """Scale-free residual of the three-term relation at each n >= 2: all
     rows at once, each in the arithmetic order of coeff_r, coeff_q, coeff_p."""
@@ -222,7 +179,10 @@ def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
     return rows
 
 
-@maybe_njit
+_PIVOT = "a recurrence pivot R_n or P_n vanished"
+_FAILED = "three-term stream generation failed"
+
+
 def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     """Coefficients from the three-term relation with c_0 = 1, c_1 = -Q_0/R_1.
 
@@ -235,34 +195,25 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     c = np.zeros(nmax + 1)
     c[0] = 1.0
     if nmax == 0:
-        return c, STATUS_OK
+        return c
     rho = abs(a / (a - 1.0))
 
     if n0 <= nmax:
         # terminating stream: entries from n0 on are exactly zero
         if rho <= rho_switch:
-            st = _forward_fill(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
-            if st != STATUS_OK:
-                return c, st
+            _forward_fill(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
         else:
             work = np.zeros(n0 + 1)
             work[n0 - 1] = 1.0
-            for j in range(n0 - 2, -1, -1):
-                pj = coeff_p(j, a, q, al, be, ga, de, ep)
-                if abs(pj) < TINY:
-                    return c, STATUS_DIV_ZERO
-                work[j] = -(coeff_r(j + 2.0, a, ga, ep) * work[j + 2]
-                            + coeff_q(j + 1.0, a, q, al, be, ga, de, ep) * work[j + 1]) / pj
+            _backward_fill(a, q, al, be, ga, de, ep, work, n0 - 2, -1)
             if work[0] == 0.0:
-                return c, STATUS_NUMERICAL
+                raise NumericalError(_FAILED)
             for j in range(1, min(nmax, n0 - 1) + 1):
                 c[j] = work[j] / work[0]
         return _certify_init(a, q, al, be, ga, de, ep, c)
 
     if rho <= rho_switch:
-        st = _forward_fill(a, q, al, be, ga, de, ep, c, nmax)
-        if st != STATUS_OK:
-            return c, st
+        _forward_fill(a, q, al, be, ga, de, ep, c, nmax)
         return _certify_init(a, q, al, be, ga, de, ep, c)
 
     # backward (minimal-solution) recursion with a safety buffer
@@ -276,32 +227,24 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     # an interior P zero (epsilon a non-positive integer) blocks backward
     # propagation below it; fill that lower block forward instead
     jstar = -1
-    snapped, r = nonpos_int_snap(ep)
-    if snapped and -r <= top:
-        jstar = int(-r)
+    if is_nonpos_int(ep) and -round(ep) <= top:
+        jstar = -round(ep)
 
     work = np.zeros(top + 2)
     work[top] = 1.0
-    for j in range(top - 1, jstar, -1):
-        pj = coeff_p(j, a, q, al, be, ga, de, ep)
-        if abs(pj) < TINY:
-            return c, STATUS_DIV_ZERO
-        work[j] = -(coeff_r(j + 2.0, a, ga, ep) * work[j + 2]
-                    + coeff_q(j + 1.0, a, q, al, be, ga, de, ep) * work[j + 1]) / pj
+    _backward_fill(a, q, al, be, ga, de, ep, work, top - 1, jstar)
 
     if jstar < 0:
         if work[0] == 0.0:
-            return c, STATUS_NUMERICAL
+            raise NumericalError(_FAILED)
         for j in range(1, nmax + 1):
             c[j] = work[j] / work[0]
     else:
         low = np.zeros(jstar + 2)
         low[0] = 1.0
-        st = _forward_fill(a, q, al, be, ga, de, ep, low, jstar + 1)
-        if st != STATUS_OK:
-            return c, st
+        _forward_fill(a, q, al, be, ga, de, ep, low, jstar + 1)
         if abs(work[jstar + 1]) < TINY:
-            return c, STATUS_NUMERICAL
+            raise NumericalError(_FAILED)
         sc = low[jstar + 1] / work[jstar + 1]
         for j in range(1, nmax + 1):
             if j <= jstar + 1:
@@ -311,34 +254,41 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     return _certify_init(a, q, al, be, ga, de, ep, c)
 
 
-@maybe_njit
 def _forward_fill(a, q, al, be, ga, de, ep, c, upto):
     if upto >= 1:
         r1 = coeff_r(1.0, a, ga, ep)
         if abs(r1) < TINY:
-            return STATUS_DIV_ZERO
+            raise DivisionByZeroError(_PIVOT)
         c[1] = -coeff_q(0.0, a, q, al, be, ga, de, ep) * c[0] / r1
     for n in range(2, upto + 1):
         rn = coeff_r(float(n), a, ga, ep)
         if abs(rn) < TINY:
-            return STATUS_DIV_ZERO
+            raise DivisionByZeroError(_PIVOT)
         c[n] = -(coeff_q(n - 1.0, a, q, al, be, ga, de, ep) * c[n - 1]
                  + coeff_p(n - 2.0, a, q, al, be, ga, de, ep) * c[n - 2]) / rn
-    return STATUS_OK
 
 
-@maybe_njit
+def _backward_fill(a, q, al, be, ga, de, ep, work, start, stop):
+    """work[j] for j = start down to stop+1 from work[j+1], work[j+2]."""
+    for j in range(start, stop, -1):
+        pj = coeff_p(j, a, q, al, be, ga, de, ep)
+        if abs(pj) < TINY:
+            raise DivisionByZeroError(_PIVOT)
+        work[j] = -(coeff_r(j + 2.0, a, ga, ep) * work[j + 2]
+                    + coeff_q(j + 1.0, a, q, al, be, ga, de, ep) * work[j + 1]) / pj
+
+
 def _certify_init(a, q, al, be, ga, de, ep, c):
     t1 = coeff_r(1.0, a, ga, ep) * c[1]
     t2 = coeff_q(0.0, a, q, al, be, ga, de, ep) * c[0]
     if abs(t1 + t2) > 1e-7 * (abs(t1) + abs(t2) + TINY):
-        return c, STATUS_NO_CONVERGE
-    return c, STATUS_OK
+        raise NonConvergenceError("backward recursion failed the n = 1 certificate")
+    return c
 
 
-@maybe_njit
 def identity_terms(a, q, al, be, ga, de, ep, es, n):
-    """The three summands of the collocation identity at (possibly real) n."""
+    """The three summands of the collocation identity at n, a real number
+    or an array of them (element by element the same arithmetic)."""
     g = ga + ep
     p1 = 1.0
     p2 = 1.0
@@ -353,59 +303,41 @@ def identity_terms(a, q, al, be, ga, de, ep, es, n):
     return t1, t2, t3
 
 
-@maybe_njit
-def identity_lhs_k(a, q, al, be, ga, de, ep, es, n):
-    t1, t2, t3 = identity_terms(a, q, al, be, ga, de, ep, es, n)
-    return t1 + t2 + t3
-
-
-@maybe_njit
 def colloc_residual(a, al, be, ga, n_case, q, es):
     """Identity values at n = 1..N+1, the square residual map solved for
     (q, e_1..e_N); delta and epsilon are pinned by the reduction."""
-    de = n_case + 2.0
-    ep = 1.0 + al + be - ga - de
-    out = np.zeros(n_case + 1)
-    for i in range(n_case + 1):
-        out[i] = identity_lhs_k(a, q, al, be, ga, de, ep, es, i + 1.0)
-    return out
+    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
+    return t1 + t2 + t3
 
 
-@maybe_njit
 def colloc_scale(a, al, be, ga, n_case, q, es):
+    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
+    return np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
+
+
+def _colloc_terms(a, al, be, ga, n_case, q, es):
     de = n_case + 2.0
     ep = 1.0 + al + be - ga - de
-    sc = 0.0
-    for i in range(n_case + 1):
-        t1, t2, t3 = identity_terms(a, q, al, be, ga, de, ep, es, i + 1.0)
-        s = abs(t1) + abs(t2) + abs(t3)
-        if s > sc:
-            sc = s
-    return sc
+    return identity_terms(a, q, al, be, ga, de, ep, es, np.arange(1.0, n_case + 2.0))
 
 
-@maybe_njit
 def colloc_jacobian(a, al, be, ga, n_case, q, es):
     """Exact Jacobian of colloc_residual in (q, e_1..e_N): q enters only
     through -q P(n-1), and e_k through each summand's e-product."""
-    de = n_case + 2.0
-    ep = 1.0 + al + be - ga - de
+    n = np.arange(1.0, n_case + 2.0)
+    # the summands' factors in front of P(n), P(n-1) and P(n-2)
+    f1, f2, f3 = _colloc_terms(a, al, be, ga, n_case, q, es[:0])
     jac = np.zeros((n_case + 1, n_case + 1))
-    for i in range(n_case + 1):
-        n = i + 1.0
-        # the summands' factors in front of P(n), P(n-1) and P(n-2)
-        f1, f2, f3 = identity_terms(a, q, al, be, ga, de, ep, es[:0], n)
-        dq = -1.0
-        for k in range(n_case):
-            dq *= es[k] - 1.0 + n
-            d1 = d2 = d3 = 1.0
-            for j in range(n_case):
-                if j != k:
-                    d1 *= es[j] + n
-                    d2 *= es[j] - 1.0 + n
-                    d3 *= es[j] - 2.0 + n
-            jac[i, k + 1] = f1 * d1 + f2 * d2 + f3 * d3
-        jac[i, 0] = dq
+    jac[:, 0] = -1.0
+    for k in range(n_case):
+        jac[:, 0] *= es[k] - 1.0 + n
+        d1 = d2 = d3 = 1.0
+        for j in range(n_case):
+            if j != k:
+                d1 *= es[j] + n
+                d2 *= es[j] - 1.0 + n
+                d3 *= es[j] - 2.0 + n
+        jac[:, k + 1] = f1 * d1 + f2 * d2 + f3 * d3
     return jac
 
 
@@ -432,10 +364,13 @@ def newton_general(a, al, be, ga, n_case, q0, es0, tol, maxit):
     return x[0], x[1:], fn / sc, fn <= tol * sc
 
 
-@maybe_njit
 def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
     """Power-series coefficients about the origin from the collected-power
-    identity of the differential equation; b_0 = 1."""
+    identity of the differential equation; b_0 = 1.
+
+    Returns (b, radius): the radius of convergence is the distance from the
+    origin to the nearer of the singular points 1 and a.
+    """
     b = np.zeros(nmax + 1)
     b[0] = 1.0
     gde = ga + de + ep
@@ -443,15 +378,14 @@ def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
     for m in range(nmax):
         den = a * (m + 1.0) * (m + ga)
         if abs(den) < TINY:
-            return b, STATUS_POLE
+            raise PoleError("power-series denominator vanished")
         t = ((1.0 + a) * m * (m - 1.0) + c1 * m + q) * b[m]
         if m >= 1:
             t -= ((m - 1.0) * (m - 2.0) + gde * (m - 1.0) + al * be) * b[m - 1]
         b[m + 1] = t / den
-    return b, STATUS_OK
+    return b, min(1.0, abs(a))
 
 
-@maybe_njit
 def horner_eval(coefs, z):
     """Horner value of the truncated series plus a last-three-terms tail bound."""
     n = len(coefs) - 1
@@ -467,7 +401,6 @@ def horner_eval(coefs, z):
     return acc, tail
 
 
-@maybe_njit
 def expansion_weights(g, x1, x2, es, mcap):
     """Closed-form tail weights W_m = sum_n c_n / (g+n)_m for m = 0..mcap.
 
@@ -495,24 +428,21 @@ def expansion_weights(g, x1, x2, es, mcap):
         for i in range(nn + 1):
             if d[i] == 0.0:
                 continue
-            gv, st = gauss_2f1_at_one(x1 + i, x2 + i, g + i + m)
-            if st != STATUS_OK:
-                return w, st
+            gv = gauss_2f1_at_one(x1 + i, x2 + i, g + i + m)
             acc += d[i] * poch(x1, i) * poch(x2, i) / (poch(g, i) * poch(g + i, m)) * gv
         w[m] = acc
-    return w, STATUS_OK
+    return w
 
 
-@maybe_njit
 def expansion_prefix(g, x1, x2, es, big_m, mcap, n0):
     """The z-independent pieces of a summation with direct-sum length big_m:
     c_0..c_mstop with mstop = min(big_m, n0 - 1), the closed weights W_m
     and the partial weights W_m^{<=mstop} = sum_{n<=mstop} c_n / (g+n)_m
     for m = 0..mcap. Every point of one case shares them.
 
-    Returns (cs, wt, wle, status).
+    Returns (cs, wt, wle).
     """
-    wt, st = expansion_weights(g, x1, x2, es, mcap)
+    wt = expansion_weights(g, x1, x2, es, mcap)
     mstop = big_m
     if n0 - 1 < mstop:
         mstop = n0 - 1
@@ -524,17 +454,15 @@ def expansion_prefix(g, x1, x2, es, big_m, mcap, n0):
         for m in range(1, mcap + 1):
             rr /= g + n + m - 1.0
             wle[m] += rr
-    return cs, wt, wle, st
+    return cs, wt, wle
 
 
-@maybe_njit
 def settled(tail, value, tol):
     """The one convergence test: a tail within tol of its value, or a value
     too small to measure a tail against."""
     return tail <= tol * abs(value) or abs(value) < VALUE_FLOOR
 
 
-@maybe_njit
 def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, cs, wt, wle,
                    inner_tol, max_terms_inner, consec):
     """Value and first two derivatives of the summed expansion at z.
@@ -554,26 +482,23 @@ def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, cs, wt, wle,
     term's estimate, per derivative order, is below eps of the running
     value in all three orders; those estimates are the returned tails.
 
-    Returns (u, du, ddu, terms_used, tail0, tail1, tail2, status).
+    Returns (u, du, ddu, terms_used, tail0, tail1, tail2).
     """
     g = ga + ep
-    if z == 0.0:
+    if abs(z) < NEAR_ORIGIN:
         # every term function is 1 at the origin; the weights are exact sums
         u = wt[0]
         du = al * be * wt[1]
         ddu = al * be * (al + 1.0) * (be + 1.0) * wt[2]
-        return u, du, ddu, 1, 0.0, 0.0, 0.0, STATUS_OK
+        return u, du, ddu, 1, 0.0, 0.0, 0.0
 
     mstop = len(cs) - 1
     u = 0.0
     du = 0.0
     ddu = 0.0
-    worst = STATUS_OK
     for n in range(mstop + 1):
-        f0, f1, f2, _, _, st = f21_with_derivs(al, be, g + n, z, inner_tol,
-                                               max_terms_inner, consec)
-        if st != STATUS_OK and worst == STATUS_OK:
-            worst = st
+        f0, f1, f2, _, _ = f21_with_derivs(al, be, g + n, z, inner_tol,
+                                           max_terms_inner, consec)
         cn = cs[n]
         u += cn * f0
         du += cn * f1
@@ -609,4 +534,4 @@ def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, cs, wt, wle,
         if (m >= 1 and settled(tail0, u, EPS) and settled(tail1, du, EPS)
                 and settled(tail2, ddu, EPS)):
             break
-    return u, du, ddu, mstop + 1, tail0, tail1, tail2, worst
+    return u, du, ddu, mstop + 1, tail0, tail1, tail2

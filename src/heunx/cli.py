@@ -29,7 +29,7 @@ from .recurrence import (CoefficientSource, recurrence_residual,
 from .reduction import (A_TOP_TOL, VERIFY_TOL, ReductionCase, case_to_dict,
                         q_candidates_N0, q_candidates_N1, q_candidates_N2,
                         solve_reduction_general, verify_reduction)
-from .special import SeriesControl
+from .special import EvalStatus, SeriesControl
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -157,6 +157,14 @@ def _build_case(ns) -> ReductionCase:
     return ReductionCase.build(p, es)
 
 
+def _joint_status(status) -> str:
+    """One status for a row that shows u, u' and u'': Converged only when
+    every order converged."""
+    if all(s == EvalStatus.CONVERGED for s in status):
+        return EvalStatus.CONVERGED.value
+    return EvalStatus.MAX_TERMS_REACHED.value
+
+
 def cmd_eval(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=False)
@@ -168,7 +176,7 @@ def cmd_eval(ns) -> int:
             rows.append({"z": z, "u": ev.u, "du": ev.du, "ddu": ev.ddu,
                          "residual": _jsonable(homogeneous_residual(case, ev)),
                          "terms_used": ev.terms_used,
-                         "status": ev.status[0].value})
+                         "status": _joint_status(ev.status)})
         _print_json({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol,
                                                   "max_terms": ctl.max_terms}})
     else:

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (DomainError, NonConvergenceError, NumericalError,
-                     PoleError, SingularPointError)
+from .errors import DomainError, NumericalError, PoleError, SingularPointError
+from .params import is_nonpos_int
 from .recurrence import NO_TERMINATION, termination_index
 from .reduction import ReductionCase
 from .special import EvalResult, EvalStatus, SeriesControl
@@ -110,13 +110,8 @@ def _z_independent(case: ReductionCase, big_m: int, n0: int):
     if key not in known:
         g = p.gamma + p.epsilon
         es = np.asarray(case.e_list, dtype=np.float64)
-        cs, wt, wle, status = _kernels.expansion_prefix(
+        known[key] = _kernels.expansion_prefix(
             g, g - p.alpha, g - p.beta, es, int(big_m), _MCAP, n0)
-        if status == _kernels.STATUS_POLE:
-            raise PoleError("gamma-factor pole in the tail weights")
-        if status != _kernels.STATUS_OK:
-            raise NumericalError("tail weights failed")
-        known[key] = (cs, wt, wle)
     return known[key]
 
 
@@ -139,14 +134,10 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
     doublings = 0
     while True:
         cs, wt, wle = _z_independent(case, big_m, n0)
-        u, du, ddu, terms, t0, t1, t2, status = _kernels.expansion_core(
+        u, du, ddu, terms, t0, t1, t2 = _kernels.expansion_core(
             p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es,
             float(z), int(big_m), cs, wt, wle, ctl.rel_tol / 10.0,
             ctl.max_terms, ctl.consecutive_small)
-        if status == _kernels.STATUS_MAX_TERMS:
-            raise NonConvergenceError("an inner hypergeometric series did not settle")
-        if status != _kernels.STATUS_OK:
-            raise NumericalError("expansion summation failed")
         if not all(map(math.isfinite, (u, du, ddu))):
             raise NumericalError("expansion summation produced a non-finite value")
         tails = (t0, t1, t2)
@@ -228,9 +219,7 @@ def forcing_constant(case: ReductionCase) -> float:
     g = p.gamma + p.epsilon
     # termination snap: a reciprocal-gamma argument within the shared
     # integer-proximity tolerance of a non-positive integer is a pole hit
-    hit_a, _ = _kernels.nonpos_int_snap(g - p.alpha)
-    hit_b, _ = _kernels.nonpos_int_snap(g - p.beta)
-    if hit_a or hit_b:
+    if is_nonpos_int(g - p.alpha) or is_nonpos_int(g - p.beta):
         return 0.0
     ln, sn = _kernels.lgamma_signed(g)
     la, sa = _kernels.lgamma_signed(g - p.alpha)

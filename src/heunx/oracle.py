@@ -49,14 +49,10 @@ def frobenius_coefficients(p: ValidatedHeunParams, n_max: int) -> FrobeniusSerie
     if is_nonpos_int(p.gamma):
         raise PoleError(f"gamma = {p.gamma!r} is a non-positive integer; "
                         "no power-series solution with unit leading term")
-    coeffs, status = _kernels.frobenius_fill(p.a, p.q, p.alpha, p.beta,
+    coeffs, radius = _kernels.frobenius_fill(p.a, p.q, p.alpha, p.beta,
                                              p.gamma, p.delta, p.epsilon,
                                              int(n_max))
-    if status != _kernels.STATUS_OK:
-        raise PoleError("power-series denominator vanished")
-    return FrobeniusSeries(coefficients=coeffs,
-                           radius_hint=min(1.0, abs(p.a)),
-                           params=p)
+    return FrobeniusSeries(coefficients=coeffs, radius_hint=radius, params=p)
 
 
 def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:

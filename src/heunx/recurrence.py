@@ -16,8 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .errors import (DivisionByZeroError, NonConvergenceError, NumericalError,
-                     PoleError, PreconditionError)
+from .errors import NumericalError, PoleError, PreconditionError
 from .params import HeunParams, is_nonpos_int
 
 # forward recursion keeps full precision while the contaminating solution
@@ -56,8 +55,6 @@ def coeff_Q(n: float, p: HeunParams) -> float:
 
 
 def coeff_P(n: float, p: HeunParams) -> float:
-    if abs(n + p.epsilon + p.gamma) < 1e-12:
-        raise DivisionByZeroError(f"n+epsilon+gamma vanishes at n = {n!r}")
     return _kernels.coeff_p(float(n), p.a, p.q, p.alpha, p.beta, p.gamma,
                             p.delta, p.epsilon)
 
@@ -92,15 +89,9 @@ def three_term_coefficients(p: HeunParams, n_max: int) -> CoefficientStream:
     if n_max < 0:
         raise PreconditionError("n_max must be non-negative")
     n0 = termination_index(p)
-    values, status = _kernels.three_term_stream(
+    values = _kernels.three_term_stream(
         p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
         int(n_max), n0, RHO_SWITCH)
-    if status == _kernels.STATUS_DIV_ZERO:
-        raise DivisionByZeroError("a recurrence pivot R_n or P_n vanished")
-    if status == _kernels.STATUS_NO_CONVERGE:
-        raise NonConvergenceError("backward recursion failed the n = 1 certificate")
-    if status != _kernels.STATUS_OK:
-        raise NumericalError("three-term stream generation failed")
     _finite_or_raise(values, "three-term stream")
     return CoefficientStream(values, CoefficientSource.THREE_TERM, p, ())
 

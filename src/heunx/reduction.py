@@ -54,22 +54,26 @@ class DiscardedRootWarning(UserWarning):
     three-term defect too large for the root to hold in double."""
 
 
-def identity_lhs(p: HeunParams, e_list, n: float) -> float:
-    """Residual polynomial of the factored-ratio ansatz at (possibly real) n.
+def _identity_terms(p: HeunParams, e_list, n):
+    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
+    return _kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
+                                   p.delta, p.epsilon, es, n)
+
+
+def identity_lhs(p: HeunParams, e_list, n):
+    """Residual polynomial of the factored-ratio ansatz at n, a real number
+    or an array of them.
 
     Zero at n = 1..N+2 (equivalently: identically) exactly when (q, e_list)
     realizes a two-term reduction of the recurrence for p.
     """
-    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
-    return _kernels.identity_lhs_k(p.a, p.q, p.alpha, p.beta, p.gamma,
-                                   p.delta, p.epsilon, es, float(n))
+    t1, t2, t3 = _identity_terms(p, e_list, n)
+    return t1 + t2 + t3
 
 
-def identity_scale(p: HeunParams, e_list, n: float) -> float:
+def identity_scale(p: HeunParams, e_list, n):
     """Sum of the magnitudes of the three summands; the natural local scale."""
-    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
-    t1, t2, t3 = _kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
-                                         p.delta, p.epsilon, es, float(n))
+    t1, t2, t3 = _identity_terms(p, e_list, n)
     return abs(t1) + abs(t2) + abs(t3)
 
 
@@ -80,33 +84,39 @@ def delta_for_reduction(n_case: int) -> float:
     return float(n_case + 2)
 
 
+def _forward_difference(values, order: int) -> float:
+    """Delta^order values[0] / order!: the n^order coefficient of a
+    polynomial sampled at n = 0..order."""
+    acc = 0.0
+    for k in range(order + 1):
+        acc += (-1.0) ** (order - k) * math.comb(order, k) * values[k]
+    return float(acc / math.factorial(order))
+
+
 def leading_difference(p: HeunParams, e_list, order: int) -> float:
     """Forward-difference estimate of the n^order coefficient of identity_lhs.
 
     Exact for polynomials of degree <= order when sampled at n = 0..order.
     """
-    acc = 0.0
-    for k in range(order + 1):
-        acc += (-1.0) ** (order - k) * math.comb(order, k) * identity_lhs(p, e_list, k)
-    return acc / math.factorial(order)
+    return _forward_difference(identity_lhs(p, e_list, np.arange(order + 1.0)), order)
 
 
 def degree_claim_defect(p: HeunParams, e_list) -> tuple:
     """(|Delta^{N+2} identity_lhs(0)|, node scale): the n^{N+2} coefficient
     vanishes identically, so the first entry is float noise for valid params."""
     order = len(e_list) + 2
-    defect = abs(leading_difference(p, e_list, order)) * math.factorial(order)
-    scale = max(identity_scale(p, e_list, k) for k in range(order + 1))
-    return defect, scale
+    t1, t2, t3 = _identity_terms(p, e_list, np.arange(order + 1.0))
+    defect = abs(_forward_difference(t1 + t2 + t3, order)) * math.factorial(order)
+    return defect, float(np.max(abs(t1) + abs(t2) + abs(t3)))
 
 
 @dataclass(frozen=True)
 class ConstraintReport:
     collocation_points: tuple
     identity_values: tuple
-    extracted_A: tuple
     passed: bool
     tolerance_used: float
+    a_top: float
     a_top_gap: float
     stream_defect: float
 
@@ -132,42 +142,35 @@ def _stream_defect(p: HeunParams, e_list) -> float:
 def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     """The reduction certificate.
 
-    Evaluates identity_lhs at n = 1..N+3 plus one off-grid non-integer
-    point, each against VERIFY_TOL times the local summand scale (floored
-    at 1). Also fits the full coefficient vector A_0..A_{N+1} on integer
-    nodes and reports how far the forward-difference leading coefficient
-    sits from its closed form 2+N-delta, and takes the _stream_defect of
-    the first 50 coefficients. Passes iff all three hold: every identity value,
-    the gap within A_TOP_TOL and the defect within VERIFY_TOL.
+    Evaluates the identity once, at n = 0..N+3 plus one off-grid
+    non-integer point. The values at n = 1..N+3 and at that point are each
+    checked against VERIFY_TOL times the local summand scale (floored at
+    1). The values at n = 0..N+1 give the forward-difference leading
+    coefficient a_top, reported with how far it sits from its closed form
+    2+N-delta. Also takes the _stream_defect of the first 50 coefficients.
+    Passes iff all three hold: every identity value, the gap within
+    A_TOP_TOL and the defect within VERIFY_TOL.
     """
     es = tuple(float(e) for e in e_list)
     n_case = len(es)
 
-    points = [float(k) for k in range(1, n_case + 4)]
-    points.append(_PROBE_POINT)
-    values = [identity_lhs(p, es, n) for n in points]
-    colloc_ok = all(
-        abs(v) <= VERIFY_TOL * max(identity_scale(p, es, n), 1.0)
-        for v, n in zip(values, points)
-    )
+    nodes = np.append(np.arange(n_case + 4.0), _PROBE_POINT)
+    t1, t2, t3 = _identity_terms(p, es, nodes)
+    lhs = t1 + t2 + t3
+    scale = abs(t1) + abs(t2) + abs(t3)
+    colloc_ok = bool(np.all(abs(lhs[1:]) <= VERIFY_TOL * np.maximum(scale[1:], 1.0)))
 
-    # full coefficient vector from the exact-degree Vandermonde fit
-    nodes = np.arange(n_case + 2, dtype=np.float64)
-    vand = np.vander(nodes, n_case + 2, increasing=True)
-    samples = np.array([identity_lhs(p, es, n) for n in nodes])
-    coeffs = np.linalg.solve(vand, samples)
-
-    a_top = leading_difference(p, es, n_case + 1)
+    a_top = _forward_difference(lhs, n_case + 1)
     a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
     defect = _stream_defect(p, es)
 
     return ConstraintReport(
-        collocation_points=tuple(points),
-        identity_values=tuple(float(v) for v in values),
-        extracted_A=tuple(float(c) for c in coeffs),
+        collocation_points=tuple(float(n) for n in nodes[1:]),
+        identity_values=tuple(float(v) for v in lhs[1:]),
         passed=colloc_ok and a_top_gap <= A_TOP_TOL and defect <= VERIFY_TOL,
         tolerance_used=VERIFY_TOL,
-        a_top_gap=float(a_top_gap),
+        a_top=a_top,
+        a_top_gap=a_top_gap,
         stream_defect=defect,
     )
 
@@ -247,7 +250,7 @@ def case_to_dict(case: ReductionCase) -> dict:
         "report": {
             "points": list(rep.collocation_points),
             "values": list(rep.identity_values),
-            "A_top": rep.extracted_A[-1],
+            "A_top": rep.a_top,
             "passed": rep.passed,
         },
     }
@@ -424,12 +427,10 @@ def _pencil(p: HeunParams, n_case: int):
     centred on the nodes. B, the Vandermonde matrix of P(n-1), is nonsingular."""
     nodes = np.arange(1.0, n_case + 2.0)
     # the factors in front of P(n), P(n-1) (at q = 0) and P(n-2)
-    factors = np.array([_kernels.identity_terms(p.a, 0.0, p.alpha, p.beta, p.gamma,
-                                                p.delta, p.epsilon, np.zeros(0), n)
-                        for n in nodes])
+    factors = _identity_terms(p, (), nodes)
     t = nodes - (n_case + 2) / 2.0
     blocks = [np.vander(t - k, n_case + 1, increasing=True) for k in range(3)]
-    return sum(factors[:, k, None] * blocks[k] for k in range(3)), blocks[1]
+    return sum(factors[k][:, None] * blocks[k] for k in range(3)), blocks[1]
 
 
 def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,

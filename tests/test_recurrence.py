@@ -34,6 +34,14 @@ def test_coeff_P_vanishing_denominator():
         coeff_P(2.0, raw)
 
 
+def test_three_term_stream_vanishing_denominator():
+    # raw record: gamma+epsilon = -1 makes P_1 divide by zero in the stream
+    raw = HeunParams(a=2.0, q=1.0, alpha=1.5, beta=0.5, gamma=0.5,
+                     delta=4.5, epsilon=-1.5)
+    with pytest.raises(DivisionByZeroError):
+        three_term_coefficients(raw, 10)
+
+
 def test_three_term_anchor_stream():
     stream = three_term_coefficients(ANCHOR, 5)
     want = [1.0, 0.5, 0.3, 0.2, 1.0 / 7.0, 3.0 / 28.0]
@@ -62,6 +70,16 @@ def test_two_term_matches_three_term():
     direct = three_term_coefficients(ANCHOR, 50).values
     factored = two_term_coefficients(ANCHOR, (), 50).values
     assert factored == pytest.approx(direct, rel=1e-12)
+
+
+def test_two_term_routes_agree_with_e_near_zero():
+    # e_2 = -1.35e-4: forming e - 1 + n instead of e + (n - 1) loses 8e-13
+    # of e_2 at n = 1, and the two routes then disagree past 1e-13
+    case = [c for c in q_candidates_N2(0.6317536469329017, 2.943804914661989,
+                                       2.7004071345721563, -2.745901025658621)
+            if abs(c.e_list[1]) < 1e-3][0]
+    assert case.e_list[1] == pytest.approx(-1.35e-4, rel=0.01)
+    two_term_coefficients(case.params, case.e_list, 50)   # checks the routes agree
 
 
 def test_two_term_rejects_pole_e():
@@ -144,9 +162,9 @@ def _ratio_stream_by_rows(g, x1, x2, es, nmax, n0):
     c = np.zeros(nmax + 1)
     c[0] = 1.0
     for n in range(1, min(nmax, n0 - 1) + 1):
-        r = (x1 - 1.0 + n) * (x2 - 1.0 + n) / ((g - 1.0 + n) * n)
+        r = (x1 + (n - 1.0)) * (x2 + (n - 1.0)) / ((g + (n - 1.0)) * n)
         for e in es:
-            r *= (e + n) / (e - 1.0 + n)
+            r *= (e + n) / (e + (n - 1.0))
         c[n] = c[n - 1] * r
     return c
 

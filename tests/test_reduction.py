@@ -126,8 +126,8 @@ def test_verify_report_anchor():
     assert report.collocation_points[:3] == (1.0, 2.0, 3.0)
     probe = report.collocation_points[-1]
     assert abs(probe - round(probe)) > 1e-3
-    # N = 0: extracted polynomial is A_0 + A_1 n with both near zero
-    assert abs(report.extracted_A[-1]) < 1e-12
+    # N = 0: the identity is A_0 + A_1 n with both near zero
+    assert abs(report.a_top) < 1e-12
     assert report.a_top_gap < 1e-12
     # the probe point is reproducible
     assert verify_reduction(ANCHOR, ()).collocation_points == report.collocation_points
@@ -140,7 +140,7 @@ def test_leading_coefficient_tracks_delta():
                    delta=2.01, epsilon=2.99)
     report = verify_reduction(p, ())
     assert not report.passed
-    assert report.extracted_A[-1] == pytest.approx(-0.01, abs=1e-9)
+    assert report.a_top == pytest.approx(-0.01, abs=1e-9)
     assert report.a_top_gap < 1e-9
 
 
