@@ -24,7 +24,7 @@ from .evaluator import (check_disk, check_interior, evaluate,
 from .oracle import cross_check
 from .params import load_params_file, params_to_dict, require_valid
 from .recurrence import (CoefficientSource, recurrence_residual,
-                         stream_to_csv, three_term_coefficients,
+                         stream_rows, stream_to_csv, three_term_coefficients,
                          two_term_coefficients)
 from .reduction import (A_TOP_TOL, VERIFY_TOL, ReductionCase, case_to_dict,
                         q_candidates_N0, q_candidates_N1, q_candidates_N2,
@@ -138,13 +138,9 @@ def cmd_coeffs(ns) -> int:
     else:
         stream = two_term_coefficients(p, es, ns.n_max, source=source)
     if ns.format == "json":
-        rows = []
-        csv_rows = stream_to_csv(stream).strip().split("\n")[1:]
-        for line in csv_rows:
-            n_txt, c_txt, r_txt, res_txt = line.split(",")
-            rows.append({"n": int(n_txt), "c_n": _jsonable(float(c_txt)),
-                         "ratio": _jsonable(float(r_txt)),
-                         "residual": _jsonable(float(res_txt))})
+        rows = [{"n": n, "c_n": _jsonable(c), "ratio": _jsonable(ratio),
+                 "residual": _jsonable(resid)}
+                for n, c, ratio, resid in stream_rows(stream)]
         _print_json({"source": stream.source.value, "rows": rows})
     else:
         sys.stdout.write(stream_to_csv(stream))
@@ -226,7 +222,7 @@ def cmd_verify(ns) -> int:
         evs = [evaluate(case, z, ctl) for z in zs]
         ode_values = [homogeneous_residual(case, ev) for ev in evs]
         ode_ok = max(ode_values) <= ns.ode_tol
-        cross_value = cross_check(case, zs, ctl=ctl)
+        cross_value = cross_check(case, evs, ctl=ctl)
         cross_ok = cross_value <= ns.cross_tol
         forced = [forced_residual(case, ev) for ev in evs]
         checks["ode_residual"] = {"values": ode_values, "tol": ns.ode_tol,

@@ -122,15 +122,18 @@ def _settled(tails, values, ctl: SeriesControl) -> tuple:
 
 def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
     """(u, u', u'', terms_used, tails, doublings), doubling the direct-sum
-    length M until every truncation tail is settled. `evaluate` is its only
-    caller; perfbench's tracer wraps it by this name and reads terms_used
-    at index 3."""
+    length M until every truncation tail is settled or the M + 1 terms
+    reach ctl.max_terms. `evaluate` is its only caller; perfbench's tracer
+    wraps it by this name and reads terms_used at index 3."""
     p = case.params
     es = np.asarray(case.e_list, dtype=np.float64)
     n0 = termination_index(p)
+    # the direct sum c_0..c_M takes M + 1 of the max_terms terms
+    top = ctl.max_terms - 1
     big_m = _M_START
     if n0 < big_m:
         big_m = max(n0, 8)
+    big_m = min(big_m, top)
     doublings = 0
     while True:
         cs, wt, wle = _z_independent(case, big_m, n0)
@@ -142,9 +145,9 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
             raise NumericalError("expansion summation produced a non-finite value")
         tails = (t0, t1, t2)
         done = all(_settled(tails, (u, du, ddu), ctl))
-        if done or big_m >= ctl.max_terms or big_m >= n0:
+        if done or big_m >= top or big_m >= n0:
             return u, du, ddu, terms, tails, doublings
-        big_m = min(2 * big_m, ctl.max_terms)
+        big_m = min(2 * big_m, top)
         doublings += 1
 
 

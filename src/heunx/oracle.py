@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, PoleError, PreconditionError
-from .evaluator import evaluate_expansion
+from .evaluator import evaluate
 from .params import ValidatedHeunParams, is_nonpos_int
 from .reduction import ReductionCase
 from .special import EvalResult, EvalStatus, SeriesControl
@@ -66,22 +66,21 @@ def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:
                       EvalStatus.CONVERGED if converged else EvalStatus.MAX_TERMS_REACHED)
 
 
-def cross_check(case: ReductionCase, z_points, n_max: int = 400,
+def cross_check(case: ReductionCase, evaluations, n_max: int = 400,
                 ctl: SeriesControl | None = None) -> float:
-    """Max relative deviation between the summed expansion and the power
-    series, after matching the two at z = 0 (the series has b_0 = 1, so the
-    match factor is just the expansion value at the origin)."""
+    """Max relative deviation between the summed expansion, read from the
+    Evaluation records at their own z, and the power series, after matching
+    the two at z = 0 (the series has b_0 = 1, so the match factor is just
+    the expansion value at the origin, summed here under ctl)."""
     if ctl is None:
         ctl = SeriesControl()
-    scale = evaluate_expansion(case, 0.0, ctl).value
+    scale = evaluate(case, 0.0, ctl).u
     if abs(scale) < 1e-280:
         raise PreconditionError("expansion vanishes at the origin; cannot normalize")
     series = frobenius_coefficients(case.params, n_max)
     worst = 0.0
-    for z in z_points:
-        z = float(z)
-        ue = evaluate_expansion(case, z, ctl).value
-        uf = frobenius_eval(series, z).value
-        dev = abs(ue - scale * uf) / (abs(ue) + 1e-300)
+    for ev in evaluations:
+        uf = frobenius_eval(series, ev.z).value
+        dev = abs(ev.u - scale * uf) / (abs(ev.u) + 1e-300)
         worst = max(worst, dev)
     return worst

@@ -147,14 +147,13 @@ def recurrence_residual(stream: CoefficientStream, p: HeunParams | None = None) 
     return float(np.max(rows[2:]))
 
 
-def stream_to_csv(stream: CoefficientStream, p: HeunParams | None = None) -> str:
-    """CSV with columns n, c_n, ratio c_n/c_{n-1}, residual_n.
+def stream_rows(stream: CoefficientStream, p: HeunParams | None = None):
+    """(n, c_n, ratio c_n/c_{n-1}, residual_n) per index, as Python floats.
 
     Ratio and residual are nan where undefined (n = 0, zero predecessor,
-    n < 2). Floats are emitted with repr so output is byte-deterministic.
+    n < 2).
     """
     rows = residual_rows(stream, p)
-    lines = ["n,c_n,ratio,residual"]
     vals = stream.values
     for n in range(len(vals)):
         if n == 0 or vals[n - 1] == 0.0:
@@ -162,5 +161,13 @@ def stream_to_csv(stream: CoefficientStream, p: HeunParams | None = None) -> str
         else:
             ratio = float(vals[n] / vals[n - 1])
         resid = float(rows[n]) if n >= 2 else float("nan")
-        lines.append(f"{n},{float(vals[n])!r},{ratio!r},{resid!r}")
+        yield n, float(vals[n]), ratio, resid
+
+
+def stream_to_csv(stream: CoefficientStream, p: HeunParams | None = None) -> str:
+    """CSV with columns n, c_n, ratio, residual from stream_rows. Floats are
+    emitted with repr so output is byte-deterministic."""
+    lines = ["n,c_n,ratio,residual"]
+    lines += [f"{n},{c!r},{ratio!r},{resid!r}"
+              for n, c, ratio, resid in stream_rows(stream, p)]
     return "\n".join(lines) + "\n"

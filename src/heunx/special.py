@@ -76,7 +76,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     value, _, _, terms, last = _kernels.f21_with_derivs(
         float(a), float(b), float(c), float(z),
         ctl.rel_tol, ctl.max_terms, ctl.consecutive_small)
-    return EvalResult(value, terms, last, EvalStatus.CONVERGED)
+    return EvalResult(float(value[0]), terms, float(last[0]),
+                      EvalStatus.CONVERGED)
 
 
 def gauss_2f1_deriv(a: float, b: float, c: float, z: float, order: int,

@@ -251,8 +251,8 @@ def test_list_may_start_with_a_minus(write_params, args):
     (("eval", "--z=0.1,0.25", "--format", "csv"), 2),
     (("eval", "--z=0.1,0.25", "--format", "json"), 2),
     (("residual", "--z=0.1,0.25"), 2),
-    # one sum per default point, plus cross_check's own sums at 0 and each point
-    (("verify",), 7),
+    # one sum per default point, plus cross_check's own match at 0
+    (("verify",), 4),
 ])
 def test_each_point_is_summed_once(write_params, monkeypatch, args, most):
     path = write_params(ANCHOR_FULL)

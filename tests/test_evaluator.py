@@ -118,6 +118,30 @@ def test_tail_estimate_measures_truncation():
         assert 0.0 < t256 < t128 / 16.0
 
 
+def test_inner_series_run_once_per_point(anchor_case, monkeypatch):
+    # every inner 2F1 of a point goes through one kernel call
+    calls = []
+    kernel = _kernels.f21_with_derivs
+
+    def counted(*args):
+        calls.append(np.size(args[2]))    # c = g + n, n = 0..M
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "f21_with_derivs", counted)
+    evs = [evaluate(anchor_case, z) for z in (-0.7, 0.15, 0.45)]
+    assert [ev.doublings for ev in evs] == [0, 0, 0]
+    assert calls == [ev.terms_used for ev in evs]
+
+
+@pytest.mark.parametrize("rel_tol, max_terms", [(1e-14, 100), (1e-17, 300)])
+def test_direct_sum_keeps_within_max_terms(anchor_case, rel_tol, max_terms):
+    # M + 1 terms for the direct sum c_0..c_M: at 100 the first M = 128 is
+    # cut to 99; at rel_tol 1e-17, M doubles 128 -> 256 and is cut to 299
+    ev = evaluate(anchor_case, 0.5,
+                  SeriesControl(rel_tol=rel_tol, max_terms=max_terms))
+    assert ev.terms_used == max_terms
+
+
 def test_inner_series_cap_raises(anchor_case):
     with pytest.raises(NonConvergenceError):
         evaluate(anchor_case, 0.5, SeriesControl(max_terms=5))

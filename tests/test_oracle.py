@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from heunx import (DomainError, EvalStatus, HeunParams, PoleError,
-                   cross_check, frobenius_coefficients, frobenius_eval,
-                   q_candidates_N0, q_candidates_N1)
+                   cross_check, evaluate, frobenius_coefficients,
+                   frobenius_eval, q_candidates_N0, q_candidates_N1)
 
 
 def test_first_coefficients_anchor(anchor_case):
@@ -95,22 +95,23 @@ def test_eval_basics(anchor_case):
 
 
 def test_cross_check_trivial_at_origin(anchor_case):
-    assert cross_check(anchor_case, [0.0]) == 0.0
+    assert cross_check(anchor_case, [evaluate(anchor_case, 0.0)]) == 0.0
 
 
 def test_cross_check_terminating_case():
     # a terminating stream is a genuine solution; the two expansions agree
     case = q_candidates_N0(2.0, 1.0, 2.4, 0.8)[0]
-    assert cross_check(case, [0.1, 0.25, 0.4]) < 1e-7
+    assert cross_check(case, [evaluate(case, z) for z in (0.1, 0.25, 0.4)]) < 1e-7
 
 
 def test_cross_check_generic_gap_is_real(anchor_case):
     # the generic two-term sum and the homogeneous series differ by a
     # particular-solution part of order one
-    assert cross_check(anchor_case, [0.25]) > 0.1
+    assert cross_check(anchor_case, [evaluate(anchor_case, 0.25)]) > 0.1
 
 
 @pytest.mark.xfail(strict=True, reason="the generic two-term sum solves the "
                    "constant-forced equation, not the homogeneous one")
 def test_generic_case_matches_homogeneous_series(anchor_case):
-    assert cross_check(anchor_case, [0.1, 0.25, 0.4]) < 1e-7
+    assert cross_check(anchor_case, [evaluate(anchor_case, z)
+                                      for z in (0.1, 0.25, 0.4)]) < 1e-7
