@@ -257,36 +257,24 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
         return c
     rho = abs(a / (a - 1.0))
 
-    if n0 <= nmax:
-        # terminating stream: entries from n0 on are exactly zero
-        if rho <= rho_switch:
-            _forward_fill(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
-        else:
-            work = np.zeros(n0 + 1)
-            work[n0 - 1] = 1.0
-            _backward_fill(a, q, al, be, ga, de, ep, work, n0 - 2, -1)
-            if work[0] == 0.0:
-                raise NumericalError(_FAILED)
-            for j in range(1, min(nmax, n0 - 1) + 1):
-                c[j] = work[j] / work[0]
-        return _certify_init(a, q, al, be, ga, de, ep, c)
-
     if rho <= rho_switch:
-        _forward_fill(a, q, al, be, ga, de, ep, c, nmax)
+        # entries from n0 on are exactly zero
+        _forward_fill(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
         return _certify_init(a, q, al, be, ga, de, ep, c)
 
-    # backward (minimal-solution) recursion with a safety buffer
+    # backward (minimal-solution) recursion, seeded at the termination index
+    # when the stream terminates by nmax, else past nmax by a safety buffer
     buf = int(math.ceil(52.0 / math.log(rho)))
     if buf < 40:
         buf = 40
     if buf > 2000:
         buf = 2000
-    top = nmax + buf
+    top = n0 - 1 if n0 <= nmax else nmax + buf
 
-    # an interior P zero (epsilon a non-positive integer) blocks backward
-    # propagation below it; fill that lower block forward instead
+    # an interior P zero (epsilon a non-positive integer) below the seed
+    # blocks backward propagation; fill that lower block forward instead
     jstar = -1
-    if is_nonpos_int(ep) and -round(ep) <= top:
+    if is_nonpos_int(ep) and -round(ep) < top:
         jstar = -round(ep)
 
     work = np.zeros(top + 2)
@@ -296,7 +284,7 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     if jstar < 0:
         if work[0] == 0.0:
             raise NumericalError(_FAILED)
-        for j in range(1, nmax + 1):
+        for j in range(1, min(nmax, top) + 1):
             c[j] = work[j] / work[0]
     else:
         low = np.zeros(jstar + 2)
@@ -305,7 +293,7 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
         if abs(work[jstar + 1]) < TINY:
             raise NumericalError(_FAILED)
         sc = low[jstar + 1] / work[jstar + 1]
-        for j in range(1, nmax + 1):
+        for j in range(1, min(nmax, top) + 1):
             if j <= jstar + 1:
                 c[j] = low[j]
             else:
@@ -362,34 +350,26 @@ def identity_terms(a, q, al, be, ga, de, ep, es, n):
     return t1, t2, t3
 
 
-def colloc_residual(a, al, be, ga, n_case, q, es):
-    """Identity values at n = 1..N+1, the square residual map solved for
-    (q, e_1..e_N); delta and epsilon are pinned by the reduction."""
-    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
-    return t1 + t2 + t3
-
-
-def colloc_scale(a, al, be, ga, n_case, q, es):
-    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
-    return np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
-
-
-def _colloc_terms(a, al, be, ga, n_case, q, es):
+def _colloc_state(a, al, be, ga, n_case, q, es):
+    """(residual, scale, jacobian) of the collocation map at (q, e_1..e_N):
+    the identity values at n = 1..N+1, the largest summed summand magnitude,
+    and the exact Jacobian in (q, e_1..e_N). delta and epsilon are pinned by
+    the reduction. The q-dependent factors in front of P(n), P(n-1) and
+    P(n-2) come from one identity_terms call; q enters only through
+    -q P(n-1), and e_k through each summand's e-product."""
+    n = np.arange(1.0, n_case + 2.0)
     de = n_case + 2.0
     ep = 1.0 + al + be - ga - de
-    return identity_terms(a, q, al, be, ga, de, ep, es, np.arange(1.0, n_case + 2.0))
-
-
-def colloc_jacobian(a, al, be, ga, n_case, q, es):
-    """Exact Jacobian of colloc_residual in (q, e_1..e_N): q enters only
-    through -q P(n-1), and e_k through each summand's e-product."""
-    n = np.arange(1.0, n_case + 2.0)
-    # the summands' factors in front of P(n), P(n-1) and P(n-2)
-    f1, f2, f3 = _colloc_terms(a, al, be, ga, n_case, q, es[:0])
-    jac = np.zeros((n_case + 1, n_case + 1))
-    jac[:, 0] = -1.0
+    f1, f2, f3 = identity_terms(a, q, al, be, ga, de, ep, es[:0], n)
+    p1 = p2 = p3 = 1.0
     for k in range(n_case):
-        jac[:, 0] *= es[k] - 1.0 + n
+        p1 *= es[k] + n
+        p2 *= es[k] - 1.0 + n
+        p3 *= es[k] - 2.0 + n
+    t1, t2, t3 = f1 * p1, f2 * p2, f3 * p3
+    jac = np.zeros((n_case + 1, n_case + 1))
+    jac[:, 0] = -p2
+    for k in range(n_case):
         d1 = d2 = d3 = 1.0
         for j in range(n_case):
             if j != k:
@@ -397,29 +377,30 @@ def colloc_jacobian(a, al, be, ga, n_case, q, es):
                 d2 *= es[j] - 1.0 + n
                 d3 *= es[j] - 2.0 + n
         jac[:, k + 1] = f1 * d1 + f2 * d2 + f3 * d3
-    return jac
+    return t1 + t2 + t3, np.max(np.abs(t1) + np.abs(t2) + np.abs(t3)), jac
 
 
 def newton_general(a, al, be, ga, n_case, q0, es0, tol, maxit):
     """Newton polish of a reduction (q, e_1..e_N) on the collocation map,
     with the exact Jacobian; a step is kept only while it lowers the largest
-    residual, for at most maxit steps.
+    residual, for at most maxit steps. Each step evaluates the identity once
+    (_colloc_state).
 
     Returns (q, es, scaled_residual, converged).
     """
     x = np.concatenate(([q0], es0))
-    f = colloc_residual(a, al, be, ga, n_case, x[0], x[1:])
+    f, sc, jac = _colloc_state(a, al, be, ga, n_case, x[0], x[1:])
     for _ in range(maxit):
         try:
-            xt = x - np.linalg.solve(colloc_jacobian(a, al, be, ga, n_case, x[0], x[1:]), f)
+            xt = x - np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
             break  # singular Jacobian: keep the last point
-        ft = colloc_residual(a, al, be, ga, n_case, xt[0], xt[1:])
+        ft, st, jt = _colloc_state(a, al, be, ga, n_case, xt[0], xt[1:])
         if not np.max(np.abs(ft)) < np.max(np.abs(f)):
             break
-        x, f = xt, ft
+        x, f, sc, jac = xt, ft, st, jt
     fn = np.max(np.abs(f))
-    sc = colloc_scale(a, al, be, ga, n_case, x[0], x[1:]) + 1.0
+    sc += 1.0
     return x[0], x[1:], fn / sc, fn <= tol * sc
 
 

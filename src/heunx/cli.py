@@ -100,7 +100,7 @@ def cmd_reduce(ns) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            if ns.force_general or n_case not in closed:
+            if n_case not in closed:
                 cases = solve_reduction_general(*draw, n_case)
             else:
                 cases = closed[n_case](*draw)
@@ -264,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reduce", help="find (q, e_1..e_N) reduction cases")
     sp.add_argument("--params", required=True)
     sp.add_argument("--n", type=int, required=True, help="reduction order N")
-    sp.add_argument("--force-general", action="store_true",
-                    help="use the eigen solver even when a closed form exists")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_reduce)
 

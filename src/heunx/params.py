@@ -113,19 +113,18 @@ def require_valid(p: HeunParams) -> ValidatedHeunParams:
     return ValidatedHeunParams(**p.as_dict())
 
 
-def params_from_dict(data: dict, *, optional: tuple | dict = ()) -> HeunParams:
+def params_from_dict(data: dict, *, optional: dict | None = None) -> HeunParams:
     """Build HeunParams from a JSON-style mapping.
 
-    Unknown keys are rejected. Keys listed in `optional` may be absent and
-    default to 0.0 (the reduction workflow solves for q itself), or to the
-    value `optional` maps them to when it is a dict.
+    Unknown keys are rejected. Keys of `optional` may be absent and then take
+    the value it maps them to (the reduction workflow solves for q itself).
     """
     if not isinstance(data, dict):
         raise PreconditionError("parameter file must contain a JSON object")
     unknown = sorted(set(data) - set(PARAM_KEYS))
     if unknown:
         raise PreconditionError(f"unknown parameter keys: {', '.join(unknown)}")
-    defaults = optional if isinstance(optional, dict) else dict.fromkeys(optional, 0.0)
+    defaults = optional or {}
     values = {}
     for key in PARAM_KEYS:
         if key not in data:
@@ -144,7 +143,7 @@ def params_to_dict(p: HeunParams) -> dict:
     return {k: getattr(p, k) for k in PARAM_KEYS}
 
 
-def load_params_file(path: str, *, optional: tuple | dict = ()) -> HeunParams:
+def load_params_file(path: str, *, optional: dict | None = None) -> HeunParams:
     """The one reader of parameter files: JSON, then params_from_dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -130,30 +130,29 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
     return CoefficientStream(values, source, p, tuple(float(e) for e in es))
 
 
-def residual_rows(stream: CoefficientStream, p: HeunParams | None = None) -> np.ndarray:
+def residual_rows(stream: CoefficientStream) -> np.ndarray:
     """Scale-free recurrence defect per index; entries 0 and 1 are 0."""
-    if p is None:
-        p = stream.params
+    p = stream.params
     return _kernels.recurrence_residual_rows(
         p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
         np.asarray(stream.values, dtype=np.float64))
 
 
-def recurrence_residual(stream: CoefficientStream, p: HeunParams | None = None) -> float:
+def recurrence_residual(stream: CoefficientStream) -> float:
     """max_n |R_n c_n + Q_{n-1}c_{n-1} + P_{n-2}c_{n-2}| over the term scale."""
     if len(stream.values) < 3:
         raise PreconditionError("residual needs at least three stream entries")
-    rows = residual_rows(stream, p)
+    rows = residual_rows(stream)
     return float(np.max(rows[2:]))
 
 
-def stream_rows(stream: CoefficientStream, p: HeunParams | None = None):
+def stream_rows(stream: CoefficientStream):
     """(n, c_n, ratio c_n/c_{n-1}, residual_n) per index, as Python floats.
 
     Ratio and residual are nan where undefined (n = 0, zero predecessor,
     n < 2).
     """
-    rows = residual_rows(stream, p)
+    rows = residual_rows(stream)
     vals = stream.values
     for n in range(len(vals)):
         if n == 0 or vals[n - 1] == 0.0:
@@ -164,10 +163,10 @@ def stream_rows(stream: CoefficientStream, p: HeunParams | None = None):
         yield n, float(vals[n]), ratio, resid
 
 
-def stream_to_csv(stream: CoefficientStream, p: HeunParams | None = None) -> str:
+def stream_to_csv(stream: CoefficientStream) -> str:
     """CSV with columns n, c_n, ratio, residual from stream_rows. Floats are
     emitted with repr so output is byte-deterministic."""
     lines = ["n,c_n,ratio,residual"]
     lines += [f"{n},{c!r},{ratio!r},{resid!r}"
-              for n, c, ratio, resid in stream_rows(stream, p)]
+              for n, c, ratio, resid in stream_rows(stream)]
     return "\n".join(lines) + "\n"

@@ -13,6 +13,9 @@ The identity is bilinear in q and in the coefficients of
 P(n) = prod_k (e_k + n), so solve_reduction_general takes every q-root from
 one eigen solve. Roots of larger N are ill-conditioned in double, so the
 certificate also checks the three-term relation on the first 50 coefficients.
+The closed forms of N <= 2 and the eigen solver hand every real root to one
+acceptance routine, _accept, so each of the N+1 roots comes back as a case
+or as one "root q = ... dropped: <reason>" warning.
 """
 
 from __future__ import annotations
@@ -42,16 +45,17 @@ _PROBE_POINT = 0.3074202960516803  # off-grid, non-integer collocation point
 
 
 class NoRealRootWarning(UserWarning):
-    """The q-condition has fewer real roots than its degree."""
+    """A q-root is complex; one warning per such root."""
 
 
 class DegenerateConstraintWarning(UserWarning):
-    """The e-product relation degenerates (K = 1); root skipped."""
+    """The e-product relation degenerates (K = 1); root dropped."""
 
 
 class DiscardedRootWarning(UserWarning):
-    """A real q-root was dropped: complex or forbidden-integer e_k, or a
-    three-term defect too large for the root to hold in double."""
+    """A real q-root was dropped: a near-repeat, infinite, complex or
+    forbidden-integer e_k, or a certificate that fails or leaves a three-term
+    defect too large for the root to hold in double."""
 
 
 def _identity_terms(p: HeunParams, e_list, n):
@@ -177,7 +181,7 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
 
 @dataclass(frozen=True)
 class ReductionCase:
-    """An accepted (q, e_1..e_N) point together with its derived ansatz data.
+    """An accepted (q, e_1..e_N) point together with its certificate report.
 
     Construction runs verify_reduction, or takes the report of a run the
     caller already made (which must be verify_reduction(params, e_list));
@@ -188,8 +192,6 @@ class ReductionCase:
     N: int
     params: ValidatedHeunParams
     e_list: tuple
-    ansatz_upper: tuple = field(init=False)
-    ansatz_lower: tuple = field(init=False)
     q_root_index: int
     report: ConstraintReport = field(default=None, compare=False, repr=False)
 
@@ -203,10 +205,6 @@ class ReductionCase:
         for e in self.e_list:
             if is_nonpos_int(e):
                 raise PreconditionError(f"e = {e!r} is a non-positive integer")
-        g = p.gamma + p.epsilon
-        upper = tuple(1.0 + e for e in self.e_list) + (g - p.alpha, g - p.beta)
-        object.__setattr__(self, "ansatz_upper", upper)
-        object.__setattr__(self, "ansatz_lower", tuple(self.e_list) + (g,))
         report = self.report or verify_reduction(p, self.e_list)
         if not report.passed:
             raise PreconditionError(
@@ -228,14 +226,24 @@ def _ill_conditioned(report: ConstraintReport, tol: float) -> str:
             f"{report.stream_defect:.2e} > {tol:.0e})")
 
 
-def _certified(params: HeunParams, e_list, q_root_index: int) -> list:
-    """[the case at (params, e_list)], or [] after a DiscardedRootWarning
-    when it fails the certificate."""
-    report = verify_reduction(params, e_list)
-    if report.passed:
-        return [ReductionCase.build(params, e_list, q_root_index, report=report)]
-    warnings.warn(f"root q = {params.q!r} dropped: "
-                  + _ill_conditioned(report, VERIFY_TOL), DiscardedRootWarning)
+def _drop(dropped: list, q, why: str, category=DiscardedRootWarning) -> None:
+    """Record and warn the one note of a q-root that yields no case."""
+    dropped.append(f"root q = {q!r} dropped: {why}")
+    warnings.warn(dropped[-1], category)
+
+
+def _accept(params: HeunParams, es: tuple, idx: int, tol: float,
+            dropped: list) -> list:
+    """[the case at (params, es)] when no e_k is a non-positive integer and
+    the certificate passes with a 50-row defect of at most tol; else [] and
+    one _drop note with the reason."""
+    if any(is_nonpos_int(e) for e in es):
+        _drop(dropped, params.q, "an e_k is a non-positive integer")
+        return []
+    report = verify_reduction(params, es)
+    if report.passed and report.stream_defect <= tol:
+        return [ReductionCase.build(params, es, idx, report=report)]
+    _drop(dropped, params.q, _ill_conditioned(report, tol))
     return []
 
 
@@ -292,7 +300,7 @@ def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float) -> list:
     """The order-0 reduction as a verified case (exactly one, unless it
     fails the certificate)."""
     q = q_for_N0(a, alpha, beta, gamma)
-    return _certified(_build_params(a, q, alpha, beta, gamma, 0), (), 0)
+    return _accept(_build_params(a, q, alpha, beta, gamma, 0), (), 0, VERIFY_TOL, [])
 
 
 def _quadratic_q_coeffs(a, alpha, beta, gamma):
@@ -304,11 +312,15 @@ def _quadratic_q_coeffs(a, alpha, beta, gamma):
     return np.array([1.0, b1, b0])
 
 
-def _real_quadratic_roots(coeffs) -> list:
-    """Ascending real roots of a monic quadratic, computed cancellation-free."""
-    _, b, c = coeffs
+def _real_quadratic_roots(coeffs, dropped: list) -> list:
+    """Ascending real roots of a monic quadratic, computed cancellation-free.
+    A complex pair, or the upper root of a near-repeat, gets _drop notes."""
+    _, b, c = map(float, coeffs)
     disc = b * b - 4.0 * c
     if disc < 0.0:
+        for im in (-0.5, 0.5):
+            _drop(dropped, complex(-b / 2.0, im * math.sqrt(-disc)), "q is complex",
+                  NoRealRootWarning)
         return []
     s = math.sqrt(disc)
     if b >= 0.0:
@@ -318,31 +330,24 @@ def _real_quadratic_roots(coeffs) -> list:
     r2 = c / r1 if r1 != 0.0 else -b - r1
     roots = sorted((r1, r2))
     if abs(roots[1] - roots[0]) <= 1e-12 * (1.0 + abs(roots[0])):
-        return [roots[0]]
+        _drop(dropped, roots[1], f"a near-repeat of root q = {roots[0]!r}")
+        return roots[:1]
     return roots
 
 
 def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float) -> list:
     """Order-1 reductions: quadratic in q, then e_1 linear in q.
 
-    Roots whose e_1 lands on a non-positive integer or that fail the
-    certificate are discarded with a warning; a negative discriminant is
-    reported as a warning and yields an empty list rather than an error.
+    Each of the two q-roots is a case or one warning (_accept, _drop); a
+    draw with no case gives an empty list rather than an error.
     """
     coeffs = _quadratic_q_coeffs(a, alpha, beta, gamma)
-    roots = _real_quadratic_roots(coeffs)
-    if not roots:
-        warnings.warn("order-1 q-condition has no real root", NoRealRootWarning)
-        return []
-    cases = []
-    for idx, q0 in enumerate(roots):
+    cases, dropped = [], []
+    for idx, q0 in enumerate(_real_quadratic_roots(coeffs, dropped)):
         q = _polish(coeffs, q0)
         e1 = _e_sum_rule(a, alpha, beta, gamma, 1, q)
-        if is_nonpos_int(e1):
-            warnings.warn(f"root q = {q!r} discarded: e_1 = {e1!r} is a "
-                          "non-positive integer", DiscardedRootWarning)
-            continue
-        cases += _certified(_build_params(a, q, alpha, beta, gamma, 1), (e1,), idx)
+        cases += _accept(_build_params(a, q, alpha, beta, gamma, 1), (e1,), idx,
+                         VERIFY_TOL, dropped)
     return cases
 
 
@@ -371,9 +376,9 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
     ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
 
     Requires alpha != 3, beta != 3 and a != 1 (the ratio relation divides
-    by (a-1)(alpha-3)(beta-3)). Complex q-roots, complex or
-    forbidden-integer e-pairs and roots that fail the certificate are
-    reported and skipped, never returned.
+    by (a-1)(alpha-3)(beta-3)). Each of the three q-roots is a case or one
+    warning (_accept, _drop): a degenerate relation (K = 1) is one more
+    reason the closed form cannot certify.
     """
     if abs(alpha - 3.0) < 1e-12 or abs(beta - 3.0) < 1e-12:
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
@@ -381,19 +386,16 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
         raise PreconditionError("order-2 closed form requires a != 1")
     coeffs = _cubic_q_coeffs(a, alpha, beta, gamma)
     raw = np.roots(coeffs)
-    real_roots = sorted(float(r.real) for r in raw
-                        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)))
-    if len(real_roots) < len(raw):
-        warnings.warn(f"{len(raw) - len(real_roots)} complex q-root(s) of the "
-                      "order-2 condition skipped", NoRealRootWarning)
-    if not real_roots:
-        return []
-    dedup = [real_roots[0]]
-    for r in real_roots[1:]:
-        if abs(r - dedup[-1]) > 1e-10 * (1.0 + abs(r)):
+    real = np.abs(raw.imag) <= 1e-9 * (1.0 + np.abs(raw.real))
+    cases, dropped, dedup = [], [], []
+    for r in raw[~real]:
+        _drop(dropped, complex(r), "q is complex", NoRealRootWarning)
+    for r in sorted(float(r.real) for r in raw[real]):
+        if dedup and abs(r - dedup[-1]) <= 1e-10 * (1.0 + abs(r)):
+            _drop(dropped, r, f"a near-repeat of root q = {dedup[-1]!r}")
+        else:
             dedup.append(r)
 
-    cases = []
     for idx, q0 in enumerate(dedup):
         q = _polish(coeffs, q0)
         s = _e_sum_rule(a, alpha, beta, gamma, 2, q)
@@ -401,23 +403,18 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
         k_den = (a - 1.0) * (alpha - 3.0) * (beta - 3.0)
         k = k_num / k_den
         if abs(k - 1.0) <= 1e-12:
-            warnings.warn(f"root q = {q!r} skipped: e-product relation "
-                          "degenerates (K = 1)", DegenerateConstraintWarning)
+            _drop(dropped, q, "the e-product relation degenerates (K = 1)",
+                  DegenerateConstraintWarning)
             continue
         prod = (s + 1.0) / (k - 1.0)
         disc = s * s - 4.0 * prod
         if disc < 0.0:
-            warnings.warn(f"root q = {q!r} skipped: e_1, e_2 form a complex "
-                          "pair", DiscardedRootWarning)
+            _drop(dropped, q, "the e_k include a complex pair")
             continue
         sq = math.sqrt(disc)
-        e1 = (s - sq) / 2.0
-        e2 = (s + sq) / 2.0
-        if is_nonpos_int(e1) or is_nonpos_int(e2):
-            warnings.warn(f"root q = {q!r} skipped: an e_k is a non-positive "
-                          "integer", DiscardedRootWarning)
-            continue
-        cases += _certified(_build_params(a, q, alpha, beta, gamma, 2), (e1, e2), idx)
+        es = ((s - sq) / 2.0, (s + sq) / 2.0)
+        cases += _accept(_build_params(a, q, alpha, beta, gamma, 2), es, idx,
+                         VERIFY_TOL, dropped)
     return cases
 
 
@@ -450,36 +447,24 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
     cases, dropped = [], []
-
-    def drop(q, why, category=DiscardedRootWarning):
-        dropped.append(f"root q = {q!r} dropped: {why}")
-        warnings.warn(dropped[-1], category)
-
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
     for j in np.flatnonzero(~real):
-        drop(complex(qs[j]), "q is complex", NoRealRootWarning)
+        _drop(dropped, complex(qs[j]), "q is complex", NoRealRootWarning)
     for idx, j in enumerate(sorted(np.flatnonzero(real), key=lambda j: qs[j].real)):
         q = float(qs[j].real)
         x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
         roots = np.roots(x.real[::-1]) + (n_case + 2) / 2.0
         if len(roots) < n_case:
-            drop(q, "an e_k is infinite")
+            _drop(dropped, q, "an e_k is infinite")
             continue
         if np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))):
-            drop(q, "the e_k include a complex pair")
+            _drop(dropped, q, "the e_k include a complex pair")
             continue
         q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q,
                                               -roots.real, NEWTON_TOL, POLISH_STEPS)
         q, es = float(q), tuple(sorted(float(e) for e in es))
-        if any(is_nonpos_int(e) for e in es):
-            drop(q, "an e_k is a non-positive integer")
-            continue
-        params = _build_params(a, q, alpha, beta, gamma, n_case)
-        report = verify_reduction(params, es)
-        if report.passed and report.stream_defect <= GENERAL_TOL:
-            cases.append(ReductionCase.build(params, es, idx, report=report))
-        else:
-            drop(q, _ill_conditioned(report, GENERAL_TOL))
+        cases += _accept(_build_params(a, q, alpha, beta, gamma, n_case), es, idx,
+                         GENERAL_TOL, dropped)
 
     if not cases:
         raise NoSolutionError(f"no order-{n_case} reduction holds in double: "

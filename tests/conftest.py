@@ -31,11 +31,6 @@ _VERDICT_RANK = {"PASS": 0, "FAIL (expected)": 1, "FAIL": 2}
 _RESULTS = {}
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance(num): test backing a numbered acceptance criterion")
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

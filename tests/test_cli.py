@@ -70,21 +70,14 @@ def test_reduce_is_deterministic(write_params):
     assert first.stdout == second.stdout
 
 
-def test_reduce_force_general_matches_closed_form(write_params):
-    path = write_params(ANCHOR_SEARCH)
-    out = run_cli("reduce", "--params", path, "--n", "0", "--force-general")
-    assert out.returncode == 0
-    payload = json.loads(out.stdout)
-    assert payload["cases"][0]["q"] == pytest.approx(4.0, abs=1e-9)
-
-
 def test_reduce_no_real_root_exits_3(write_params):
     path = write_params(NO_ROOT_SEARCH)
     out = run_cli("reduce", "--params", path, "--n", "1")
     assert out.returncode == 3
     payload = json.loads(out.stdout)
     assert payload["cases"] == []
-    assert any("real root" in note for note in payload["notes"])
+    assert len(payload["notes"]) == 2
+    assert all("q is complex" in note for note in payload["notes"])
 
 
 def test_reduce_rejects_unknown_key(write_params):

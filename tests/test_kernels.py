@@ -99,3 +99,55 @@ def test_expansion_sums_over_n_in_order():
                 want[k] += cn * f[k]
         assert list(got[:3]) == want
         assert got[3] == len(cs)
+
+
+def _colloc_terms(a, al, be, ga, n_case, q, es):
+    de = n_case + 2.0
+    ep = 1.0 + al + be - ga - de
+    return _kernels.identity_terms(a, q, al, be, ga, de, ep, es,
+                                   np.arange(1.0, n_case + 2.0))
+
+
+def _colloc_residual(a, al, be, ga, n_case, q, es):
+    """Identity values at n = 1..N+1, summed from the full identity_terms."""
+    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
+    return t1 + t2 + t3
+
+
+def _colloc_scale(a, al, be, ga, n_case, q, es):
+    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
+    return np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
+
+
+def _colloc_jacobian(a, al, be, ga, n_case, q, es):
+    """Exact Jacobian in (q, e_1..e_N), its own identity_terms call."""
+    n = np.arange(1.0, n_case + 2.0)
+    f1, f2, f3 = _colloc_terms(a, al, be, ga, n_case, q, es[:0])
+    jac = np.zeros((n_case + 1, n_case + 1))
+    jac[:, 0] = -1.0
+    for k in range(n_case):
+        jac[:, 0] *= es[k] - 1.0 + n
+        d1 = d2 = d3 = 1.0
+        for j in range(n_case):
+            if j != k:
+                d1 *= es[j] + n
+                d2 *= es[j] - 1.0 + n
+                d3 *= es[j] - 2.0 + n
+        jac[:, k + 1] = f1 * d1 + f2 * d2 + f3 * d3
+    return jac
+
+
+@pytest.mark.parametrize("n_case", range(6))
+def test_colloc_state_matches_separate_evaluations(n_case):
+    # one identity evaluation gives the residual, scale and Jacobian that
+    # three separate evaluations give, to the bit
+    rng = np.random.default_rng(n_case)
+    for _ in range(20):
+        a, al, be, ga = rng.uniform(-3.0, 3.0, size=4)
+        q = rng.uniform(-30.0, 30.0)
+        es = rng.uniform(-4.0, 4.0, size=n_case)
+        args = (a, al, be, ga, n_case, q, es)
+        res, scale, jac = _kernels._colloc_state(*args)
+        assert np.array_equal(res, _colloc_residual(*args))
+        assert scale == _colloc_scale(*args)
+        assert np.array_equal(jac, _colloc_jacobian(*args))

@@ -119,7 +119,7 @@ def test_params_from_dict_rejects_missing_keys():
 def test_params_from_dict_optional_defaults():
     data = dict(ANCHOR)
     del data["q"], data["delta"]
-    p = params_from_dict(data, optional=("q", "delta"))
+    p = params_from_dict(data, optional={"q": 0.0, "delta": 0.0})
     assert p.q == 0.0 and p.delta == 0.0
 
 

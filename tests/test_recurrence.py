@@ -1,5 +1,7 @@
 """Three-term recurrence coefficients and the two generation routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ import heunx._kernels
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    coeff_P, coeff_Q, coeff_R, q_candidates_N0, q_candidates_N2,
-                   recurrence_residual, residual_rows, stream_to_csv,
-                   termination_index, three_term_coefficients,
+                   recurrence_residual, residual_rows, solve_reduction_general,
+                   stream_to_csv, termination_index, three_term_coefficients,
                    two_term_coefficients)
 from heunx.recurrence import NO_TERMINATION
 
@@ -140,6 +142,21 @@ def test_terminating_stream_has_exact_zeros():
                    two_term_coefficients(p, cases[0].e_list, 10)):
         assert all(v == 0.0 for v in stream.values[2:])
         assert stream.values[1] != 0.0
+
+
+def test_terminating_backward_stream_splits_at_interior_P_zero():
+    # a = 3 runs the backward recursion; the stream ends at n0 = 4 and
+    # epsilon = -1 zeroes P_1 below the seed, so the lower block is forward
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
+    case, = [c for c in cases if abs(c.params.q - 8.802775637731992) < 1e-9]
+    p = case.params
+    assert (termination_index(p), p.epsilon) == (4, -1.0)
+    direct = three_term_coefficients(p, 50).values
+    factored = two_term_coefficients(p, case.e_list, 50).values
+    assert np.max(np.abs(direct - factored)) <= 1e-12 * np.max(np.abs(factored))
+    assert all(v == 0.0 for v in direct[4:])
 
 
 def test_no_termination_for_anchor():

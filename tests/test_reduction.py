@@ -24,8 +24,13 @@ ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
 N1_DRAW = (2.0, 0.5, 1.7, 0.6)
 # order-1 draw with a negative discriminant: no real reduction exists
 N1_NO_ROOT = (-0.5, 0.2, 0.1, 2.0)
+# order-1 draw whose discriminant is exactly 0: the two roots merge
+N1_REPEAT = (-3.0, -1.75, -1.75, -1.5)
 # order-2 draw where one root hits the degenerate e-product relation (K = 1)
 N2_DRAW = (2.0, 2.5, 1.7, 0.6)
+# order-2 draw whose cubic has a complex pair of q-roots
+N2_COMPLEX = (0.750572799628002, 2.383282805817453, 1.6541141414711609,
+              -1.6487568600564488)
 
 
 def scaled(p, es, n):
@@ -237,11 +242,11 @@ PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
               1.5176724071367766)
 
 
-def _general_with_notes(draw, n_case):
+def _with_notes(solve, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            cases = solve_reduction_general(*draw, n_case)
+            cases = solve(*args)
         except NoSolutionError:
             cases = []
     return cases, [str(w.message) for w in caught]
@@ -254,7 +259,7 @@ def _fifty_row_defect(case):
 @pytest.mark.parametrize("n_case", range(9))
 def test_general_solver_accounts_for_every_root(n_case):
     # one eigen solve: each of the N+1 roots is a case or one note
-    cases, notes = _general_with_notes(N2_DRAW, n_case)
+    cases, notes = _with_notes(solve_reduction_general, *N2_DRAW, n_case)
     assert len(cases) + len(notes) == n_case + 1
     assert all(" dropped: " in note for note in notes)
     qs = [c.params.q for c in cases]
@@ -267,8 +272,23 @@ def test_general_solver_accounts_for_every_root(n_case):
         assert min(abs(q - 20.084068) for q in qs) < 1e-5
 
 
+@pytest.mark.parametrize("solve, draw, n_case, complex_notes", [
+    (q_candidates_N1, N1_DRAW, 1, 0),
+    (q_candidates_N1, N1_NO_ROOT, 1, 2),
+    (q_candidates_N1, N1_REPEAT, 1, 0),
+    (q_candidates_N2, N2_DRAW, 2, 0),
+    (q_candidates_N2, N2_COMPLEX, 2, 2),
+], ids=["N1_DRAW", "N1_NO_ROOT", "N1_REPEAT", "N2_DRAW", "N2_COMPLEX"])
+def test_closed_forms_account_for_every_root(solve, draw, n_case, complex_notes):
+    # each of the N+1 roots is a case or one note, as in the eigen solver
+    cases, notes = _with_notes(solve, *draw)
+    assert len(cases) + len(notes) == n_case + 1
+    assert all(" dropped: " in note for note in notes)
+    assert sum("dropped: q is complex" in note for note in notes) == complex_notes
+
+
 def test_general_solver_on_the_panel_draw():
-    cases, _ = _general_with_notes(PANEL_DRAW, 3)
+    cases, _ = _with_notes(solve_reduction_general, *PANEL_DRAW, 3)
     assert [round(c.params.q, 3) for c in cases] == [26.871, 41.8]
     for case in cases:
         assert _fifty_row_defect(case) <= GENERAL_TOL
