@@ -26,7 +26,7 @@ from .params import (HeunParams, IssueCode, ValidatedHeunParams,
                      params_to_dict, require_valid, validate_params)
 from .recurrence import (CoefficientSource, CoefficientStream, coeff_P,
                          coeff_Q, coeff_R, recurrence_residual, residual_rows,
-                         stream_to_csv, termination_index,
+                         stream_to_csv, stream_to_json, termination_index,
                          three_term_coefficients, two_term_coefficients)
 from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
                         degree_claim_defect, delta_for_reduction,
@@ -57,6 +57,6 @@ __all__ = [
     "params_to_dict", "pochhammer", "q_candidates_N0", "q_candidates_N1",
     "q_candidates_N2", "q_for_N0", "recurrence_residual", "require_valid",
     "residual_rows", "solve_reduction_general", "stream_to_csv",
-    "termination_index", "three_term_coefficients", "two_term_coefficients",
-    "validate_params", "verify_reduction",
+    "stream_to_json", "termination_index", "three_term_coefficients",
+    "two_term_coefficients", "validate_params", "verify_reduction",
 ]

@@ -9,7 +9,10 @@ elementwise numpy arithmetic rounds each operation as a Python float does,
 so each expression keeps the loop's operation order, and a running product
 or sum is a ufunc accumulate, which, unlike a reduction, runs strictly left
 to right. f21_with_derivs sums all inner 2F1 series of a point this way, in
-blocked passes; tests/test_kernels.py holds the scalar loops as references.
+blocked passes. The three-term fills take R_n, Q_n and P_n as arrays over
+the indices their loop visits, raise where the loop would first raise, and
+run the recurrence itself over Python floats, as the loop did.
+tests/test_kernels.py holds the scalar loops as references.
 """
 
 import math
@@ -215,8 +218,23 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
     if abs(f2) < INT_SNAP:
         f2 = 0.0
     if abs(n + g) < 1e-12:
-        raise DivisionByZeroError(f"n+epsilon+gamma vanishes at n = {n!r}")
+        raise DivisionByZeroError(_VANISHES.format(n))
     return -a / (n + g) * (n + ep) * f1 * f2
+
+
+def _relation_rows(n, a, q, al, be, ga, de, ep):
+    """R_n, Q_{n-1} and P_{n-2} of the relation at each entry of the float
+    array n, in the arithmetic and snap of coeff_r, coeff_q and coeff_p, and
+    the mask where coeff_p raises. Overflow passes silently, as in floats."""
+    m = n - 2.0
+    g = ep + ga
+    with np.errstate(all="ignore"):
+        f1 = m + g - al
+        f2 = m + g - be
+        f1[np.abs(f1) < INT_SNAP] = 0.0
+        f2[np.abs(f2) < INT_SNAP] = 0.0
+        return (coeff_r(n, a, ga, ep), coeff_q(n - 1.0, a, q, al, be, ga, de, ep),
+                -a / (m + g) * (m + ep) * f1 * f2, np.abs(m + g) < 1e-12)
 
 
 def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
@@ -224,21 +242,16 @@ def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
     rows at once, each in the arithmetic order of coeff_r, coeff_q, coeff_p."""
     nmax = len(values) - 1
     rows = np.zeros(nmax + 1)
-    n = np.arange(2.0, nmax + 1.0)
-    m = n - 2.0
-    g = ep + ga
-    f1 = m + g - al
-    f2 = m + g - be
-    f1[np.abs(f1) < INT_SNAP] = 0.0  # the snap of coeff_p
-    f2[np.abs(f2) < INT_SNAP] = 0.0
-    t1 = coeff_r(n, a, ga, ep) * values[2:]
-    t2 = coeff_q(n - 1.0, a, q, al, be, ga, de, ep) * values[1:nmax]
-    t3 = -a / (m + g) * (m + ep) * f1 * f2 * values[:nmax - 1]
+    r, qn, p, _ = _relation_rows(np.arange(2.0, nmax + 1.0), a, q, al, be, ga, de, ep)
+    t1 = r * values[2:]
+    t2 = qn * values[1:nmax]
+    t3 = p * values[:nmax - 1]
     rows[2:] = np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + TINY)
     return rows
 
 
 _PIVOT = "a recurrence pivot R_n or P_n vanished"
+_VANISHES = "n+epsilon+gamma vanishes at n = {!r}"
 _FAILED = "three-term stream generation failed"
 
 
@@ -281,48 +294,56 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     work[top] = 1.0
     _backward_fill(a, q, al, be, ga, de, ep, work, top - 1, jstar)
 
+    k = min(nmax, top)
     if jstar < 0:
         if work[0] == 0.0:
             raise NumericalError(_FAILED)
-        for j in range(1, min(nmax, top) + 1):
-            c[j] = work[j] / work[0]
+        work[1:k + 1] /= work[0]
     else:
         low = np.zeros(jstar + 2)
         low[0] = 1.0
         _forward_fill(a, q, al, be, ga, de, ep, low, jstar + 1)
         if abs(work[jstar + 1]) < TINY:
             raise NumericalError(_FAILED)
-        sc = low[jstar + 1] / work[jstar + 1]
-        for j in range(1, min(nmax, top) + 1):
-            if j <= jstar + 1:
-                c[j] = low[j]
-            else:
-                c[j] = work[j] * sc
+        work[jstar + 2:k + 1] *= low[jstar + 1] / work[jstar + 1]
+        work[:jstar + 2] = low
+    c[1:k + 1] = work[1:k + 1]
     return _certify_init(a, q, al, be, ga, de, ep, c)
 
 
 def _forward_fill(a, q, al, be, ga, de, ep, c, upto):
-    if upto >= 1:
-        r1 = coeff_r(1.0, a, ga, ep)
-        if abs(r1) < TINY:
-            raise DivisionByZeroError(_PIVOT)
-        c[1] = -coeff_q(0.0, a, q, al, be, ga, de, ep) * c[0] / r1
-    for n in range(2, upto + 1):
-        rn = coeff_r(float(n), a, ga, ep)
-        if abs(rn) < TINY:
-            raise DivisionByZeroError(_PIVOT)
-        c[n] = -(coeff_q(n - 1.0, a, q, al, be, ga, de, ep) * c[n - 1]
-                 + coeff_p(n - 2.0, a, q, al, be, ga, de, ep) * c[n - 2]) / rn
+    """c[1..upto] from c[0] by the forward relation."""
+    if upto < 1:
+        return
+    r, qn, p, gone = _relation_rows(np.arange(1.0, upto + 1.0), a, q, al, be, ga, de, ep)
+    # step n = k + 1 checks the pivot R_n, then evaluates P_{n-2} (n >= 2)
+    pivot = np.abs(r) < TINY
+    gone[0] = False
+    bad = np.flatnonzero(pivot | gone)
+    if bad.size:
+        k = int(bad[0])
+        raise DivisionByZeroError(_PIVOT if pivot[k] else _VANISHES.format(k - 1.0))
+    r, qn, p = r.tolist(), qn.tolist(), p.tolist()
+    out = [float(c[0])]
+    out.append(-qn[0] * out[0] / r[0])
+    for rv, qv, pv in zip(r[1:], qn[1:], p[1:]):
+        out.append(-(qv * out[-1] + pv * out[-2]) / rv)
+    c[1:upto + 1] = out[1:]
 
 
 def _backward_fill(a, q, al, be, ga, de, ep, work, start, stop):
     """work[j] for j = start down to stop+1 from work[j+1], work[j+2]."""
-    for j in range(start, stop, -1):
-        pj = coeff_p(j, a, q, al, be, ga, de, ep)
-        if abs(pj) < TINY:
-            raise DivisionByZeroError(_PIVOT)
-        work[j] = -(coeff_r(j + 2.0, a, ga, ep) * work[j + 2]
-                    + coeff_q(j + 1.0, a, q, al, be, ga, de, ep) * work[j + 1]) / pj
+    r, qj, p, gone = _relation_rows(np.arange(start + 2.0, stop + 2.0, -1.0),
+                                    a, q, al, be, ga, de, ep)
+    # step j = start - k evaluates P_j (which may raise), then checks its pivot
+    bad = np.flatnonzero(gone | (np.abs(p) < TINY))
+    if bad.size:
+        k = int(bad[0])
+        raise DivisionByZeroError(_VANISHES.format(start - k) if gone[k] else _PIVOT)
+    out = [float(work[start + 2]), float(work[start + 1])]
+    for rv, qv, pv in zip(r.tolist(), qj.tolist(), p.tolist()):
+        out.append(-(rv * out[-2] + qv * out[-1]) / pv)
+    work[stop + 1:start + 1] = out[:1:-1]
 
 
 def _certify_init(a, q, al, be, ga, de, ep, c):

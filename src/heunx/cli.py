@@ -24,8 +24,8 @@ from .evaluator import (check_disk, check_interior, evaluate,
 from .oracle import cross_check
 from .params import load_params_file, params_to_dict, require_valid
 from .recurrence import (CoefficientSource, recurrence_residual,
-                         stream_rows, stream_to_csv, three_term_coefficients,
-                         two_term_coefficients)
+                         stream_to_csv, stream_to_json,
+                         three_term_coefficients, two_term_coefficients)
 from .reduction import (A_TOP_TOL, VERIFY_TOL, ReductionCase, case_to_dict,
                         q_candidates_N0, q_candidates_N1, q_candidates_N2,
                         solve_reduction_general, verify_reduction)
@@ -137,13 +137,8 @@ def cmd_coeffs(ns) -> int:
         stream = three_term_coefficients(p, ns.n_max)
     else:
         stream = two_term_coefficients(p, es, ns.n_max, source=source)
-    if ns.format == "json":
-        rows = [{"n": n, "c_n": _jsonable(c), "ratio": _jsonable(ratio),
-                 "residual": _jsonable(resid)}
-                for n, c, ratio, resid in stream_rows(stream)]
-        _print_json({"source": stream.source.value, "rows": rows})
-    else:
-        sys.stdout.write(stream_to_csv(stream))
+    writer = stream_to_json if ns.format == "json" else stream_to_csv
+    sys.stdout.write(writer(stream))
     return EXIT_OK
 
 

@@ -6,10 +6,17 @@ reduction branch, and the equivalent closed form assembled from Pochhammer
 products. Route agreement is the working certificate that a reduction
 really holds, so the two-term generator always computes both of its forms
 and checks them against each other.
+
+A `coeffs` table is the float columns of stream_columns put into one row
+template with the repr of each float. For JSON that gives the bytes of
+json.dumps(..., indent=2), whose stdlib encoder skips its C core and walks
+a dict per row in pure Python whenever indent is set.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,27 +153,34 @@ def recurrence_residual(stream: CoefficientStream) -> float:
     return float(np.max(rows[2:]))
 
 
-def stream_rows(stream: CoefficientStream):
-    """(n, c_n, ratio c_n/c_{n-1}, residual_n) per index, as Python floats.
-
-    Ratio and residual are nan where undefined (n = 0, zero predecessor,
-    n < 2).
-    """
-    rows = residual_rows(stream)
+def stream_columns(stream: CoefficientStream):
+    """The table columns c_n, ratio c_n/c_{n-1} and residual_n as float
+    arrays; ratio and residual are nan where undefined (n = 0, zero
+    predecessor, n < 2)."""
     vals = stream.values
-    for n in range(len(vals)):
-        if n == 0 or vals[n - 1] == 0.0:
-            ratio = float("nan")
-        else:
-            ratio = float(vals[n] / vals[n - 1])
-        resid = float(rows[n]) if n >= 2 else float("nan")
-        yield n, float(vals[n]), ratio, resid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(vals[:-1] == 0.0, np.nan, vals[1:] / vals[:-1])
+    resid = residual_rows(stream)
+    resid[:2] = np.nan
+    return vals, np.r_[np.nan, ratio], resid
 
 
 def stream_to_csv(stream: CoefficientStream) -> str:
-    """CSV with columns n, c_n, ratio, residual from stream_rows. Floats are
-    emitted with repr so output is byte-deterministic."""
-    lines = ["n,c_n,ratio,residual"]
-    lines += [f"{n},{c!r},{ratio!r},{resid!r}"
-              for n, c, ratio, resid in stream_rows(stream)]
-    return "\n".join(lines) + "\n"
+    """CSV with columns n, c_n, ratio, residual from stream_columns. Floats
+    are emitted with repr so output is byte-deterministic."""
+    cols = [col.tolist() for col in stream_columns(stream)]
+    return "n,c_n,ratio,residual\n" + "".join(
+        map("{},{!r},{!r},{!r}\n".format, range(len(cols[0])), *cols))
+
+
+def stream_to_json(stream: CoefficientStream) -> str:
+    """The bytes of json.dumps({"source": ..., "rows": [{"n", "c_n",
+    "ratio", "residual"}, ...]}, sort_keys=True, indent=2) + "\\n", with
+    null for every non-finite value."""
+    row = ('    {\n      "c_n": %s,\n      "n": %d,\n      "ratio": %s,\n'
+           '      "residual": %s\n    }')
+    c, ratio, resid = ([repr(x) if math.isfinite(x) else "null"
+                        for x in col.tolist()] for col in stream_columns(stream))
+    rows = ",\n".join(row % x for x in zip(c, range(len(c)), ratio, resid))
+    return ('{\n  "rows": [\n' + rows + '\n  ],\n  "source": '
+            + json.dumps(stream.source.value) + "\n}\n")

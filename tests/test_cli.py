@@ -3,16 +3,22 @@ in-process count of the summations each command makes."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
 import heunx._kernels
 import heunx.cli
 import heunx.reduction
-from heunx import EvalStatus
+from heunx import (DivisionByZeroError, EvalStatus, params_to_dict,
+                   q_candidates_N0, q_candidates_N2, residual_rows,
+                   solve_reduction_general, stream_to_csv, stream_to_json,
+                   three_term_coefficients, two_term_coefficients)
 
 CLI = [sys.executable, "-m", "heunx.cli"]
 # the child imports the same heunx as this process, also when pytest put
@@ -281,3 +287,98 @@ def test_certificate_runs_once_per_case(write_params, monkeypatch, capsys):
     assert heunx.cli.main(["reduce", "--params", write_params(bench), "--n", "3"]) == 0
     cases = json.loads(capsys.readouterr().out)["cases"]
     assert len(cases) == 3 and len(calls) == 3
+
+
+def _jsonable(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+def _table_rows(stream):
+    """(n, c_n, ratio, residual) per index as Python floats, one row at a
+    time: the code the column writers replaced."""
+    rows = residual_rows(stream)
+    vals = stream.values
+    for n in range(len(vals)):
+        if n == 0 or vals[n - 1] == 0.0:
+            ratio = float("nan")
+        else:
+            ratio = float(vals[n] / vals[n - 1])
+        resid = float(rows[n]) if n >= 2 else float("nan")
+        yield n, float(vals[n]), ratio, resid
+
+
+def _csv_by_rows(stream):
+    lines = ["n,c_n,ratio,residual"]
+    lines += [f"{n},{c!r},{ratio!r},{resid!r}"
+              for n, c, ratio, resid in _table_rows(stream)]
+    return "\n".join(lines) + "\n"
+
+
+def _json_by_rows(stream):
+    rows = [{"n": n, "c_n": _jsonable(c), "ratio": _jsonable(ratio),
+             "residual": _jsonable(resid)}
+            for n, c, ratio, resid in _table_rows(stream)]
+    return json.dumps({"source": stream.source.value, "rows": rows},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def _table_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        n3 = [c for c in solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
+              if abs(c.params.q - 8.802775637731992) < 1e-9]
+        return {"anchor": q_candidates_N0(2.0, 3.0, 2.0, 1.0)[0],
+                "N2": q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0],
+                # terminates at n0 = 4: the zeros give nan/null ratios
+                "N3-terminating": n3[0]}
+
+
+@pytest.mark.parametrize("name", ["anchor", "N2", "N3-terminating"])
+def test_table_writers_match_row_code(name, write_params, capsys):
+    case = _table_cases()[name]
+    path = write_params(params_to_dict(case.params))
+    e_arg = "--e=" + ",".join(repr(e) for e in case.e_list)
+    writers = {"csv": (stream_to_csv, _csv_by_rows),
+               "json": (stream_to_json, _json_by_rows)}
+    for source, flag in heunx.cli._SOURCES.items():
+        for n_max in (0, 1, 2, 60):
+            try:
+                if source == "three-term":
+                    stream = three_term_coefficients(case.params, n_max)
+                else:
+                    stream = two_term_coefficients(case.params, case.e_list,
+                                                   n_max, source=flag)
+            except DivisionByZeroError:
+                # the three-term seed past n0 (see test_kernels)
+                assert (name, source, n_max) in (("N3-terminating", "three-term", 1),
+                                                 ("N3-terminating", "three-term", 2))
+                stream = None
+            for fmt, (writer, by_rows) in writers.items():
+                argv = ["coeffs", "--params", path, "--n-max", str(n_max),
+                        "--source", source, "--format", fmt]
+                code = heunx.cli.main(argv + ([] if source == "three-term"
+                                              else [e_arg]))
+                out = capsys.readouterr().out
+                if stream is None:
+                    assert (code, out) == (4, "")
+                    continue
+                want = by_rows(stream)
+                assert writer(stream) == want
+                assert (code, out) == (0, want)
+            if name == "N3-terminating" and n_max == 60:
+                assert stream_to_json(stream).count('"ratio": null') == 57
+
+
+def test_readme_coeffs_table(write_params, capsys):
+    # the README's one documented table is what the command prints
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    params = readme.split("$ cat full.json\n", 1)[1].split("\n\n", 1)[0]
+    command = '$ heunx coeffs --params full.json --e "" --n-max 4 --format csv\n'
+    table = readme.split(command, 1)[1].split("\n\n", 1)[0] + "\n"
+    path = write_params(json.loads(params))
+    argv = ["coeffs", "--params", path, "--e", "", "--n-max", "4",
+            "--format", "csv"]
+    assert heunx.cli.main(argv) == 0
+    assert capsys.readouterr().out == table

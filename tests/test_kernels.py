@@ -1,11 +1,17 @@
 """The array kernels against the scalar loops they replace: same arithmetic
 in the same order, so the results must be equal to the bit."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from heunx import NonConvergenceError, _kernels, q_candidates_N2
-from heunx.recurrence import termination_index
+from heunx import (DivisionByZeroError, NonConvergenceError, NumericalError,
+                   _kernels, q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                   solve_reduction_general)
+from heunx.params import is_nonpos_int
+from heunx.recurrence import NO_TERMINATION, RHO_SWITCH, termination_index
 
 
 def _f21_by_terms(a, b, c, z, rel_tol, max_terms, consec):
@@ -151,3 +157,154 @@ def test_colloc_state_matches_separate_evaluations(n_case):
         assert np.array_equal(res, _colloc_residual(*args))
         assert scale == _colloc_scale(*args)
         assert np.array_equal(jac, _colloc_jacobian(*args))
+
+
+def _forward_by_rows(a, q, al, be, ga, de, ep, c, upto):
+    if upto >= 1:
+        r1 = _kernels.coeff_r(1.0, a, ga, ep)
+        if abs(r1) < _kernels.TINY:
+            raise DivisionByZeroError(_kernels._PIVOT)
+        c[1] = -_kernels.coeff_q(0.0, a, q, al, be, ga, de, ep) * c[0] / r1
+    for n in range(2, upto + 1):
+        rn = _kernels.coeff_r(float(n), a, ga, ep)
+        if abs(rn) < _kernels.TINY:
+            raise DivisionByZeroError(_kernels._PIVOT)
+        c[n] = -(_kernels.coeff_q(n - 1.0, a, q, al, be, ga, de, ep) * c[n - 1]
+                 + _kernels.coeff_p(n - 2.0, a, q, al, be, ga, de, ep) * c[n - 2]) / rn
+
+
+def _backward_by_rows(a, q, al, be, ga, de, ep, work, start, stop):
+    for j in range(start, stop, -1):
+        pj = _kernels.coeff_p(j, a, q, al, be, ga, de, ep)
+        if abs(pj) < _kernels.TINY:
+            raise DivisionByZeroError(_kernels._PIVOT)
+        work[j] = -(_kernels.coeff_r(j + 2.0, a, ga, ep) * work[j + 2]
+                    + _kernels.coeff_q(j + 1.0, a, q, al, be, ga, de, ep) * work[j + 1]) / pj
+
+
+def _three_term_by_rows(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
+    """three_term_stream with every fill and copy a loop over scalars: the
+    reference the array fills must reproduce to the bit."""
+    c = np.zeros(nmax + 1)
+    c[0] = 1.0
+    if nmax == 0:
+        return c
+    rho = abs(a / (a - 1.0))
+    if rho <= rho_switch:
+        _forward_by_rows(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
+        return _kernels._certify_init(a, q, al, be, ga, de, ep, c)
+    buf = min(max(int(math.ceil(52.0 / math.log(rho))), 40), 2000)
+    top = n0 - 1 if n0 <= nmax else nmax + buf
+    jstar = -1
+    if is_nonpos_int(ep) and -round(ep) < top:
+        jstar = -round(ep)
+    work = np.zeros(top + 2)
+    work[top] = 1.0
+    _backward_by_rows(a, q, al, be, ga, de, ep, work, top - 1, jstar)
+    if jstar < 0:
+        if work[0] == 0.0:
+            raise NumericalError(_kernels._FAILED)
+        for j in range(1, min(nmax, top) + 1):
+            c[j] = work[j] / work[0]
+    else:
+        low = np.zeros(jstar + 2)
+        low[0] = 1.0
+        _forward_by_rows(a, q, al, be, ga, de, ep, low, jstar + 1)
+        if abs(work[jstar + 1]) < _kernels.TINY:
+            raise NumericalError(_kernels._FAILED)
+        sc = low[jstar + 1] / work[jstar + 1]
+        for j in range(1, min(nmax, top) + 1):
+            if j <= jstar + 1:
+                c[j] = low[j]
+            else:
+                c[j] = work[j] * sc
+    return _kernels._certify_init(a, q, al, be, ga, de, ep, c)
+
+
+def _outcome(fill, args):
+    """The stream, or the type and text of what the fill raised."""
+    try:
+        return fill(*args)
+    except (DivisionByZeroError, NumericalError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(args):
+    got = _outcome(_kernels.three_term_stream, args)
+    want = _outcome(_three_term_by_rows, args)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+    return want
+
+
+def _stream_args(p, nmax):
+    return (p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, nmax,
+            termination_index(p), RHO_SWITCH)
+
+
+def _n3_terminating():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
+    case, = [c for c in cases if abs(c.params.q - 8.802775637731992) < 1e-9]
+    return case.params
+
+
+@pytest.fixture(scope="module")
+def fill_paths():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {
+            "forward": q_candidates_N1(-1.5, 0.5, 1.7, 0.6)[0].params,
+            "backward": q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0].params,
+            # epsilon = -1 zeroes P_1 below the backward seed
+            "split": q_candidates_N0(3.0, 0.5, 0.8, 1.3)[0].params,
+            # n0 = 4, epsilon = -1
+            "terminating": _n3_terminating(),
+        }
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 50, 5000])
+@pytest.mark.parametrize("path", ["forward", "backward", "split",
+                                  "terminating"])
+def test_fills_match_scalar_loops(fill_paths, path, nmax):
+    # the fills take R, Q and P as arrays and run the recurrence over
+    # Python floats: the same arithmetic in the same order as the loops
+    p = fill_paths[path]
+    rho = abs(p.a / (p.a - 1.0))
+    assert (rho <= RHO_SWITCH) == (path == "forward")
+    assert is_nonpos_int(p.epsilon) == (path in ("split", "terminating"))
+    assert (termination_index(p) < NO_TERMINATION) == (path == "terminating")
+    want = _same_outcome(_stream_args(p, nmax))
+    if path != "terminating" or nmax > 2:
+        assert not isinstance(want, tuple)
+        assert len(want) == nmax + 1
+
+
+def test_fills_past_an_unseeded_termination_raise_like_the_loops():
+    # for nmax < n0 = 4 the backward seed sits at nmax + buf, past the
+    # exact zero of P, so both raise on the pivot; from nmax = n0 on both run
+    p = _n3_terminating()
+    assert termination_index(p) == 4
+    for nmax in (1, 2, 3):
+        assert _same_outcome(_stream_args(p, nmax)) == (
+            DivisionByZeroError, _kernels._PIVOT)
+    assert not isinstance(_same_outcome(_stream_args(p, 4)), tuple)
+
+
+@pytest.mark.parametrize("a, ga, ep, text", [
+    # forward: R_3 = 0 (g = -2) comes before P_2's vanishing n + g
+    (-1.0, 0.5, -2.5, _kernels._PIVOT),
+    # forward: n + g = 1e-13 at n = 3 (checked at step 5), R never tiny
+    (-1.0, 0.5, -3.5 + 1e-13, "n+epsilon+gamma vanishes at n = 3.0"),
+    # backward: n + g vanishes at j = 3 on the way down
+    (3.0, 0.5, -3.5 + 1e-13, "n+epsilon+gamma vanishes at n = 3"),
+])
+def test_fill_errors_match_scalar_loops(a, ga, ep, text):
+    al, be, q = 0.3, 1.45, 2.0
+    de = 1.0 + al + be - ga - ep
+    for nmax in (5, 50):
+        args = (a, q, al, be, ga, de, ep, nmax, NO_TERMINATION, RHO_SWITCH)
+        assert _same_outcome(args) == (DivisionByZeroError, text)
