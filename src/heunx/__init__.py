@@ -5,19 +5,18 @@ the four-singular-point equation into a three-term recurrence for the c_n.
 This package finds the parameter choices (delta = N+2, q on a degree-(N+1)
 polynomial condition, auxiliary shifts e_1..e_N) that collapse the
 recurrence to two terms, builds the resulting gamma-function coefficient
-closed forms, sums the expansion with exact tail resummation, and certifies
-every step against an independent power-series oracle. Everything runs
-in plain numpy.
+closed forms, evaluates the expansion from its closed rational form, and
+certifies every step against independent routes, the tail-resummed
+summation and a power-series oracle. Everything runs in plain numpy.
 """
 
 from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      NonConvergenceError, NoSolutionError, NumericalError,
                      PoleError, PreconditionError, SingularPointError,
                      ValidationError)
-from .evaluator import (Evaluation, detect_truncation, evaluate,
-                        evaluate_expansion, evaluate_expansion_deriv,
-                        evaluation_table, forced_residual, forcing_constant,
-                        forcing_defect, homogeneous_residual, ode_residual)
+from .evaluator import (Evaluation, evaluate, evaluation_table,
+                        forced_residual, forcing_constant, forcing_defect,
+                        homogeneous_residual, ode_residual)
 from .oracle import (FrobeniusSeries, cross_check, frobenius_coefficients,
                      frobenius_eval)
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
@@ -48,8 +47,7 @@ __all__ = [
     "ValidationError", "ValidationIssue", "case_to_dict",
     "coeff_P", "coeff_Q", "coeff_R", "collect_issues", "cross_check",
     "degree_claim_defect", "delta_for_reduction", "delta_from_fuchsian",
-    "detect_truncation", "evaluate", "evaluate_expansion",
-    "evaluate_expansion_deriv", "evaluation_table", "forced_residual",
+    "evaluate", "evaluation_table", "forced_residual",
     "forcing_constant", "forcing_defect", "homogeneous_residual",
     "frobenius_coefficients", "frobenius_eval", "gauss_2f1",
     "gauss_2f1_deriv", "identity_lhs", "identity_scale", "is_nonpos_int",

@@ -20,9 +20,10 @@ from .errors import (DivisionByZeroError, DomainError, NonConvergenceError,
                      PreconditionError, SingularPointError, ValidationError)
 from .evaluator import (check_disk, check_interior, evaluate,
                         evaluation_table, forced_residual,
-                        homogeneous_residual)
+                        homogeneous_residual, summation_gap)
 from .oracle import cross_check
-from .params import load_params_file, params_to_dict, require_valid
+from .params import (check_order, load_params_file, params_to_dict,
+                     require_valid)
 from .recurrence import (CoefficientSource, recurrence_residual,
                          stream_to_csv, stream_to_json,
                          three_term_coefficients, two_term_coefficients)
@@ -85,10 +86,7 @@ def cmd_reduce(ns) -> int:
     de = float(n_case + 2)
     # q is solved for; a file without delta takes the one N implies
     p0 = load_params_file(ns.params, optional={"q": 0.0, "delta": de})
-    if abs(p0.delta - de) > 1e-12:
-        raise PreconditionError(
-            f"delta = {p0.delta!r} in the file is inconsistent with N = {n_case} "
-            f"(needs {de!r})")
+    check_order(p0, n_case)
     ep_expected = 1.0 + p0.alpha + p0.beta - p0.gamma - de
     if abs(p0.epsilon - ep_expected) > 1e-9:
         raise PreconditionError(
@@ -159,7 +157,7 @@ def _joint_status(status) -> str:
 def cmd_eval(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=False)
-    ctl = SeriesControl(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
+    ctl = SeriesControl(rel_tol=ns.rel_tol)
     if ns.format == "json":
         rows = []
         for z in zs:
@@ -168,24 +166,22 @@ def cmd_eval(ns) -> int:
                          "residual": _jsonable(homogeneous_residual(case, ev)),
                          "terms_used": ev.terms_used,
                          "status": _joint_status(ev.status)})
-        _print_json({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol,
-                                                  "max_terms": ctl.max_terms}})
+        _print_json({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol}})
     else:
-        sys.stdout.write(evaluation_table(case, zs, ctl))
+        sys.stdout.write(evaluation_table(case, zs))
     return EXIT_OK
 
 
 def cmd_residual(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=True)
-    ctl = SeriesControl(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
+    ctl = SeriesControl(rel_tol=ns.rel_tol)
     rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
             for ev in (evaluate(case, z, ctl) for z in zs)]
     if ns.format == "json":
         _print_json({"rows": [{"z": z, "residual": r, "forced_residual": f}
                               for z, r, f in rows],
-                     "tolerances": {"rel_tol": ctl.rel_tol,
-                                    "max_terms": ctl.max_terms}})
+                     "tolerances": {"rel_tol": ctl.rel_tol}})
     else:
         lines = ["z,residual,forced_residual"]
         lines += [f"{z!r},{r!r},{f!r}" for z, r, f in rows]
@@ -217,7 +213,7 @@ def cmd_verify(ns) -> int:
         evs = [evaluate(case, z, ctl) for z in zs]
         ode_values = [homogeneous_residual(case, ev) for ev in evs]
         ode_ok = max(ode_values) <= ns.ode_tol
-        cross_value = cross_check(case, evs, ctl=ctl)
+        cross_value = cross_check(case, evs)
         cross_ok = cross_value <= ns.cross_tol
         forced = [forced_residual(case, ev) for ev in evs]
         checks["ode_residual"] = {"values": ode_values, "tol": ns.ode_tol,
@@ -225,6 +221,8 @@ def cmd_verify(ns) -> int:
         checks["cross_check"] = {"value": cross_value, "tol": ns.cross_tol,
                                  "passed": cross_ok}
         checks["forced_residual"] = {"values": forced, "gating": False}
+        checks["summation"] = {"values": [summation_gap(case, ev, ctl)
+                                          for ev in evs], "gating": False}
     else:
         checks["ode_residual"] = {"values": [], "tol": ns.ode_tol,
                                   "passed": False, "skipped": True}
@@ -246,15 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "search, coefficient tables, evaluation, certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_e=True, with_ctl=False):
+    def common(sp, with_tol=False):
         sp.add_argument("--params", required=True,
                         help="JSON file with the equation parameters")
-        if with_e:
-            sp.add_argument("--e", default="",
-                            help="comma-separated e_1..e_N (empty for N=0)")
-        if with_ctl:
+        sp.add_argument("--e", default="",
+                        help="comma-separated e_1..e_N (empty for N=0)")
+        if with_tol:
             sp.add_argument("--rel-tol", type=float, default=1e-14)
-            sp.add_argument("--max-terms", type=int, default=10000)
 
     sp = sub.add_parser("reduce", help="find (q, e_1..e_N) reduction cases")
     sp.add_argument("--params", required=True)
@@ -270,13 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coeffs)
 
     sp = sub.add_parser("eval", help="u, u', u'' and residual on a z grid")
-    common(sp, with_ctl=True)
+    common(sp, with_tol=True)
     sp.add_argument("--z", required=True, help="comma-separated evaluation points")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="full certification of a reduction")
-    common(sp, with_ctl=True)
+    common(sp, with_tol=True)
+    sp.add_argument("--max-terms", type=int, default=10000)
     sp.add_argument("--z", default="0.1,0.25,0.4")
     sp.add_argument("--n-stream", type=int, default=50)
     sp.add_argument("--recurrence-tol", type=float, default=1e-10)
@@ -285,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("residual", help="equation residuals on a z grid")
-    common(sp, with_ctl=True)
+    common(sp, with_tol=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_residual)

@@ -1,37 +1,18 @@
-"""Summation of the hypergeometric expansion and equation-level diagnostics.
+"""Evaluation of the hypergeometric expansion and equation-level diagnostics.
 
-The summed expansion u(z) = sum_n c_n F_n(z) is evaluated together with its
-first two derivatives. The truncation tail is not discarded: swapping the
-n and power sums turns every tail into a difference of closed-form gamma
-weights, so results carry full double precision even though the raw
-coefficients only decay like n^{-2}.
+u(z) = sum_n c_n 2F1(alpha, beta; g+n; z), g = gamma+epsilon, is read from
+its closed rational form. Swapping the n and m sums splits each c_n into
+falling-factorial pieces, and as g = alpha+beta-1-N each sums to a binomial
+series: with v = 1/(1-z), K = Gamma(g) / (Gamma(alpha) Gamma(beta)) and d_i
+the falling-factorial coefficients of prod_k (1 + n/e_k),
+u = sum_{k=1..N+1} B_k v^k with B_{N+1-i} = K d_i (g-alpha)_i (g-beta)_i (N-i)!,
+and u', u'' follow from dv/dz = v^2. The tail-resummed summation of the
+series (`_sum_all`) is the independent route the form is checked against.
 
-Past a direct sum of length M the tail is sum_m h_m z^m s_m with
-s_m = sum_{n>M} c_n / (g+n)_m, g = gamma+epsilon. Computed as a
-difference of weights, s_m turns into rounding noise once it falls below
-eps times the weights, so the truncation is measured without that
-difference: g = alpha+beta-1-N for every accepted reduction, so c_n ~ n^-2
-and s_m ~ |c_M| M / ((m+1) (g+M+1)_m). The m-sum stops at the first m whose
-next term, so estimated, is below eps in all three derivative orders, and
-those estimates are the reported tails. At a fixed m they fall like
-M^-(m+2), so M is doubled only while a tail is above the requested
-tolerance. c_0..c_M and the weights depend on the case and M only and are
-computed once for all points of a case.
-
-A structural fact drives the diagnostics here: term by term, applying the
-differential operator and clearing denominators maps F_n onto the exact
-combination R_n F_{n-1} + Q_n F_n + P_n F_{n+1}. Summed against a two-term
-coefficient stream, everything telescopes and the limit of the boundary
-terms is a constant, so the full sum satisfies
-
-    z(z-1)(z-a) (u'' + (gamma/z + delta/(z-1) + epsilon/(z-a)) u'
-                 + (alpha beta z - q) u / (z(z-1)(z-a))) = -C,
-
-with C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta) prod_k e_k), g = gamma
-+ epsilon. The expansion solves the homogeneous equation exactly when
-C = 0, i.e. when the coefficient stream terminates; otherwise it is a
-rational function solving the constant-forced equation, and `forcing_defect`
-is the residual that certifies the summation end to end.
+Against a two-term stream the operator telescopes term by term, so the sum
+solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)
+prod_k e_k): the homogeneous equation exactly when C = 0, i.e. when the
+stream terminates. `forcing_defect` is the residual that certifies it.
 """
 
 from __future__ import annotations
@@ -45,18 +26,20 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, NumericalError, PoleError, SingularPointError
 from .params import is_nonpos_int
-from .recurrence import NO_TERMINATION, termination_index
+from .recurrence import termination_index
 from .reduction import ReductionCase
 from .special import EvalResult, EvalStatus, SeriesControl
 
 MAX_ABS_Z = 0.95        # guard margin inside the unit disk of the term functions
 SINGULAR_GUARD = 1e-8
-# The m-sum stops once the next tail term is below eps; on |z| <= 0.9 that is
-# by m = 13 at M = 128 for the benchmark cases. _MCAP sizes the weight
-# arrays with room for larger alpha, beta; a tail still above the tolerance
-# at _MCAP doubles M.
+# The m-sum stops once the next tail term is below eps: by m = 13 at M = 128
+# on |z| <= 0.9 for the benchmark cases. _MCAP sizes the weight arrays with
+# room for larger alpha, beta; a tail still above the tolerance doubles M.
 _MCAP = 24
 _M_START = 128          # direct-sum length to start from; tail terms fall like (|z| m / M)^m
+_U = 2.0 ** -53         # unit roundoff
+# math.gamma is within 8.3 u of 40-digit mpmath on 100,000 points of [-170, 170]
+_GAMMA_ERR = 10.0 * _U
 
 
 def check_disk(z: float, max_abs_z: float = MAX_ABS_Z) -> None:
@@ -78,10 +61,9 @@ def check_interior(z: float, a: float) -> None:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One tail-resummed summation at z; every value and residual reads it.
-    `tails` and `status` hold one entry per derivative order 0, 1, 2: the
-    estimated truncation left in that order and whether it is within
-    rel_tol. `doublings` counts how often the direct-sum length M doubled."""
+    """u, u', u'' at z from the closed form, read by every residual;
+    terms_used = N+1, the number of B_k. Per order 0, 1, 2, `tails` bounds
+    the rounding error and `status` says if that is within rel_tol."""
 
     z: float
     u: float
@@ -90,11 +72,81 @@ class Evaluation:
     terms_used: int
     tails: tuple
     status: tuple
-    doublings: int
 
     def result(self, order: int) -> EvalResult:
         return EvalResult((self.u, self.du, self.ddu)[order], self.terms_used,
                           self.tails[order], self.status[order])
+
+
+def _gamma_n(n: int) -> float:
+    return n * _U / (1.0 - n * _U)  # Higham's bound on n roundings
+
+
+def _form(case: ReductionCase):
+    """B_1..B_{N+1} (B_k at index k-1) from case.params and case.e_list, and
+    bounds on their absolute errors from every rounding that builds them."""
+    p = case.params
+    n = len(case.e_list)
+    g = float(p.gamma + p.epsilon)
+    t = g - p.gamma
+    g_err = abs((p.gamma - (g - t)) + (p.epsilon - t))  # exact, by TwoSum
+    try:
+        k = math.gamma(g) / (math.gamma(p.alpha) * math.gamma(p.beta))
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError("a gamma factor of the form leaves the floats") from None
+    # g_err moves Gamma(g) by |psi(g)| g_err relative: |psi(x)| < |log x| + 1/x
+    # for x > 0, and psi(x) = psi(1-x) - pi cot(pi x)
+    h = g if g > 0.0 else 1.0 - g
+    psi = abs(math.log(h)) + 1.0 / h
+    if g < 0.0:
+        psi += math.pi / abs(math.tan(math.pi * g))
+    k_wide = abs(k) * (1.0 + 3.0 * _GAMMA_ERR + 2.0 * _U + g_err * psi)
+    # row 0: the d_i, one linear factor at a time by n n^(i) = n^(i+1) + i n^(i);
+    # row 1: the same on the |e_k|, a bound on every path of 4 roundings a factor
+    d = [[1.0] + [0.0] * n] * 2
+    for e in map(float, case.e_list):
+        d = [[x * (1.0 + i / f) + y / f for i, (x, y) in enumerate(zip(r, [0.0] + r))]
+             for r, f in zip(d, (e, abs(e)))]
+    # (g-alpha)_i (g-beta)_i, and the same over factors widened by their error
+    x1, x2 = g - p.alpha, g - p.beta
+    prod, wide = [1.0], [1.0]
+    for f1, f2 in ((x1 + j, x2 + j) for j in range(n)):
+        prod.append(prod[-1] * f1 * f2)
+        wide.append(wide[-1] * (abs(f1) + g_err + _U * (abs(x1) + abs(f1)))
+                    * (abs(f2) + g_err + _U * (abs(x2) + abs(f2))))
+    # |B - B^| <= prod(|X^| + err X) - prod |X^| over the factors X of B
+    b, err = [], []
+    for i in range(n + 1):
+        fact = float(math.factorial(n - i))
+        b.append(float(k * d[0][i] * prod[i] * fact))
+        b_wide = k_wide * (abs(d[0][i]) + _gamma_n(4 * n) * d[1][i]) * wide[i] * fact
+        err.append(float(b_wide - abs(b[-1]) + _gamma_n(4 * n + 8) * b_wide))
+    return b[::-1], err[::-1]
+
+
+def evaluate(case: ReductionCase, z: float, ctl: SeriesControl | None = None,
+             max_abs_z: float = MAX_ABS_Z) -> Evaluation:
+    """(u, u', u'') at z by Horner's rule in v = 1/(1-z); each tail is the
+    Horner bound gamma_m sum_k |c_k| |v|^k plus the B_k's error bounds."""
+    ctl = ctl or SeriesControl()
+    z = float(z)
+    check_disk(z, max_abs_z)
+    b, b_err = _form(case)
+    n = len(b)
+    v = 1.0 / (1.0 - z)
+    gm = _gamma_n(4 * n + 8)  # 4N + 12 roundings: v, its powers, the steps
+    acc, bound = [0.0] * 3, [0.0] * 3
+    for k in range(n, 0, -1):
+        for order, w in enumerate((1.0, float(k), k * (k + 1.0))):
+            acc[order] = acc[order] * v + w * b[k - 1]
+            bound[order] = bound[order] * abs(v) + w * (gm * abs(b[k - 1]) + b_err[k - 1])
+    values = [acc[0] * v, acc[1] * v * v, acc[2] * v * v * v]
+    tails = tuple(t * abs(v) ** (order + 1) for order, t in enumerate(bound))
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("the rational form produced a non-finite value")
+    status = tuple(EvalStatus.CONVERGED if _kernels.settled(t, x, ctl.rel_tol)
+                   else EvalStatus.MAX_TERMS_REACHED for t, x in zip(tails, values))
+    return Evaluation(z, *values, n, tails, status)
 
 
 # params -> {(e_list, big_m): (cs, wt, wle)}, dropped with the params object
@@ -115,16 +167,10 @@ def _z_independent(case: ReductionCase, big_m: int, n0: int):
     return known[key]
 
 
-def _settled(tails, values, ctl: SeriesControl) -> tuple:
-    return tuple(bool(_kernels.settled(t, v, ctl.rel_tol))
-                 for t, v in zip(tails, values))
-
-
 def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
-    """(u, u', u'', terms_used, tails, doublings), doubling the direct-sum
-    length M until every truncation tail is settled or the M + 1 terms
-    reach ctl.max_terms. `evaluate` is its only caller; perfbench's tracer
-    wraps it by this name and reads terms_used at index 3."""
+    """(u, u', u'', terms_used, tails, doublings) summed to length M with
+    the tail resummed (expansion_core), doubling M until every tail settles
+    or M + 1 reaches ctl.max_terms. perfbench's tracer reads index 3."""
     p = case.params
     es = np.asarray(case.e_list, dtype=np.float64)
     n0 = termination_index(p)
@@ -144,42 +190,20 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
         if not all(map(math.isfinite, (u, du, ddu))):
             raise NumericalError("expansion summation produced a non-finite value")
         tails = (t0, t1, t2)
-        done = all(_settled(tails, (u, du, ddu), ctl))
+        done = all(_kernels.settled(t, x, ctl.rel_tol)
+                   for t, x in zip(tails, (u, du, ddu)))
         if done or big_m >= top or big_m >= n0:
             return u, du, ddu, terms, tails, doublings
         big_m = min(2 * big_m, top)
         doublings += 1
 
 
-def evaluate(case: ReductionCase, z: float, ctl: SeriesControl | None = None,
-             max_abs_z: float = MAX_ABS_Z) -> Evaluation:
-    """The one summation of (u, u', u'') at z behind every value and residual."""
-    if ctl is None:
-        ctl = SeriesControl()
-    z = float(z)
-    check_disk(z, max_abs_z)
-    u, du, ddu, terms, tails, doublings = _sum_all(case, z, ctl)
-    values = tuple(map(float, (u, du, ddu)))
-    tails = tuple(map(float, tails))
-    status = tuple(EvalStatus.CONVERGED if ok else EvalStatus.MAX_TERMS_REACHED
-                   for ok in _settled(tails, values, ctl))
-    return Evaluation(z, *values, int(terms), tails, status, doublings)
-
-
-def evaluate_expansion(case: ReductionCase, z: float,
-                       ctl: SeriesControl | None = None,
-                       max_abs_z: float = MAX_ABS_Z) -> EvalResult:
-    """u(z) = sum_n c_n 2F1(alpha, beta; gamma+epsilon+n; z), tail resummed."""
-    return evaluate(case, z, ctl, max_abs_z).result(0)
-
-
-def evaluate_expansion_deriv(case: ReductionCase, z: float, order: int,
-                             ctl: SeriesControl | None = None,
-                             max_abs_z: float = MAX_ABS_Z) -> EvalResult:
-    """Term-wise derivative of the expansion, order 1 or 2."""
-    if order not in (1, 2):
-        raise NumericalError("derivative order must be 1 or 2")
-    return evaluate(case, z, ctl, max_abs_z).result(order)
+def summation_gap(case: ReductionCase, ev: Evaluation,
+                  ctl: SeriesControl | None = None) -> float:
+    """Largest relative gap over u, u', u'' of ev to _sum_all at ev.z."""
+    summed = _sum_all(case, ev.z, ctl or SeriesControl())[:3]
+    return float(max(abs(s - x) / max(abs(x), _kernels.TINY)
+                     for s, x in zip(summed, (ev.u, ev.du, ev.ddu))))
 
 
 def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:
@@ -196,18 +220,11 @@ def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:
     return float(num / den)
 
 
-def ode_residual(case: ReductionCase, z: float,
-                 ctl: SeriesControl | None = None) -> float:
-    """Scale-free residual of the homogeneous equation at z.
-
-    Small only where the expansion actually solves the homogeneous
-    equation, i.e. for terminating coefficient streams; the generic
-    two-term case carries the constant forcing described in the module
-    docstring, and this residual then sits at O(1) honestly. Use
-    forcing_defect for the certification that holds in every case.
-    """
+def ode_residual(case: ReductionCase, z: float) -> float:
+    """Scale-free residual of the homogeneous equation at z: small only for
+    terminating streams, O(1) under the forcing of a generic case."""
     check_interior(z, case.params.a)
-    return homogeneous_residual(case, evaluate(case, z, ctl))
+    return homogeneous_residual(case, evaluate(case, z))
 
 
 def forcing_constant(case: ReductionCase) -> float:
@@ -251,34 +268,19 @@ def forced_residual(case: ReductionCase, ev: Evaluation) -> float:
     return float(num / den)
 
 
-def forcing_defect(case: ReductionCase, z: float,
-                   ctl: SeriesControl | None = None) -> float:
+def forcing_defect(case: ReductionCase, z: float) -> float:
     """Scale-free residual of the constant-forced equation; the end-to-end
     certificate that holds for every accepted reduction, terminating or not."""
     check_interior(z, case.params.a)
-    return forced_residual(case, evaluate(case, z, ctl))
+    return forced_residual(case, evaluate(case, z))
 
 
-def detect_truncation(case: ReductionCase, n_limit: int = 500):
-    """Smallest n0 with c_n = 0 for all n >= n0 (a zero Pochhammer factor),
-    or None when no termination exists within n_limit."""
-    n0 = termination_index(case.params)
-    if n0 == NO_TERMINATION or n0 > n_limit:
-        return None
-    return int(n0)
-
-
-def evaluation_table(case: ReductionCase, z_values,
-                     ctl: SeriesControl | None = None) -> str:
-    """CSV with columns z, u, u', u'', residual, terms_used.
-
-    The residual column is the homogeneous-equation residual; it is nan at
-    points that coincide with a singular location. Floats are emitted with
-    repr so output is byte-deterministic.
-    """
+def evaluation_table(case: ReductionCase, z_values) -> str:
+    """CSV with columns z, u, u', u'', residual, terms_used: the residual is
+    the homogeneous one, nan at a singular point; floats go out as repr."""
     lines = ["z,u,du,ddu,residual,terms_used"]
     for z in z_values:
-        ev = evaluate(case, z, ctl)
+        ev = evaluate(case, z)
         lines.append(f"{ev.z!r},{ev.u!r},{ev.du!r},{ev.ddu!r},"
                      f"{homogeneous_residual(case, ev)!r},{ev.terms_used}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from .errors import DomainError, PoleError, PreconditionError
 from .evaluator import evaluate
 from .params import ValidatedHeunParams, is_nonpos_int
 from .reduction import ReductionCase
-from .special import EvalResult, EvalStatus, SeriesControl
+from .special import EvalResult, EvalStatus
 
 SAFE_RADIUS_FACTOR = 0.9
 _TAIL_OK = 1e-12
@@ -66,15 +66,11 @@ def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:
                       EvalStatus.CONVERGED if converged else EvalStatus.MAX_TERMS_REACHED)
 
 
-def cross_check(case: ReductionCase, evaluations, n_max: int = 400,
-                ctl: SeriesControl | None = None) -> float:
-    """Max relative deviation between the summed expansion, read from the
-    Evaluation records at their own z, and the power series, after matching
-    the two at z = 0 (the series has b_0 = 1, so the match factor is just
-    the expansion value at the origin, summed here under ctl)."""
-    if ctl is None:
-        ctl = SeriesControl()
-    scale = evaluate(case, 0.0, ctl).u
+def cross_check(case: ReductionCase, evaluations, n_max: int = 400) -> float:
+    """Max relative deviation between the expansion, read from the
+    Evaluation records at their own z, and the power series after matching
+    the two at z = 0, where the series is b_0 = 1 and the expansion is u(0)."""
+    scale = evaluate(case, 0.0).u
     if abs(scale) < 1e-280:
         raise PreconditionError("expansion vanishes at the origin; cannot normalize")
     series = frobenius_coefficients(case.params, n_max)

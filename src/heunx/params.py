@@ -42,6 +42,12 @@ def is_nonpos_int(x: float, tol: float = INT_SNAP) -> bool:
     return abs(x - r) < tol and r <= 0
 
 
+def check_order(p: HeunParams, n_case: int) -> None:
+    """An order-N reduction pins delta = N+2."""
+    if abs(p.delta - (n_case + 2)) > 1e-12:
+        raise PreconditionError(f"delta = {p.delta!r} does not equal N+2 = {n_case + 2}")
+
+
 def delta_from_fuchsian(alpha: float, beta: float, gamma: float, epsilon: float) -> float:
     """The unique delta closing the exponent-sum relation."""
     return 1.0 + alpha + beta - gamma - epsilon

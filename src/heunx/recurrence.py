@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalError, PoleError, PreconditionError
-from .params import HeunParams, is_nonpos_int
+from .params import HeunParams, check_order, is_nonpos_int
 
 # forward recursion keeps full precision while the contaminating solution
 # mode |a/(a-1)|^n stays bounded; past this ratio the stream switches to
@@ -110,15 +110,17 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
 
     Both the iterated ratio and the Pochhammer closed form are computed and
     must agree within 1e-13 relative; `source` selects which one is returned.
+    A non-positive integer e_k is rejected first, then delta other than N+2.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be non-negative")
     if source == CoefficientSource.THREE_TERM:
         raise PreconditionError("two-term generator cannot produce a ThreeTerm stream")
-    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
+    es = [float(e) for e in e_list]
     for e in es:
         if is_nonpos_int(e):
             raise PoleError(f"e = {e!r} is a non-positive integer (zero denominator)")
+    check_order(p, len(es))
     g = p.gamma + p.epsilon
     x1 = g - p.alpha
     x2 = g - p.beta
@@ -134,7 +136,7 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
         raise NumericalError(
             f"ratio and closed-form streams disagree ({worst:.3e} relative)")
     values = closed if source == CoefficientSource.GAMMA_CLOSED_FORM else ratio
-    return CoefficientStream(values, source, p, tuple(float(e) for e in es))
+    return CoefficientStream(values, source, p, tuple(es))
 
 
 def residual_rows(stream: CoefficientStream) -> np.ndarray:

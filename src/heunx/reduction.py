@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoSolutionError, PreconditionError
-from .params import (HeunParams, ValidatedHeunParams, is_nonpos_int,
-                     require_valid)
+from .params import (HeunParams, ValidatedHeunParams, check_order,
+                     is_nonpos_int, require_valid)
 from .recurrence import termination_index
 
 VERIFY_TOL = 1e-9       # collocation pass threshold, relative to summand scale
@@ -197,9 +197,7 @@ class ReductionCase:
 
     def __post_init__(self):
         p = self.params
-        if abs(p.delta - (self.N + 2)) > 1e-12:
-            raise PreconditionError(
-                f"delta = {p.delta!r} does not equal N+2 = {self.N + 2}")
+        check_order(p, self.N)
         if len(self.e_list) != self.N:
             raise PreconditionError("e_list length must equal N")
         for e in self.e_list:

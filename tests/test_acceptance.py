@@ -19,12 +19,12 @@ import pytest
 
 from heunx import (CoefficientSource, NoSolutionError, PreconditionError,
                    ValidatedHeunParams, ValidationError, cross_check,
-                   degree_claim_defect, detect_truncation, evaluate,
-                   forcing_defect, gauss_2f1, gauss_2f1_deriv, identity_lhs,
-                   identity_scale, leading_difference, ode_residual, pochhammer,
+                   degree_claim_defect, evaluate, forcing_defect, gauss_2f1,
+                   gauss_2f1_deriv, identity_lhs, identity_scale,
+                   leading_difference, ode_residual, pochhammer,
                    q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                   solve_reduction_general, three_term_coefficients,
-                   two_term_coefficients)
+                   solve_reduction_general, termination_index,
+                   three_term_coefficients, two_term_coefficients)
 
 Z_GRID = (0.1, 0.25, 0.4)
 
@@ -186,7 +186,7 @@ def test_criterion_6_rational_degeneration():
         order2 = q_candidates_N2(2.0, 2.5, 2.0, 0.6)    # beta = 2 <= N+1
     order0 = q_candidates_N0(2.0, 2.3, 1.0, 0.9)        # beta = 1 <= N+1
     for case, n0 in [(order2[0], 2), (order0[0], 1)]:
-        found = detect_truncation(case)
+        found = termination_index(case.params)
         assert found == n0 and found <= 500
         for z in Z_GRID:
             assert ode_residual(case, z) < 1e-10

@@ -33,6 +33,10 @@ ANCHOR_FULL = {"a": 2.0, "q": 4.0, "alpha": 3.0, "beta": 2.0, "gamma": 1.0,
 # terminating order-0 case (alpha = 1): a genuine homogeneous solution
 TERMINATING_FULL = {"a": 2.0, "q": 1.6, "alpha": 1.0, "beta": 2.4, "gamma": 0.8,
                     "delta": 2.0, "epsilon": 1.6}
+# the N = 2 bench case, whose e list starts with a minus
+N2_FULL = {"a": 2.0, "q": 5.250000000000018, "alpha": 2.5, "beta": 1.7,
+           "gamma": 0.6, "delta": 4.0, "epsilon": 0.6000000000000005}
+N2_E = "-1.591607978309986,-0.40839202169003186"
 # order-1 draw whose q-condition has no real root
 NO_ROOT_SEARCH = {"a": -0.5, "alpha": 0.2, "beta": 0.1, "gamma": 2.0,
                   "epsilon": -3.7}
@@ -122,6 +126,24 @@ def test_coeffs_with_e_near_zero(write_params):
     assert out.returncode == 0, out.stderr
 
 
+def test_coeffs_pole_e_text(write_params, capsys):
+    argv = ["coeffs", "--params", write_params(ANCHOR_FULL), "--e=0"]
+    assert heunx.cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: e = 0.0 is a non-positive integer (zero denominator)\n")
+
+
+@pytest.mark.parametrize("source", ["closed", "ratio"])
+def test_coeffs_rejects_e_list_of_another_order(write_params, capsys, source):
+    # one e_k makes N = 1, which needs delta = 3; the anchor has delta = 2
+    argv = ["coeffs", "--params", write_params(ANCHOR_FULL), "--e", "1.5",
+            "--source", source]
+    assert heunx.cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: delta = 2.0 does not equal N+2 = 3\n"
+
+
 def test_coeffs_three_term_rejects_e(write_params):
     path = write_params(ANCHOR_FULL)
     out = run_cli("coeffs", "--params", path, "--source", "three-term",
@@ -163,8 +185,10 @@ def test_eval_json_status_covers_every_order(write_params, monkeypatch, capsys):
 
 
 def test_eval_inner_series_cap_exits_4(write_params):
+    # eval reads the closed form; the summation and its term cap run in
+    # verify's summation check
     path = write_params(ANCHOR_FULL)
-    out = run_cli("eval", "--params", path, "--z", "0.5", "--max-terms", "5")
+    out = run_cli("verify", "--params", path, "--max-terms", "5")
     assert out.returncode == 4
     assert out.stdout == ""
 
@@ -229,31 +253,36 @@ def test_verify_generic_case_reports_forcing(write_params):
     assert checks["cross_check"]["passed"] is False
     assert all(v < 1e-12 for v in checks["forced_residual"]["values"])
     assert checks["forced_residual"]["gating"] is False
+    # the summation agrees with the closed form at every point
+    assert checks["summation"]["gating"] is False
+    assert len(checks["summation"]["values"]) == 3
+    assert all(v < 1e-12 for v in checks["summation"]["values"])
 
 
 @pytest.mark.parametrize("args", [
     ("eval", "--z", "-0.5,0.25"),
-    ("coeffs", "--e", "-1.6,2.5"),
+    ("coeffs", "--e", N2_E),
 ])
 def test_list_may_start_with_a_minus(write_params, args):
-    path = write_params(ANCHOR_FULL)
     command, option, value = args
+    path = write_params(N2_FULL if command == "coeffs" else ANCHOR_FULL)
     spaced = run_cli(command, "--params", path, option, value)
     joined = run_cli(command, "--params", path, f"{option}={value}")
     assert spaced.returncode == 0 and joined.returncode == 0
     assert spaced.stdout == joined.stdout
 
 
-# At these points the anchor needs 129 terms and M is never doubled, so one
-# expansion_core call is one summation of (u, u', u'').
-@pytest.mark.parametrize("args, most", [
-    (("eval", "--z=0.1,0.25", "--format", "csv"), 2),
-    (("eval", "--z=0.1,0.25", "--format", "json"), 2),
-    (("residual", "--z=0.1,0.25"), 2),
-    # one sum per default point, plus cross_check's own match at 0
-    (("verify",), 4),
+# eval and residual read the closed form and never sum. verify sums once
+# per default point for its summation check: at these points the anchor
+# needs 129 terms and M is never doubled, so one expansion_core call is one
+# summation of (u, u', u'').
+@pytest.mark.parametrize("args, sums", [
+    (("eval", "--z=0.1,0.25", "--format", "csv"), 0),
+    (("eval", "--z=0.1,0.25", "--format", "json"), 0),
+    (("residual", "--z=0.1,0.25"), 0),
+    (("verify",), 3),
 ])
-def test_each_point_is_summed_once(write_params, monkeypatch, args, most):
+def test_each_point_is_summed_once(write_params, monkeypatch, args, sums):
     path = write_params(ANCHOR_FULL)
     calls = []
     core = heunx._kernels.expansion_core
@@ -265,7 +294,7 @@ def test_each_point_is_summed_once(write_params, monkeypatch, args, most):
     monkeypatch.setattr(heunx._kernels, "expansion_core", counted)
     code = heunx.cli.main([args[0], "--params", path, *args[1:]])
     assert code in (0, 3)
-    assert len(calls) <= most
+    assert len(calls) == sums
 
 
 def test_certificate_runs_once_per_case(write_params, monkeypatch, capsys):
@@ -381,4 +410,15 @@ def test_readme_coeffs_table(write_params, capsys):
     argv = ["coeffs", "--params", path, "--e", "", "--n-max", "4",
             "--format", "csv"]
     assert heunx.cli.main(argv) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_readme_eval_table(write_params, capsys):
+    # the README's eval example is what the command prints
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    params = readme.split("$ cat full.json\n", 1)[1].split("\n\n", 1)[0]
+    command = '$ heunx eval --params full.json --e "" --z 0,0.25\n'
+    table = readme.split(command, 1)[1].split("\n\n", 1)[0] + "\n"
+    path = write_params(json.loads(params))
+    assert heunx.cli.main(["eval", "--params", path, "--e", "", "--z", "0,0.25"]) == 0
     assert capsys.readouterr().out == table

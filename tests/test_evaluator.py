@@ -1,15 +1,16 @@
-"""Summation of the expansion, its derivatives, and the equation residuals."""
+"""Evaluation of the expansion and its derivatives from the closed form, the
+tail-resummed summation it is checked against, and the equation residuals."""
 
 import numpy as np
 import pytest
 
 from heunx import (DomainError, EvalStatus, NonConvergenceError, SeriesControl,
-                   SingularPointError, _kernels, detect_truncation, evaluate,
-                   evaluate_expansion, evaluate_expansion_deriv,
-                   evaluation_table, forcing_constant, forcing_defect,
-                   gauss_2f1, gauss_2f1_deriv, ode_residual, q_candidates_N0,
-                   q_candidates_N2)
-from heunx.recurrence import termination_index
+                   SingularPointError, _kernels, evaluate, evaluation_table,
+                   forcing_constant, forcing_defect, gauss_2f1,
+                   gauss_2f1_deriv, ode_residual, q_candidates_N0,
+                   q_candidates_N2, solve_reduction_general)
+from heunx.evaluator import _sum_all, summation_gap
+from heunx.recurrence import NO_TERMINATION, termination_index
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +27,13 @@ def rational_case():
 
 def test_anchor_values(anchor_case):
     # c_n = 6/((n+2)(n+3)) telescopes to 3 at the origin
-    assert evaluate_expansion(anchor_case, 0.0).value == pytest.approx(3.0, rel=1e-13)
-    assert evaluate_expansion(anchor_case, 0.25).value == pytest.approx(4.0, rel=1e-11)
+    assert evaluate(anchor_case, 0.0).u == pytest.approx(3.0, rel=1e-13)
+    assert evaluate(anchor_case, 0.25).u == pytest.approx(4.0, rel=1e-11)
 
 
 def test_result_convergence_invariant(anchor_case):
     ctl = SeriesControl()
-    out = evaluate_expansion(anchor_case, 0.25, ctl)
+    out = evaluate(anchor_case, 0.25, ctl).result(0)
     assert out.status is EvalStatus.CONVERGED
     assert out.tail_estimate <= ctl.rel_tol * abs(out.value)
     assert out.terms_used > 0
@@ -40,10 +41,10 @@ def test_result_convergence_invariant(anchor_case):
 
 def test_domain_guard(anchor_case):
     with pytest.raises(DomainError):
-        evaluate_expansion(anchor_case, 0.96)
-    evaluate_expansion(anchor_case, 0.5, max_abs_z=0.6)
+        evaluate(anchor_case, 0.96)
+    evaluate(anchor_case, 0.5, max_abs_z=0.6)
     with pytest.raises(DomainError):
-        evaluate_expansion(anchor_case, 0.7, max_abs_z=0.6)
+        evaluate(anchor_case, 0.7, max_abs_z=0.6)
 
 
 def test_single_term_case_matches_gauss(single_term_case):
@@ -51,25 +52,25 @@ def test_single_term_case_matches_gauss(single_term_case):
     g = p.gamma + p.epsilon
     for z in (0.0, 0.2, 0.45, -0.3):
         want = gauss_2f1(p.alpha, p.beta, g, z).value
-        got = evaluate_expansion(single_term_case, z).value
+        got = evaluate(single_term_case, z).u
         assert got == pytest.approx(want, rel=1e-12)
     dwant = gauss_2f1_deriv(p.alpha, p.beta, g, 0.3, 1)
-    dgot = evaluate_expansion_deriv(single_term_case, 0.3, 1).value
+    dgot = evaluate(single_term_case, 0.3).du
     assert dgot == pytest.approx(dwant, rel=1e-12)
 
 
 def test_rational_case_sums_to_geometric(rational_case):
     for z in (0.3, -0.4):
-        got = evaluate_expansion(rational_case, z).value
-        scale = evaluate_expansion(rational_case, 0.0).value
+        got = evaluate(rational_case, z).u
+        scale = evaluate(rational_case, 0.0).u
         assert got / scale == pytest.approx(1.0 / (1.0 - z), rel=1e-12)
 
 
 def test_derivatives_match_finite_differences(anchor_case):
     z, h = 0.3, 1e-5
-    u = lambda x: evaluate_expansion(anchor_case, x).value
-    du = evaluate_expansion_deriv(anchor_case, z, 1).value
-    ddu = evaluate_expansion_deriv(anchor_case, z, 2).value
+    u = lambda x: evaluate(anchor_case, x).u
+    du = evaluate(anchor_case, z).du
+    ddu = evaluate(anchor_case, z).ddu
     fd1 = (u(z + h) - u(z - h)) / (2.0 * h)
     fd2 = (u(z + h) - 2.0 * u(z) + u(z - h)) / (h * h)
     assert du == pytest.approx(fd1, rel=1e-6)
@@ -77,21 +78,23 @@ def test_derivatives_match_finite_differences(anchor_case):
 
 
 def test_truncated_control_matches_default(anchor_case):
-    tight = evaluate_expansion(anchor_case, 0.4, SeriesControl())
-    loose = evaluate_expansion(anchor_case, 0.4, SeriesControl(rel_tol=1e-10))
-    assert loose.value == pytest.approx(tight.value, rel=1e-13)
+    tight = evaluate(anchor_case, 0.4, SeriesControl())
+    loose = evaluate(anchor_case, 0.4, SeriesControl(rel_tol=1e-10))
+    assert loose.u == pytest.approx(tight.u, rel=1e-13)
 
 
 def test_stopping_rule_at_the_anchor(anchor_case):
     # the resummed tail is exact, so z = -0.9 needs no long direct sum
-    ev = evaluate(anchor_case, -0.9)
-    assert ev.terms_used <= 256
-    assert ev.doublings == 0
-    assert ev.status == (EvalStatus.CONVERGED,) * 3
-    w = 1.0 - ev.z
-    assert ev.u == pytest.approx(3.0 / w, rel=1e-14)
-    assert ev.du == pytest.approx(3.0 / w ** 2, rel=1e-13)
-    assert ev.ddu == pytest.approx(6.0 / w ** 3, rel=1e-12)
+    ctl = SeriesControl()
+    u, du, ddu, terms, tails, doublings = _sum_all(anchor_case, -0.9, ctl)
+    assert terms <= 256
+    assert doublings == 0
+    assert all(_kernels.settled(t, x, ctl.rel_tol)
+               for t, x in zip(tails, (u, du, ddu)))
+    w = 1.0 + 0.9
+    assert u == pytest.approx(3.0 / w, rel=1e-14)
+    assert du == pytest.approx(3.0 / w ** 2, rel=1e-13)
+    assert ddu == pytest.approx(6.0 / w ** 3, rel=1e-12)
 
 
 def _core_at(case, z, big_m, mcap):
@@ -128,23 +131,23 @@ def test_inner_series_run_once_per_point(anchor_case, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "f21_with_derivs", counted)
-    evs = [evaluate(anchor_case, z) for z in (-0.7, 0.15, 0.45)]
-    assert [ev.doublings for ev in evs] == [0, 0, 0]
-    assert calls == [ev.terms_used for ev in evs]
+    sums = [_sum_all(anchor_case, z, SeriesControl()) for z in (-0.7, 0.15, 0.45)]
+    assert [s[5] for s in sums] == [0, 0, 0]
+    assert calls == [s[3] for s in sums]
 
 
 @pytest.mark.parametrize("rel_tol, max_terms", [(1e-14, 100), (1e-17, 300)])
 def test_direct_sum_keeps_within_max_terms(anchor_case, rel_tol, max_terms):
     # M + 1 terms for the direct sum c_0..c_M: at 100 the first M = 128 is
     # cut to 99; at rel_tol 1e-17, M doubles 128 -> 256 and is cut to 299
-    ev = evaluate(anchor_case, 0.5,
-                  SeriesControl(rel_tol=rel_tol, max_terms=max_terms))
-    assert ev.terms_used == max_terms
+    summed = _sum_all(anchor_case, 0.5,
+                      SeriesControl(rel_tol=rel_tol, max_terms=max_terms))
+    assert summed[3] == max_terms
 
 
 def test_inner_series_cap_raises(anchor_case):
     with pytest.raises(NonConvergenceError):
-        evaluate(anchor_case, 0.5, SeriesControl(max_terms=5))
+        _sum_all(anchor_case, 0.5, SeriesControl(max_terms=5))
 
 
 def test_point_next_to_the_origin(anchor_case):
@@ -152,6 +155,8 @@ def test_point_next_to_the_origin(anchor_case):
     near, origin = evaluate(anchor_case, 1e-200), evaluate(anchor_case, 0.0)
     assert (near.u, near.du, near.ddu) == (origin.u, origin.du, origin.ddu)
     assert near.status == (EvalStatus.CONVERGED,) * 3
+    ctl = SeriesControl()
+    assert _sum_all(anchor_case, 1e-200, ctl)[:3] == _sum_all(anchor_case, 0.0, ctl)[:3]
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 2.0, 1e-12])
@@ -161,10 +166,10 @@ def test_residual_rejects_singular_points(anchor_case, z):
 
 
 def test_detect_truncation(anchor_case, single_term_case):
-    assert detect_truncation(anchor_case) is None
-    assert detect_truncation(single_term_case) == 1
+    assert termination_index(anchor_case.params) == NO_TERMINATION
+    assert termination_index(single_term_case.params) == 1
     cases = q_candidates_N2(2.0, 2.5, 2.0, 0.6)
-    assert detect_truncation(cases[0]) == 2
+    assert termination_index(cases[0].params) == 2
 
 
 def test_terminating_cases_solve_the_equation(rational_case):
@@ -214,14 +219,14 @@ def forced_power_series(p, u0, c, n_max):
 
 def test_forced_series_oracle_matches_sum(anchor_case):
     p = anchor_case.params
-    u0 = evaluate_expansion(anchor_case, 0.0).value
+    u0 = evaluate(anchor_case, 0.0).u
     c = forcing_constant(anchor_case)
     w = forced_power_series(p, u0, c, 120)
     for z in (0.1, 0.25, -0.2):
         want = 0.0
         for coeff in reversed(w):
             want = want * z + coeff
-        got = evaluate_expansion(anchor_case, z).value
+        got = evaluate(anchor_case, z).u
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -234,3 +239,15 @@ def test_evaluation_table_shape(anchor_case):
     assert row0[0] == "0.0" and float(row0[1]) == pytest.approx(3.0, rel=1e-12)
     assert row0[4] == "nan"  # z = 0 is a singular point of the equation
     assert evaluation_table(anchor_case, [0.0, 0.25]) == text
+
+
+def test_cancelling_point_is_not_converged():
+    # the N = 4 point where the B_k v^k of u'' cancel: the summation is
+    # off there by 4.4e-4 in u'', and the form's bound admits 2.6e-9
+    cases = solve_reduction_general(-2.2157617138542234, 1.9988239570986703,
+                                    -2.879264292524635, 0.3413028641900162, 4)
+    case = next(c for c in cases if c.q_root_index == 0)
+    ev = evaluate(case, -0.95)
+    assert ev.status[2] is EvalStatus.MAX_TERMS_REACHED
+    assert ev.tails[2] < 1e-8 * abs(ev.ddu)
+    assert summation_gap(case, ev) > 1e-4
