@@ -147,8 +147,7 @@ def _build_case(ns) -> ReductionCase:
 
 
 def _joint_status(status) -> str:
-    """One status for a row that shows u, u' and u'': Converged only when
-    every order converged."""
+    """One status for a row of u, u' and u'': Converged when all three are."""
     if all(s == EvalStatus.CONVERGED for s in status):
         return EvalStatus.CONVERGED.value
     return EvalStatus.MAX_TERMS_REACHED.value
@@ -157,15 +156,12 @@ def _joint_status(status) -> str:
 def cmd_eval(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=False)
-    ctl = SeriesControl(rel_tol=ns.rel_tol)
     if ns.format == "json":
-        rows = []
-        for z in zs:
-            ev = evaluate(case, z, ctl)
-            rows.append({"z": z, "u": ev.u, "du": ev.du, "ddu": ev.ddu,
-                         "residual": _jsonable(homogeneous_residual(case, ev)),
-                         "terms_used": ev.terms_used,
-                         "status": _joint_status(ev.status)})
+        ctl = SeriesControl(rel_tol=ns.rel_tol)
+        rows = [{"z": ev.z, "u": ev.u, "du": ev.du, "ddu": ev.ddu,
+                 "residual": _jsonable(homogeneous_residual(case, ev)),
+                 "terms_used": ev.terms_used, "status": _joint_status(ev.status)}
+                for ev in (evaluate(case, z, ctl) for z in zs)]
         _print_json({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol}})
     else:
         sys.stdout.write(evaluation_table(case, zs))
@@ -175,17 +171,14 @@ def cmd_eval(ns) -> int:
 def cmd_residual(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=True)
-    ctl = SeriesControl(rel_tol=ns.rel_tol)
     rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
-            for ev in (evaluate(case, z, ctl) for z in zs)]
+            for ev in (evaluate(case, z) for z in zs)]
     if ns.format == "json":
         _print_json({"rows": [{"z": z, "residual": r, "forced_residual": f}
-                              for z, r, f in rows],
-                     "tolerances": {"rel_tol": ctl.rel_tol}})
+                              for z, r, f in rows]})
     else:
-        lines = ["z,residual,forced_residual"]
-        lines += [f"{z!r},{r!r},{f!r}" for z, r, f in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("z,residual,forced_residual\n" + "".join(
+            f"{z!r},{r!r},{f!r}\n" for z, r, f in rows))
     return EXIT_OK
 
 
@@ -282,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("residual", help="equation residuals on a z grid")
-    common(sp, with_tol=True)
+    common(sp)
     sp.add_argument("--z", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_residual)

@@ -220,6 +220,16 @@ def test_residual_anchor_certificate(write_params):
         assert resid > 1e-3     # honest gap against the homogeneous equation
 
 
+def test_residual_takes_no_series_options(write_params):
+    # residual prints no status, so no series tolerance reaches its output
+    path = write_params(ANCHOR_FULL)
+    out = run_cli("residual", "--params", path, "--z=0.1", "--format", "json")
+    assert list(json.loads(out.stdout)) == ["rows"]
+    for opt in ("--rel-tol", "--max-terms"):
+        out = run_cli("residual", "--params", path, "--z=0.1", opt, "1e-10")
+        assert out.returncode == 2 and "unrecognized arguments" in out.stderr
+
+
 def test_residual_rejects_singular_point(write_params):
     path = write_params(ANCHOR_FULL)
     out = run_cli("residual", "--params", path, "--z", "0.0")

@@ -1,14 +1,17 @@
-"""The closed rational form against a 50-digit mpmath evaluation of the same
-form, and the honesty of the status it reports."""
+"""The closed rational form against a 50-digit mpmath evaluation of the
+series the case's parameters define, and the honesty of the status it
+reports."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from heunx import (EvalStatus, NoSolutionError, PreconditionError,
-                   SeriesControl, ValidationError, evaluate, q_candidates_N0,
-                   q_candidates_N1, q_candidates_N2, solve_reduction_general)
+                   ReductionCase, SeriesControl, ValidationError, evaluate,
+                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                   solve_reduction_general)
 from heunx.evaluator import summation_gap
 
 mp = pytest.importorskip("mpmath")
@@ -51,24 +54,27 @@ def form_cases():
     return cases
 
 
-def mp_form(case, z):
-    """u, u', u'' of the closed form in 50 digits, from the case's floats."""
+def mp_series(case, z):
+    """u, u', u'' of sum_n c_n 2F1(alpha, beta; g+n; z) for the case's floats,
+    in 50 digits. Swapping the n and m sums and Gauss's sum at 1 give
+    u = sum_i K d_i (g-alpha)_i (g-beta)_i Gamma(s-i) (1-z)^-(s-i) with
+    s = alpha+beta-g, which the closed form takes to be N+1."""
     with mp.workdps(50):
         p = case.params
         f = mp.mpf
         g = f(p.gamma) + f(p.epsilon)
+        s = f(p.alpha) + f(p.beta) - g
         k = mp.gamma(g) / (mp.gamma(f(p.alpha)) * mp.gamma(f(p.beta)))
         d = [f(1)]
         for e in map(f, case.e_list):
             d = [x * (1 + i / e) + y / e
                  for i, (x, y) in enumerate(zip(d + [0], [0] + d))]
-        n = len(case.e_list)
         v = 1 / (1 - f(z))
         out = [f(0)] * 3
-        for i in range(n + 1):
-            m = n + 1 - i
-            b = (k * d[i] * mp.rf(g - f(p.alpha), i) * mp.rf(g - f(p.beta), i)
-                 * mp.factorial(n - i))
+        for i, di in enumerate(d):
+            m = s - i
+            b = (k * di * mp.rf(g - f(p.alpha), i) * mp.rf(g - f(p.beta), i)
+                 * mp.gamma(m))
             out[0] += b * v ** m
             out[1] += m * b * v ** (m + 1)
             out[2] += m * (m + 1) * b * v ** (m + 2)
@@ -76,7 +82,7 @@ def mp_form(case, z):
 
 
 def _errors(case, z, ev):
-    want = mp_form(case, z)
+    want = mp_series(case, z)
     return [float(abs((mp.mpf(x) - w) / w))
             for x, w in zip((ev.u, ev.du, ev.ddu), want)]
 
@@ -106,3 +112,33 @@ def test_form_matches_summation(form_cases):
         if case.N <= 2:
             for z in (-0.5, -0.2, 0.25, 0.5):
                 assert summation_gap(case, evaluate(case, z)) <= 1e-9
+
+
+def _assert_honest(case, zs, rel_tols):
+    for rel_tol in rel_tols:
+        for z in zs:
+            ev = evaluate(case, z, SeriesControl(rel_tol=rel_tol))
+            for status, err in zip(ev.status, _errors(case, z, ev)):
+                assert err <= 1e-9
+                assert status is EvalStatus.MAX_TERMS_REACHED or err <= rel_tol
+
+
+@pytest.mark.parametrize("point, n_case", [((2.0, 90.0, 90.0, 0.5), 0),
+                                           ((2.5, 95.5, 90.25, 0.7), 2)])
+def test_form_with_large_parameters(point, n_case):
+    # Gamma(g) overflows a float (g > 171.6) though K and u do not
+    case = _solve(point, n_case)[0]
+    assert case.params.gamma + case.params.epsilon > 172.0
+    _assert_honest(case, (-0.5, -0.2, 0.1, 0.3), (1e-14, 1e-10))
+
+
+def test_relation_residual_is_in_the_bound():
+    # delta and epsilon each 9e-13 off, within validation, put alpha+beta-g
+    # 1.8e-12 off N+1; the series then leaves the form by a few 1e-12
+    case = _solve((2.0, 2.5, 1.7, 0.6), 2)[0]
+    p = case.params
+    off = ReductionCase.build(dataclasses.replace(
+        p, delta=p.delta + 9e-13, epsilon=p.epsilon - 9e-13), case.e_list)
+    zs = (-0.95, -0.5, 0.3, 0.9)
+    assert max(max(_errors(off, z, evaluate(off, z))) for z in zs) > 1e-12
+    _assert_honest(off, zs, (1e-14, 1e-12, 1e-11, 1e-10))
