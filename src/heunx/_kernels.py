@@ -29,6 +29,9 @@ EPS = 2.0 ** -52
 # closer to 0 a series in z equals its origin value to the last bit, and
 # the 1/z^2 of a second derivative overflows; such a z is taken as 0
 NEAR_ORIGIN = 1e-150
+# successive small terms that stop an inner 2F1 series: the non-monotone
+# terms of negative parameters make a single small term an unsafe signal
+CONSECUTIVE_SMALL = 3
 # terms per series in the first pass of f21_with_derivs, doubling up to the
 # last; the cap bounds a pass to 64 columns of every live series
 _FIRST_PASS = 16
@@ -47,8 +50,7 @@ def lgamma_signed(x):
     """log|Gamma(x)| and the sign of Gamma(x); sign 0 flags a pole."""
     if x > 0.0:
         return math.lgamma(x), 1.0
-    r = np.rint(x)
-    if abs(x - r) < 1e-12:
+    if is_nonpos_int(x):
         return np.inf, 0.0
     # Gamma alternates sign on (-k-1, -k): negative on (-1,0), positive on (-2,-1), ...
     k = int(math.floor(-x))
@@ -465,33 +467,30 @@ def horner_eval(coefs, z):
 def expansion_weights(g, x1, x2, es, mcap):
     """Closed-form tail weights W_m = sum_n c_n / (g+n)_m for m = 0..mcap.
 
-    The e-product polynomial is expanded in falling factorials (forward
-    differences), each piece summing to a ratio of gammas at unit argument.
+    The e-product polynomial is expanded in falling factorials, its d_i by
+    forward differences. Piece i is d_i (x1)_i (x2)_i / (g)_i times
+    2F1(a, b; c; 1) / (g+i)_m, a = x1+i, b = x2+i, c = g+i+m: Gauss's sum at
+    m = 0, then per step in m a factor (c-a-b) / ((c-a)(c-b)), the ratio
+    c (c-a-b) / ((c-a)(c-b)) of Gauss's sums over the c that (g+i)_m gains.
+    A weight past the floats raises NumericalError.
     """
     nn = len(es)
-    pv = np.zeros(nn + 1)
-    for i in range(nn + 1):
-        p = 1.0
-        for k in range(nn):
-            p *= (es[k] + i) / es[k]
-        pv[i] = p
-    d = np.zeros(nn + 1)
-    fact = 1.0
-    for lvl in range(nn + 1):
-        if lvl > 0:
-            fact *= lvl
-            for j in range(nn - lvl + 1):
-                pv[j] = pv[j + 1] - pv[j]
-        d[lvl] = pv[0] / fact
+    pv = np.ones(nn + 1)  # prod_k (e_k + i) / e_k at i = 0..N
+    for e in es:
+        pv *= (e + np.arange(nn + 1.0)) / e
+    d = [np.diff(pv, k)[0] / math.factorial(k) for k in range(nn + 1)]
+    m = np.arange(float(mcap))
     w = np.zeros(mcap + 1)
-    for m in range(mcap + 1):
-        acc = 0.0
+    with np.errstate(all="ignore"):  # a weight past the floats raises below
         for i in range(nn + 1):
             if d[i] == 0.0:
                 continue
-            gv = gauss_2f1_at_one(x1 + i, x2 + i, g + i + m)
-            acc += d[i] * poch(x1, i) * poch(x2, i) / (poch(g, i) * poch(g + i, m)) * gv
-        w[m] = acc
+            a, b, c = x1 + i, x2 + i, (g + i) + m
+            w0 = (d[i] * poch(x1, i) * poch(x2, i) / poch(g, i)
+                  * gauss_2f1_at_one(a, b, g + i))
+            w += np.cumprod(np.concatenate(([w0], (c - a - b) / ((c - a) * (c - b)))))
+    if not np.isfinite(w).all():
+        raise NumericalError("tail weights failed")
     return w
 
 
@@ -499,22 +498,19 @@ def expansion_prefix(g, x1, x2, es, big_m, mcap, n0):
     """The z-independent pieces of a summation with direct-sum length big_m:
     c_0..c_mstop with mstop = min(big_m, n0 - 1), the closed weights W_m
     and the partial weights W_m^{<=mstop} = sum_{n<=mstop} c_n / (g+n)_m
-    for m = 0..mcap. Every point of one case shares them.
+    for m = 0..mcap.
 
     Returns (cs, wt, wle).
     """
     wt = expansion_weights(g, x1, x2, es, mcap)
-    mstop = big_m
-    if n0 - 1 < mstop:
-        mstop = n0 - 1
+    mstop = min(big_m, n0 - 1)
     cs = two_term_ratio_stream(g, x1, x2, es, mstop, n0)
-    wle = np.zeros(mcap + 1)
-    for n in range(mstop + 1):
-        rr = cs[n]
-        wle[0] += rr
-        for m in range(1, mcap + 1):
-            rr /= g + n + m - 1.0
-            wle[m] += rr
+    # row n runs c_n / (g+n)_m along m, dividing by ((g+n)+m)-1 as a loop
+    # over n and m would; the rows are then summed in order of n
+    n = np.arange(mstop + 1.0)[:, None]
+    rows = np.concatenate((cs[:, None], (g + n) + np.arange(1.0, mcap + 1.0) - 1.0),
+                          axis=1)
+    wle = np.add.accumulate(np.divide.accumulate(rows, axis=1), axis=0)[-1]
     return cs, wt, wle
 
 

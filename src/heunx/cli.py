@@ -28,7 +28,8 @@ from .recurrence import (CoefficientSource, recurrence_residual,
                          stream_to_csv, stream_to_json,
                          three_term_coefficients, two_term_coefficients)
 from .reduction import (A_TOP_TOL, VERIFY_TOL, ReductionCase, case_to_dict,
-                        q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                        n2_ratio_divides_by_zero, q_candidates_N0,
+                        q_candidates_N1, q_candidates_N2,
                         solve_reduction_general, verify_reduction)
 from .special import EvalStatus, SeriesControl
 
@@ -94,6 +95,8 @@ def cmd_reduce(ns) -> int:
             f"delta = {de!r} (expected {ep_expected!r})")
 
     closed = {0: q_candidates_N0, 1: q_candidates_N1, 2: q_candidates_N2}
+    if n2_ratio_divides_by_zero(p0.alpha, p0.beta):
+        del closed[2]
     draw = (p0.a, p0.alpha, p0.beta, p0.gamma)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

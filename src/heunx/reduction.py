@@ -369,6 +369,12 @@ def _cubic_q_coeffs(a, alpha, beta, gamma):
     return np.array([1.0, c2, c1, c0])
 
 
+def n2_ratio_divides_by_zero(alpha: float, beta: float) -> bool:
+    """True where the order-2 ratio relation divides by (alpha-3)(beta-3) = 0,
+    so q_candidates_N2 cannot run and solve_reduction_general must."""
+    return abs(alpha - 3.0) < 1e-12 or abs(beta - 3.0) < 1e-12
+
+
 def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
     """Order-2 reductions: cubic in q, e_1, e_2 from their sum and the
     ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
@@ -378,7 +384,7 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
     warning (_accept, _drop): a degenerate relation (K = 1) is one more
     reason the closed form cannot certify.
     """
-    if abs(alpha - 3.0) < 1e-12 or abs(beta - 3.0) < 1e-12:
+    if n2_ratio_divides_by_zero(alpha, beta):
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
     if abs(a - 1.0) < 1e-12:
         raise PreconditionError("order-2 closed form requires a != 1")

@@ -23,15 +23,12 @@ class SeriesControl:
 
     rel_tol: float = 1e-14
     max_terms: int = 10000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise PreconditionError("rel_tol must be positive")
         if self.max_terms < 1:
             raise PreconditionError("max_terms must be at least 1")
-        if self.consecutive_small < 1:
-            raise PreconditionError("consecutive_small must be at least 1")
 
 
 class EvalStatus(str, Enum):
@@ -65,17 +62,16 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
               ctl: SeriesControl | None = None) -> EvalResult:
     """2F1(a,b;c;z) by direct summation, the series the expansion sums too.
 
-    Stops after `consecutive_small` successive terms fall below
+    Stops after _kernels.CONSECUTIVE_SMALL successive terms fall below
     rel_tol times the running sum, in the value and in its second
-    derivative; the non-monotone terms produced by negative parameters make
-    a single small term an unsafe signal.
+    derivative.
     """
     if ctl is None:
         ctl = SeriesControl()
     _check_series_args(c, z)
     value, _, _, terms, last = _kernels.f21_with_derivs(
         float(a), float(b), float(c), float(z),
-        ctl.rel_tol, ctl.max_terms, ctl.consecutive_small)
+        ctl.rel_tol, ctl.max_terms, _kernels.CONSECUTIVE_SMALL)
     return EvalResult(float(value[0]), terms, float(last[0]),
                       EvalStatus.CONVERGED)
 

@@ -1,4 +1,4 @@
-"""Shared fixtures, the deterministic case-draw helper, and the acceptance
+"""Shared fixtures, the case-draw helpers, and the acceptance
 summary hook that prints one pass/fail line per criterion after the run."""
 
 import itertools
@@ -14,8 +14,9 @@ try:
 except ImportError:
     pass
 
-from heunx import (PreconditionError, ValidationError, q_candidates_N0,
-                   q_candidates_N1, q_candidates_N2)
+from heunx import (NoSolutionError, PreconditionError, ValidationError,
+                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                   solve_reduction_general)
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "N=0 anchor: q=4, c_1=0.5, c_2=0.3 from both routes within 1e-13, < 0.1 s",
@@ -83,6 +84,20 @@ def draw_accepted_cases(total, seed=2024, orders=(0, 1, 2)):
     return cases[:total]
 
 
+def solve_draw(point, n_case):
+    """The accepted order-N cases of (a, alpha, beta, gamma); [] where the
+    solver rejects the draw or finds none."""
+    closed = {0: q_candidates_N0, 1: q_candidates_N1, 2: q_candidates_N2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            if n_case in closed:
+                return closed[n_case](*point)
+            return solve_reduction_general(*point, n_case)
+        except (ValidationError, PreconditionError, NoSolutionError):
+            return []
+
+
 @pytest.fixture(scope="session")
 def anchor_case():
     """The hand-checkable order-0 case (a=2, alpha=3, beta=2, gamma=1)."""
@@ -93,3 +108,26 @@ def anchor_case():
 def random_cases():
     """100 accepted reductions shared by the acceptance criteria 2-4."""
     return draw_accepted_cases(100)
+
+
+@pytest.fixture(scope="session")
+def form_cases():
+    """Up to three accepted cases per N = 0..6 from seeded draws (a in
+    +-[1.5, 3], alpha, beta, gamma in [-3, 3]), and four terminating ones."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n_case in range(7):
+        found = []
+        for _ in range(40):
+            a = rng.choice((-1.0, 1.0)) * rng.uniform(1.5, 3.0)
+            point = (float(a), *map(float, rng.uniform(-3.0, 3.0, 3)))
+            found += solve_draw(point, n_case)
+            if len(found) >= 3:
+                break
+        assert found, f"no N = {n_case} case drawn"
+        cases += found[:3]
+    # g - beta a non-positive integer: the stream ends at n0 = 1, 1, 2, 4
+    for point, n_case in (((2.0, 2.3, 1.0, 0.9), 0), ((2.0, 1.0, 2.4, 0.8), 0),
+                          ((2.0, 2.5, 2.0, 0.6), 2), ((3.0, 2.5, 1.0, 0.5), 3)):
+        cases += solve_draw(point, n_case)[:1]
+    return cases

@@ -90,6 +90,29 @@ def test_reduce_no_real_root_exits_3(write_params):
     assert all("q is complex" in note for note in payload["notes"])
 
 
+@pytest.mark.parametrize("draw, code, notes", [
+    # alpha = 3: the eigen solver certifies one case
+    ({"a": -1.5, "alpha": 3.0, "beta": 0.4, "gamma": 1.3, "epsilon": -0.9}, 0, 2),
+    # the README's search draw at N = 2: every root is noted
+    (dict(ANCHOR_SEARCH, epsilon=1.0), 3, 3),
+])
+def test_reduce_n2_takes_alpha_or_beta_3(write_params, draw, code, notes):
+    # the order-2 closed form divides by (alpha-3)(beta-3); these draws go
+    # to the eigen solver, as every N >= 3 does
+    out = run_cli("reduce", "--params", write_params(draw), "--n", "2")
+    assert out.returncode == code
+    payload = json.loads(out.stdout)
+    assert len(payload["notes"]) == notes
+    if code == 0:
+        case, = payload["cases"]
+        assert case["q"] == pytest.approx(-5.85, rel=1e-12)
+        assert case["e"] == pytest.approx([-2.8226039399558567,
+                                           -0.47739606004414653], rel=1e-10)
+        assert case["report"]["passed"]
+    else:
+        assert payload["cases"] == []
+
+
 def test_reduce_rejects_unknown_key(write_params):
     path = write_params(dict(ANCHOR_SEARCH, zeta=1.0))
     out = run_cli("reduce", "--params", path, "--n", "0")

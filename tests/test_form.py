@@ -3,55 +3,16 @@ series the case's parameters define, and the honesty of the status it
 reports."""
 
 import dataclasses
-import warnings
 
-import numpy as np
 import pytest
 
-from heunx import (EvalStatus, NoSolutionError, PreconditionError,
-                   ReductionCase, SeriesControl, ValidationError, evaluate,
-                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                   solve_reduction_general)
+from conftest import solve_draw
+from heunx import EvalStatus, ReductionCase, SeriesControl, evaluate
 from heunx.evaluator import summation_gap
 
 mp = pytest.importorskip("mpmath")
 
 Z_POINTS = (-0.95, -0.9, -0.5, 0.3, 0.9, 0.95)
-
-
-def _solve(point, n_case):
-    closed = {0: q_candidates_N0, 1: q_candidates_N1, 2: q_candidates_N2}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            if n_case in closed:
-                return closed[n_case](*point)
-            return solve_reduction_general(*point, n_case)
-        except (ValidationError, PreconditionError, NoSolutionError):
-            return []
-
-
-@pytest.fixture(scope="module")
-def form_cases():
-    """Up to three accepted cases per N = 0..6 from seeded draws (a in
-    +-[1.5, 3], alpha, beta, gamma in [-3, 3]), and four terminating ones."""
-    rng = np.random.default_rng(5)
-    cases = []
-    for n_case in range(7):
-        found = []
-        for _ in range(40):
-            a = rng.choice((-1.0, 1.0)) * rng.uniform(1.5, 3.0)
-            point = (float(a), *map(float, rng.uniform(-3.0, 3.0, 3)))
-            found += _solve(point, n_case)
-            if len(found) >= 3:
-                break
-        assert found, f"no N = {n_case} case drawn"
-        cases += found[:3]
-    # g - beta a non-positive integer: the stream ends at n0 = 1, 1, 2, 4
-    for point, n_case in (((2.0, 2.3, 1.0, 0.9), 0), ((2.0, 1.0, 2.4, 0.8), 0),
-                          ((2.0, 2.5, 2.0, 0.6), 2), ((3.0, 2.5, 1.0, 0.5), 3)):
-        cases += _solve(point, n_case)[:1]
-    return cases
 
 
 def mp_series(case, z):
@@ -106,7 +67,7 @@ def test_converged_status_is_true(form_cases, rel_tol):
 
 def test_form_matches_summation(form_cases):
     # the closed form against the independent tail-resummed summation; the
-    # largest gap, 3.8e-10 in u' of an N = 2 case at z = -0.5, is the
+    # largest gap, 4.9e-11 in u' of an N = 2 case at z = -0.5, is the
     # summation's own error: the form is within 8e-13 of mpmath there
     for case in form_cases:
         if case.N <= 2:
@@ -127,7 +88,7 @@ def _assert_honest(case, zs, rel_tols):
                                            ((2.5, 95.5, 90.25, 0.7), 2)])
 def test_form_with_large_parameters(point, n_case):
     # Gamma(g) overflows a float (g > 171.6) though K and u do not
-    case = _solve(point, n_case)[0]
+    case = solve_draw(point, n_case)[0]
     assert case.params.gamma + case.params.epsilon > 172.0
     _assert_honest(case, (-0.5, -0.2, 0.1, 0.3), (1e-14, 1e-10))
 
@@ -135,7 +96,7 @@ def test_form_with_large_parameters(point, n_case):
 def test_relation_residual_is_in_the_bound():
     # delta and epsilon each 9e-13 off, within validation, put alpha+beta-g
     # 1.8e-12 off N+1; the series then leaves the form by a few 1e-12
-    case = _solve((2.0, 2.5, 1.7, 0.6), 2)[0]
+    case = solve_draw((2.0, 2.5, 1.7, 0.6), 2)[0]
     p = case.params
     off = ReductionCase.build(dataclasses.replace(
         p, delta=p.delta + 9e-13, epsilon=p.epsilon - 9e-13), case.e_list)

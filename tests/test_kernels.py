@@ -107,6 +107,61 @@ def test_expansion_sums_over_n_in_order():
         assert got[3] == len(cs)
 
 
+def _partial_weights_by_rows(g, cs, mcap):
+    """W_m^{<=mstop} = sum_n c_n / (g+n)_m, one n and one m at a time: the
+    reference the accumulates of expansion_prefix must reproduce to the bit."""
+    wle = np.zeros(mcap + 1)
+    for n in range(len(cs)):
+        rr = cs[n]
+        wle[0] += rr
+        for m in range(1, mcap + 1):
+            rr /= g + n + m - 1.0
+            wle[m] += rr
+    return wle
+
+
+def _weight_args(case):
+    p = case.params
+    g = p.gamma + p.epsilon
+    return g, g - p.alpha, g - p.beta, np.asarray(case.e_list, dtype=np.float64)
+
+
+@pytest.mark.parametrize("big_m", [128, 256])
+def test_partial_weights_match_scalar_loop(form_cases, big_m):
+    # N = 0..6, and streams that end at n0 = 1, 1, 2, 4
+    for case in form_cases:
+        g, x1, x2, es = _weight_args(case)
+        cs, _, wle = _kernels.expansion_prefix(g, x1, x2, es, big_m, 24,
+                                               termination_index(case.params))
+        assert np.array_equal(wle, _partial_weights_by_rows(g, cs, 24))
+
+
+def test_closed_weights_match_mpmath(form_cases):
+    # W_m = sum_i of the pieces d_i (x1)_i (x2)_i / (g)_i 2F1(x1+i, x2+i;
+    # g+i+m; 1) / (g+i)_m in 50 digits, the d_i one linear factor at a time.
+    # The error is measured against the sum of the pieces' magnitudes: where
+    # they cancel (by 1e3 at an N = 3 case) the forward-difference d_i lose
+    # that much; relative to W_m the worst is 1.5e-11, at m = 0
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for case in form_cases:
+        g, x1, x2, es = _weight_args(case)
+        got = _kernels.expansion_weights(g, x1, x2, es, 24)
+        with mp.workdps(50):
+            g, x1, x2 = map(mp.mpf, (g, x1, x2))
+            d = [mp.mpf(1)]
+            for e in map(mp.mpf, es):
+                d = [x * (1 + i / e) + y / e
+                     for i, (x, y) in enumerate(zip(d + [0], [0] + d))]
+            for m, w in enumerate(got):
+                pieces = [di * mp.rf(x1, i) * mp.rf(x2, i) / mp.rf(g, i)
+                          * mp.hyp2f1(x1 + i, x2 + i, g + i + m, 1) / mp.rf(g + i, m)
+                          for i, di in enumerate(d)]
+                worst = max(worst, float(abs(w - mp.fsum(pieces))
+                                         / mp.fsum(map(abs, pieces))))
+    assert worst <= 1e-12
+
+
 def _colloc_terms(a, al, be, ga, n_case, q, es):
     de = n_case + 2.0
     ep = 1.0 + al + be - ga - de

@@ -64,8 +64,6 @@ def test_series_control_rejects_bad_fields():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(PreconditionError):
         SeriesControl(max_terms=0)
-    with pytest.raises(PreconditionError):
-        SeriesControl(consecutive_small=0)
 
 
 def test_deriv_at_origin_is_ab_over_c():
