@@ -11,9 +11,8 @@ summation and a power-series oracle. Everything runs in plain numpy.
 """
 
 from .errors import (DivisionByZeroError, DomainError, HeunxError,
-                     NonConvergenceError, NoSolutionError, NumericalError,
-                     PoleError, PreconditionError, SingularPointError,
-                     ValidationError)
+                     NonConvergenceError, NumericalError, PoleError,
+                     PreconditionError, SingularPointError, ValidationError)
 from .evaluator import (Evaluation, evaluate, evaluation_table,
                         forced_residual, forcing_constant, forcing_defect,
                         homogeneous_residual, ode_residual)
@@ -31,7 +30,8 @@ from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
                         degree_claim_defect, delta_for_reduction,
                         identity_lhs, identity_scale, leading_difference,
                         q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                        q_for_N0, solve_reduction_general, verify_reduction)
+                        q_for_N0, solve, solve_reduction_general,
+                        verify_reduction)
 from .special import (EvalResult, EvalStatus, SeriesControl, gauss_2f1,
                       gauss_2f1_deriv, pochhammer)
 
@@ -41,7 +41,7 @@ __all__ = [
     "CoefficientSource", "CoefficientStream", "ConstraintReport",
     "DivisionByZeroError", "DomainError", "EvalResult", "EvalStatus",
     "Evaluation", "FrobeniusSeries", "HeunParams", "HeunxError", "IssueCode",
-    "NoSolutionError", "NonConvergenceError",
+    "NonConvergenceError",
     "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
     "SeriesControl", "SingularPointError", "ValidatedHeunParams",
     "ValidationError", "ValidationIssue", "case_to_dict",
@@ -54,7 +54,7 @@ __all__ = [
     "leading_difference", "load_params_file", "ode_residual", "params_from_dict",
     "params_to_dict", "pochhammer", "q_candidates_N0", "q_candidates_N1",
     "q_candidates_N2", "q_for_N0", "recurrence_residual", "require_valid",
-    "residual_rows", "solve_reduction_general", "stream_to_csv",
+    "residual_rows", "solve", "solve_reduction_general", "stream_to_csv",
     "stream_to_json", "termination_index", "three_term_coefficients",
     "two_term_coefficients", "validate_params", "verify_reduction",
 ]

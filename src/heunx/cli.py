@@ -13,11 +13,10 @@ import json
 import math
 import re
 import sys
-import warnings
 
 from .errors import (DivisionByZeroError, DomainError, NonConvergenceError,
-                     NoSolutionError, NumericalError, PoleError,
-                     PreconditionError, SingularPointError, ValidationError)
+                     NumericalError, PoleError, PreconditionError,
+                     SingularPointError, ValidationError)
 from .evaluator import (check_disk, check_interior, evaluate,
                         evaluation_table, forced_residual,
                         homogeneous_residual, summation_gap)
@@ -28,9 +27,7 @@ from .recurrence import (CoefficientSource, recurrence_residual,
                          stream_to_csv, stream_to_json,
                          three_term_coefficients, two_term_coefficients)
 from .reduction import (A_TOP_TOL, VERIFY_TOL, ReductionCase, case_to_dict,
-                        n2_ratio_divides_by_zero, q_candidates_N0,
-                        q_candidates_N1, q_candidates_N2,
-                        solve_reduction_general, verify_reduction)
+                        solve, verify_reduction)
 from .special import EvalStatus, SeriesControl
 
 EXIT_OK = 0
@@ -94,20 +91,7 @@ def cmd_reduce(ns) -> int:
             f"epsilon = {p0.epsilon!r} violates the exponent-sum relation at "
             f"delta = {de!r} (expected {ep_expected!r})")
 
-    closed = {0: q_candidates_N0, 1: q_candidates_N1, 2: q_candidates_N2}
-    if n2_ratio_divides_by_zero(p0.alpha, p0.beta):
-        del closed[2]
-    draw = (p0.a, p0.alpha, p0.beta, p0.gamma)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            if n_case not in closed:
-                cases = solve_reduction_general(*draw, n_case)
-            else:
-                cases = closed[n_case](*draw)
-        except NoSolutionError:
-            cases = []  # each dropped root has its note
-        notes = [str(w.message) for w in caught]
+    cases, notes = solve(p0.a, p0.alpha, p0.beta, p0.gamma, n_case)
 
     if ns.format == "csv":
         lines = ["N,q_root_index,q,e,passed"]
@@ -307,9 +291,6 @@ def main(argv=None) -> int:
             SingularPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except NoSolutionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_SOLUTION
     except (NonConvergenceError, DivisionByZeroError, NumericalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: invalid input -> 2,
-no admissible solution -> 3, internal numerical failure -> 4.
+internal numerical failure -> 4. A draw with no admissible reduction is no
+error: the solvers return no case and one note per q-root (exit 3).
 """
 
 
@@ -36,10 +37,6 @@ class DivisionByZeroError(HeunxError):
 
 class PreconditionError(HeunxError):
     """Operation called outside its stated preconditions."""
-
-
-class NoSolutionError(HeunxError):
-    """No root of the q-condition holds in double as an admissible reduction."""
 
 
 class SingularPointError(HeunxError):

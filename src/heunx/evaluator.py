@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, NumericalError, SingularPointError
-from .params import is_nonpos_int
-from .recurrence import termination_index
+from .recurrence import NO_TERMINATION, termination_index
 from .reduction import ReductionCase
 from .special import EvalResult, EvalStatus, SeriesControl
 
@@ -41,11 +40,11 @@ _U = 2.0 ** -53         # unit roundoff
 _GAMMA_ERR = 10.0 * _U
 
 
-def check_disk(z: float, max_abs_z: float = MAX_ABS_Z) -> None:
+def check_disk(z: float) -> None:
     """The evaluation domain: |z| within the guard margin of the unit disk."""
-    if abs(z) > min(max_abs_z, 1.0 - 1e-12):
+    if abs(z) > MAX_ABS_Z:
         raise DomainError(f"|z| = {abs(z)!r} is outside the safe disk "
-                          f"(margin {max_abs_z})")
+                          f"(margin {MAX_ABS_Z})")
 
 
 def _is_singular(z: float, a: float) -> bool:
@@ -139,13 +138,13 @@ def _form(case: ReductionCase):
     return b[::-1], err[::-1], math.fsum((p.alpha, p.beta, -p.gamma, -p.epsilon, -1.0 - n))
 
 
-def evaluate(case: ReductionCase, z: float, ctl: SeriesControl | None = None,
-             max_abs_z: float = MAX_ABS_Z) -> Evaluation:
+def evaluate(case: ReductionCase, z: float,
+             ctl: SeriesControl | None = None) -> Evaluation:
     """(u, u', u'') at z by Horner's rule in v = 1/(1-z); each tail is the
     Horner bound gamma_m sum_k |c_k| |v|^k plus the B_k's error bounds."""
     ctl = ctl or SeriesControl()
     z = float(z)
-    check_disk(z, max_abs_z)
+    check_disk(z)
     b, b_err, r = _form(case)
     n = len(b)
     v = 1.0 / (1.0 - z)
@@ -231,16 +230,14 @@ def forcing_constant(case: ReductionCase) -> float:
     """The constant C the cleared-denominator operator maps the sum onto.
 
     C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta) prod_k e_k) with
-    g = gamma+epsilon; exactly 0 when a reciprocal gamma factor sits at a
-    pole, which is precisely the terminating (rational, genuine-solution)
-    situation.
+    g = gamma+epsilon; exactly 0 when the stream terminates
+    (termination_index), where a reciprocal gamma factor sits at a pole and
+    the sum is a rational, genuine solution.
     """
     p = case.params
-    g = p.gamma + p.epsilon
-    # termination snap: a reciprocal-gamma argument within the shared
-    # integer-proximity tolerance of a non-positive integer is a pole hit
-    if is_nonpos_int(g - p.alpha) or is_nonpos_int(g - p.beta):
+    if termination_index(p) < NO_TERMINATION:
         return 0.0
+    g = p.gamma + p.epsilon
     value = _gamma_ratio(g, g - p.alpha, g - p.beta)[0]
     for e in case.e_list:
         value /= e

@@ -15,19 +15,19 @@ one eigen solve. Roots of larger N are ill-conditioned in double, so the
 certificate also checks the three-term relation on the first 50 coefficients.
 The closed forms of N <= 2 and the eigen solver hand every real root to one
 acceptance routine, _accept, so each of the N+1 roots comes back as a case
-or as one "root q = ... dropped: <reason>" warning.
+or as one "root q = ... dropped: <reason>" note. solve picks the solver for
+an order and returns both lists.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import NoSolutionError, PreconditionError
+from .errors import PreconditionError
 from .params import (HeunParams, ValidatedHeunParams, check_order,
                      is_nonpos_int, require_valid)
 from .recurrence import termination_index
@@ -42,20 +42,6 @@ GENERAL_TOL = VERIFY_TOL * 1e-2
 NEWTON_TOL = 1e-12
 POLISH_STEPS = 6
 _PROBE_POINT = 0.3074202960516803  # off-grid, non-integer collocation point
-
-
-class NoRealRootWarning(UserWarning):
-    """A q-root is complex; one warning per such root."""
-
-
-class DegenerateConstraintWarning(UserWarning):
-    """The e-product relation degenerates (K = 1); root dropped."""
-
-
-class DiscardedRootWarning(UserWarning):
-    """A real q-root was dropped: a near-repeat, infinite, complex or
-    forbidden-integer e_k, or a certificate that fails or leaves a three-term
-    defect too large for the root to hold in double."""
 
 
 def _identity_terms(p: HeunParams, e_list, n):
@@ -224,24 +210,23 @@ def _ill_conditioned(report: ConstraintReport, tol: float) -> str:
             f"{report.stream_defect:.2e} > {tol:.0e})")
 
 
-def _drop(dropped: list, q, why: str, category=DiscardedRootWarning) -> None:
-    """Record and warn the one note of a q-root that yields no case."""
-    dropped.append(f"root q = {q!r} dropped: {why}")
-    warnings.warn(dropped[-1], category)
+def _drop(notes: list, q, why: str) -> None:
+    """Append the one note of a q-root that yields no case."""
+    notes.append(f"root q = {q!r} dropped: {why}")
 
 
 def _accept(params: HeunParams, es: tuple, idx: int, tol: float,
-            dropped: list) -> list:
+            notes: list) -> list:
     """[the case at (params, es)] when no e_k is a non-positive integer and
     the certificate passes with a 50-row defect of at most tol; else [] and
     one _drop note with the reason."""
     if any(is_nonpos_int(e) for e in es):
-        _drop(dropped, params.q, "an e_k is a non-positive integer")
+        _drop(notes, params.q, "an e_k is a non-positive integer")
         return []
     report = verify_reduction(params, es)
     if report.passed and report.stream_defect <= tol:
         return [ReductionCase.build(params, es, idx, report=report)]
-    _drop(dropped, params.q, _ill_conditioned(report, tol))
+    _drop(notes, params.q, _ill_conditioned(report, tol))
     return []
 
 
@@ -294,11 +279,13 @@ def q_for_N0(a: float, alpha: float, beta: float, gamma: float) -> float:
     return a * gamma + (alpha - 1.0) * (beta - 1.0)
 
 
-def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float) -> list:
+def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float,
+                    notes: list | None = None) -> list:
     """The order-0 reduction as a verified case (exactly one, unless it
-    fails the certificate)."""
+    fails the certificate and leaves a note in notes)."""
     q = q_for_N0(a, alpha, beta, gamma)
-    return _accept(_build_params(a, q, alpha, beta, gamma, 0), (), 0, VERIFY_TOL, [])
+    return _accept(_build_params(a, q, alpha, beta, gamma, 0), (), 0, VERIFY_TOL,
+                   [] if notes is None else notes)
 
 
 def _quadratic_q_coeffs(a, alpha, beta, gamma):
@@ -310,15 +297,14 @@ def _quadratic_q_coeffs(a, alpha, beta, gamma):
     return np.array([1.0, b1, b0])
 
 
-def _real_quadratic_roots(coeffs, dropped: list) -> list:
+def _real_quadratic_roots(coeffs, notes: list) -> list:
     """Ascending real roots of a monic quadratic, computed cancellation-free.
     A complex pair, or the upper root of a near-repeat, gets _drop notes."""
     _, b, c = map(float, coeffs)
     disc = b * b - 4.0 * c
     if disc < 0.0:
         for im in (-0.5, 0.5):
-            _drop(dropped, complex(-b / 2.0, im * math.sqrt(-disc)), "q is complex",
-                  NoRealRootWarning)
+            _drop(notes, complex(-b / 2.0, im * math.sqrt(-disc)), "q is complex")
         return []
     s = math.sqrt(disc)
     if b >= 0.0:
@@ -328,24 +314,26 @@ def _real_quadratic_roots(coeffs, dropped: list) -> list:
     r2 = c / r1 if r1 != 0.0 else -b - r1
     roots = sorted((r1, r2))
     if abs(roots[1] - roots[0]) <= 1e-12 * (1.0 + abs(roots[0])):
-        _drop(dropped, roots[1], f"a near-repeat of root q = {roots[0]!r}")
+        _drop(notes, roots[1], f"a near-repeat of root q = {roots[0]!r}")
         return roots[:1]
     return roots
 
 
-def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float) -> list:
+def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float,
+                    notes: list | None = None) -> list:
     """Order-1 reductions: quadratic in q, then e_1 linear in q.
 
-    Each of the two q-roots is a case or one warning (_accept, _drop); a
-    draw with no case gives an empty list rather than an error.
+    Each of the two q-roots is a case or one note appended to notes
+    (_accept, _drop); a draw with no case gives an empty list.
     """
+    notes = [] if notes is None else notes
     coeffs = _quadratic_q_coeffs(a, alpha, beta, gamma)
-    cases, dropped = [], []
-    for idx, q0 in enumerate(_real_quadratic_roots(coeffs, dropped)):
+    cases = []
+    for idx, q0 in enumerate(_real_quadratic_roots(coeffs, notes)):
         q = _polish(coeffs, q0)
         e1 = _e_sum_rule(a, alpha, beta, gamma, 1, q)
         cases += _accept(_build_params(a, q, alpha, beta, gamma, 1), (e1,), idx,
-                         VERIFY_TOL, dropped)
+                         VERIFY_TOL, notes)
     return cases
 
 
@@ -375,28 +363,30 @@ def n2_ratio_divides_by_zero(alpha: float, beta: float) -> bool:
     return abs(alpha - 3.0) < 1e-12 or abs(beta - 3.0) < 1e-12
 
 
-def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
+def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
+                    notes: list | None = None) -> list:
     """Order-2 reductions: cubic in q, e_1, e_2 from their sum and the
     ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
 
     Requires alpha != 3, beta != 3 and a != 1 (the ratio relation divides
     by (a-1)(alpha-3)(beta-3)). Each of the three q-roots is a case or one
-    warning (_accept, _drop): a degenerate relation (K = 1) is one more
-    reason the closed form cannot certify.
+    note appended to notes (_accept, _drop): a degenerate relation (K = 1)
+    is one more reason the closed form cannot certify.
     """
     if n2_ratio_divides_by_zero(alpha, beta):
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
     if abs(a - 1.0) < 1e-12:
         raise PreconditionError("order-2 closed form requires a != 1")
+    notes = [] if notes is None else notes
     coeffs = _cubic_q_coeffs(a, alpha, beta, gamma)
     raw = np.roots(coeffs)
     real = np.abs(raw.imag) <= 1e-9 * (1.0 + np.abs(raw.real))
-    cases, dropped, dedup = [], [], []
+    cases, dedup = [], []
     for r in raw[~real]:
-        _drop(dropped, complex(r), "q is complex", NoRealRootWarning)
+        _drop(notes, complex(r), "q is complex")
     for r in sorted(float(r.real) for r in raw[real]):
         if dedup and abs(r - dedup[-1]) <= 1e-10 * (1.0 + abs(r)):
-            _drop(dropped, r, f"a near-repeat of root q = {dedup[-1]!r}")
+            _drop(notes, r, f"a near-repeat of root q = {dedup[-1]!r}")
         else:
             dedup.append(r)
 
@@ -407,18 +397,17 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float) -> list:
         k_den = (a - 1.0) * (alpha - 3.0) * (beta - 3.0)
         k = k_num / k_den
         if abs(k - 1.0) <= 1e-12:
-            _drop(dropped, q, "the e-product relation degenerates (K = 1)",
-                  DegenerateConstraintWarning)
+            _drop(notes, q, "the e-product relation degenerates (K = 1)")
             continue
         prod = (s + 1.0) / (k - 1.0)
         disc = s * s - 4.0 * prod
         if disc < 0.0:
-            _drop(dropped, q, "the e_k include a complex pair")
+            _drop(notes, q, "the e_k include a complex pair")
             continue
         sq = math.sqrt(disc)
         es = ((s - sq) / 2.0, (s + sq) / 2.0)
         cases += _accept(_build_params(a, q, alpha, beta, gamma, 2), es, idx,
-                         VERIFY_TOL, dropped)
+                         VERIFY_TOL, notes)
     return cases
 
 
@@ -435,42 +424,55 @@ def _pencil(p: HeunParams, n_case: int):
 
 
 def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
-                            n_case: int) -> list:
+                            n_case: int, notes: list | None = None) -> list:
     """Every order-N reduction, from one generalized eigenproblem.
 
     The N+1 eigenvalues of the pencil (_pencil) are the q-roots. The e_k of
     a real one are the negated roots of its eigenvector's polynomial, then
     (q, e) is polished by _kernels.newton_general. Returns, sorted by q, the
     cases whose certificate passes with a 50-row defect of at most
-    GENERAL_TOL. Every other root gets one warning with its reason: complex
-    q, a complex e-pair, a non-positive integer e_k, or ill-conditioned in
-    double with its defect. With no case left, NoSolutionError lists them.
+    GENERAL_TOL. Every other root gets one note in notes with its reason:
+    complex q, a complex e-pair, a non-positive integer e_k, or
+    ill-conditioned in double with its defect.
     """
     if n_case < 0:
         raise PreconditionError("reduction order N must be non-negative")
+    notes = [] if notes is None else notes
     big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
-    cases, dropped = [], []
+    cases = []
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
     for j in np.flatnonzero(~real):
-        _drop(dropped, complex(qs[j]), "q is complex", NoRealRootWarning)
+        _drop(notes, complex(qs[j]), "q is complex")
     for idx, j in enumerate(sorted(np.flatnonzero(real), key=lambda j: qs[j].real)):
         q = float(qs[j].real)
         x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
         roots = np.roots(x.real[::-1]) + (n_case + 2) / 2.0
         if len(roots) < n_case:
-            _drop(dropped, q, "an e_k is infinite")
+            _drop(notes, q, "an e_k is infinite")
             continue
         if np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))):
-            _drop(dropped, q, "the e_k include a complex pair")
+            _drop(notes, q, "the e_k include a complex pair")
             continue
         q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q,
                                               -roots.real, NEWTON_TOL, POLISH_STEPS)
         q, es = float(q), tuple(sorted(float(e) for e in es))
         cases += _accept(_build_params(a, q, alpha, beta, gamma, n_case), es, idx,
-                         GENERAL_TOL, dropped)
-
-    if not cases:
-        raise NoSolutionError(f"no order-{n_case} reduction holds in double: "
-                              + "; ".join(dropped))
+                         GENERAL_TOL, notes)
     return cases
+
+
+def solve(a: float, alpha: float, beta: float, gamma: float, n_case: int) -> tuple:
+    """(cases, notes): every order-N reduction of the draw and one note per
+    q-root that gave none, so len(cases) + len(notes) == N + 1.
+
+    N <= 2 takes its closed form unless the order-2 ratio relation divides
+    by zero; every other order takes solve_reduction_general. The solvers
+    are looked up when called, so a wrapper bound over their names sees the
+    call.
+    """
+    notes = []
+    if n_case in (0, 1) or (n_case == 2 and not n2_ratio_divides_by_zero(alpha, beta)):
+        closed = (q_candidates_N0, q_candidates_N1, q_candidates_N2)[n_case]
+        return closed(a, alpha, beta, gamma, notes), notes
+    return solve_reduction_general(a, alpha, beta, gamma, n_case, notes), notes

@@ -2,9 +2,12 @@
 
 Series evaluation lives in the unit disk; derivatives use the
 parameter-shift identities d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z)
-and its second-order iterate. Gamma ratios are always formed as finite
-Pochhammer products, never as quotients of Gamma values, so nothing
-overflows or hits a pole for orders up to 1e4.
+and its second-order iterate. Rising factorials of integer order are
+finite Pochhammer products, not quotients of Gamma values, so none
+overflows or hits a pole for orders up to 1e4. Quotients of Gamma values
+of non-integer order are formed elsewhere: evaluator._gamma_ratio (the
+form's K and the forcing constant C, by math.gamma or by lgamma where a
+factor leaves the floats) and _kernels.gauss_2f1_at_one (by lgamma).
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 summary hook that prints one pass/fail line per criterion after the run."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +13,8 @@ try:
 except ImportError:
     pass
 
-from heunx import (NoSolutionError, PreconditionError, ValidationError,
-                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                   solve_reduction_general)
+from heunx import (PreconditionError, ValidationError, q_candidates_N0,
+                   q_candidates_N1, q_candidates_N2, solve)
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "N=0 anchor: q=4, c_1=0.5, c_2=0.3 from both routes within 1e-13, < 0.1 s",
@@ -74,28 +72,21 @@ def draw_accepted_cases(total, seed=2024, orders=(0, 1, 2)):
         a, al, be, ga = rng.uniform(-3.0, 3.0, size=4)
         if abs(a) < 0.05 or abs(a - 1.0) < 0.05:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                got = builders[n_case](a, al, be, ga)
-            except (ValidationError, PreconditionError):
-                continue
+        try:
+            got = builders[n_case](a, al, be, ga)
+        except (ValidationError, PreconditionError):
+            continue
         cases.extend(got)
     return cases[:total]
 
 
 def solve_draw(point, n_case):
-    """The accepted order-N cases of (a, alpha, beta, gamma); [] where the
-    solver rejects the draw or finds none."""
-    closed = {0: q_candidates_N0, 1: q_candidates_N1, 2: q_candidates_N2}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            if n_case in closed:
-                return closed[n_case](*point)
-            return solve_reduction_general(*point, n_case)
-        except (ValidationError, PreconditionError, NoSolutionError):
-            return []
+    """The accepted order-N cases of (a, alpha, beta, gamma), as `reduce`
+    finds them; [] where the solver rejects the draw or finds none."""
+    try:
+        return solve(*point, n_case)[0]
+    except (ValidationError, PreconditionError):
+        return []
 
 
 @pytest.fixture(scope="session")

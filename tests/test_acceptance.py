@@ -12,12 +12,11 @@ pass the homogeneous checks as stated.
 
 import time
 import types
-import warnings
 
 import numpy as np
 import pytest
 
-from heunx import (CoefficientSource, NoSolutionError, PreconditionError,
+from heunx import (CoefficientSource, PreconditionError,
                    ValidatedHeunParams, ValidationError, cross_check,
                    degree_claim_defect, evaluate, forcing_defect, gauss_2f1,
                    gauss_2f1_deriv, identity_lhs, identity_scale,
@@ -114,12 +113,10 @@ def test_criterion_4_forcing_certificate_and_sensitivity(random_cases):
 
 
 def _valid_closed_form(builder, a, alpha, beta, gamma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return builder(a, alpha, beta, gamma)
-        except (ValidationError, PreconditionError):
-            return None
+    try:
+        return builder(a, alpha, beta, gamma)
+    except (ValidationError, PreconditionError):
+        return None
 
 
 def _case_gap(left, right):
@@ -145,10 +142,7 @@ def test_criterion_5_general_solver_equivalence():
             if closed is None:
                 continue
             done += 1
-            try:
-                general = solve_reduction_general(a, alpha, beta, gamma, n_case)
-            except NoSolutionError:
-                general = []
+            general = solve_reduction_general(a, alpha, beta, gamma, n_case)
             # the closed-form solution set is reproduced ...
             for c in closed:
                 assert min((_case_gap(c, g) for g in general), default=np.inf) <= 1e-7
@@ -167,7 +161,9 @@ def test_criterion_5_general_solver_equivalence():
             continue
         try:
             cases = solve_reduction_general(a, alpha, beta, gamma, 3)
-        except (ValidationError, NoSolutionError):
+        except ValidationError:
+            continue
+        if not cases:
             continue
         solved += 1
         probe = 4.0 + float(rng.uniform(0.05, 0.95))
@@ -181,9 +177,7 @@ def test_criterion_5_general_solver_equivalence():
 
 @pytest.mark.acceptance(6)
 def test_criterion_6_rational_degeneration():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        order2 = q_candidates_N2(2.0, 2.5, 2.0, 0.6)    # beta = 2 <= N+1
+    order2 = q_candidates_N2(2.0, 2.5, 2.0, 0.6)        # beta = 2 <= N+1
     order0 = q_candidates_N0(2.0, 2.3, 1.0, 0.9)        # beta = 1 <= N+1
     for case, n0 in [(order2[0], 2), (order0[0], 1)]:
         found = termination_index(case.params)

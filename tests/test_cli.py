@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -387,14 +386,12 @@ def _json_by_rows(stream):
 
 
 def _table_cases():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        n3 = [c for c in solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
-              if abs(c.params.q - 8.802775637731992) < 1e-9]
-        return {"anchor": q_candidates_N0(2.0, 3.0, 2.0, 1.0)[0],
-                "N2": q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0],
-                # terminates at n0 = 4: the zeros give nan/null ratios
-                "N3-terminating": n3[0]}
+    n3 = [c for c in solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
+          if abs(c.params.q - 8.802775637731992) < 1e-9]
+    return {"anchor": q_candidates_N0(2.0, 3.0, 2.0, 1.0)[0],
+            "N2": q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0],
+            # terminates at n0 = 4: the zeros give nan/null ratios
+            "N3-terminating": n3[0]}
 
 
 @pytest.mark.parametrize("name", ["anchor", "N2", "N3-terminating"])

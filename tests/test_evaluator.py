@@ -42,9 +42,6 @@ def test_result_convergence_invariant(anchor_case):
 def test_domain_guard(anchor_case):
     with pytest.raises(DomainError):
         evaluate(anchor_case, 0.96)
-    evaluate(anchor_case, 0.5, max_abs_z=0.6)
-    with pytest.raises(DomainError):
-        evaluate(anchor_case, 0.7, max_abs_z=0.6)
 
 
 def test_single_term_case_matches_gauss(single_term_case):

@@ -2,7 +2,6 @@
 in the same order, so the results must be equal to the bit."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -300,25 +299,21 @@ def _stream_args(p, nmax):
 
 
 def _n3_terminating():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cases = solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
+    cases = solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
     case, = [c for c in cases if abs(c.params.q - 8.802775637731992) < 1e-9]
     return case.params
 
 
 @pytest.fixture(scope="module")
 def fill_paths():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return {
-            "forward": q_candidates_N1(-1.5, 0.5, 1.7, 0.6)[0].params,
-            "backward": q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0].params,
-            # epsilon = -1 zeroes P_1 below the backward seed
-            "split": q_candidates_N0(3.0, 0.5, 0.8, 1.3)[0].params,
-            # n0 = 4, epsilon = -1
-            "terminating": _n3_terminating(),
-        }
+    return {
+        "forward": q_candidates_N1(-1.5, 0.5, 1.7, 0.6)[0].params,
+        "backward": q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0].params,
+        # epsilon = -1 zeroes P_1 below the backward seed
+        "split": q_candidates_N0(3.0, 0.5, 0.8, 1.3)[0].params,
+        # n0 = 4, epsilon = -1
+        "terminating": _n3_terminating(),
+    }
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2, 50, 5000])

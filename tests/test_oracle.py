@@ -1,7 +1,5 @@
 """Independent power-series oracle and the expansion cross-check."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -68,13 +66,11 @@ def test_series_satisfies_collected_powers(anchor_case):
 def test_growth_matches_radius():
     # |b_k|^(1/k) approaches 1/min(1, |a|); windowed median over k in
     # [160, 200] sits within 20 percent for well-separated draws
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cases = [
-            q_candidates_N0(2.0, 3.0, 2.0, 1.0)[0],
-            q_candidates_N0(0.7, 2.2, 1.3, 0.8)[0],
-            q_candidates_N1(-0.5, 2.1, 0.7, 1.4)[0],
-        ]
+    cases = [
+        q_candidates_N0(2.0, 3.0, 2.0, 1.0)[0],
+        q_candidates_N0(0.7, 2.2, 1.3, 0.8)[0],
+        q_candidates_N1(-0.5, 2.1, 0.7, 1.4)[0],
+    ]
     for case in cases:
         p = case.params
         radius = min(1.0, abs(p.a))

@@ -1,7 +1,5 @@
 """Three-term recurrence coefficients and the two generation routes."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -147,9 +145,7 @@ def test_terminating_stream_has_exact_zeros():
 def test_terminating_backward_stream_splits_at_interior_P_zero():
     # a = 3 runs the backward recursion; the stream ends at n0 = 4 and
     # epsilon = -1 zeroes P_1 below the seed, so the lower block is forward
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cases = solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
+    cases = solve_reduction_general(3.0, 2.5, 1.0, 0.5, 3)
     case, = [c for c in cases if abs(c.params.q - 8.802775637731992) < 1e-9]
     p = case.params
     assert (termination_index(p), p.epsilon) == (4, -1.0)

@@ -1,20 +1,18 @@
 """Reduction identity, closed-form q-conditions, and the general solver."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
 
-from heunx import (HeunParams, NoSolutionError, PreconditionError,
-                   ReductionCase, ValidatedHeunParams, ValidationError,
-                   case_to_dict, degree_claim_defect, delta_for_reduction,
-                   identity_lhs, identity_scale, leading_difference,
-                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                   q_for_N0, recurrence_residual, solve_reduction_general,
+from heunx import (HeunParams, PreconditionError, ReductionCase,
+                   ValidatedHeunParams, ValidationError, case_to_dict,
+                   degree_claim_defect, delta_for_reduction, identity_lhs,
+                   identity_scale, leading_difference, q_candidates_N0,
+                   q_candidates_N1, q_candidates_N2, q_for_N0,
+                   recurrence_residual, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
-from heunx.reduction import (GENERAL_TOL, DegenerateConstraintWarning,
-                             NoRealRootWarning, _cubic_q_coeffs,
+from heunx.reduction import (GENERAL_TOL, _cubic_q_coeffs,
                              _quadratic_q_coeffs)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
@@ -28,6 +26,7 @@ N1_NO_ROOT = (-0.5, 0.2, 0.1, 2.0)
 N1_REPEAT = (-3.0, -1.75, -1.75, -1.5)
 # order-2 draw where one root hits the degenerate e-product relation (K = 1)
 N2_DRAW = (2.0, 2.5, 1.7, 0.6)
+DEGENERATE = "dropped: the e-product relation degenerates (K = 1)"
 # order-2 draw whose cubic has a complex pair of q-roots
 N2_COMPLEX = (0.750572799628002, 2.383282805817453, 1.6541141414711609,
               -1.6487568600564488)
@@ -35,6 +34,11 @@ N2_COMPLEX = (0.750572799628002, 2.383282805817453, 1.6541141414711609,
 
 def scaled(p, es, n):
     return max(identity_scale(p, es, n), 1.0)
+
+
+def _with_notes(solver, *args):
+    notes = []
+    return solver(*args, notes), notes
 
 
 def test_identity_vanishes_for_anchor_everywhere():
@@ -84,9 +88,10 @@ def test_N1_roots_satisfy_quadratic():
         assert case.e_list == pytest.approx((e1,), rel=1e-12)
 
 
-def test_N1_negative_discriminant_warns_empty():
-    with pytest.warns(NoRealRootWarning):
-        assert q_candidates_N1(*N1_NO_ROOT) == []
+def test_N1_negative_discriminant_notes_empty():
+    cases, notes = _with_notes(q_candidates_N1, *N1_NO_ROOT)
+    assert cases == []
+    assert any("dropped: q is complex" in note for note in notes)
 
 
 def test_perturbed_q_fails_verification():
@@ -98,8 +103,8 @@ def test_perturbed_q_fails_verification():
 
 def test_N2_roots_satisfy_cubic_and_e_relations():
     a, alpha, beta, gamma = N2_DRAW
-    with pytest.warns(DegenerateConstraintWarning):
-        cases = q_candidates_N2(*N2_DRAW)
+    cases, notes = _with_notes(q_candidates_N2, *N2_DRAW)
+    assert any(DEGENERATE in note for note in notes)
     assert 1 <= len(cases) <= 3
     coeffs = _cubic_q_coeffs(*N2_DRAW)
     for case in cases:
@@ -215,8 +220,8 @@ def test_general_solver_matches_N1_closed_form():
 
 def test_general_solver_recovers_degenerate_N2_root():
     # the closed form skips the K = 1 root; collocation has no such blind spot
-    with pytest.warns(DegenerateConstraintWarning):
-        closed = q_candidates_N2(*N2_DRAW)
+    closed, notes = _with_notes(q_candidates_N2, *N2_DRAW)
+    assert any(DEGENERATE in note for note in notes)
     general = solve_reduction_general(*N2_DRAW, 2)
     assert len(general) > len(closed)
     closed_qs = [c.params.q for c in closed]
@@ -227,8 +232,9 @@ def test_general_solver_recovers_degenerate_N2_root():
 
 
 def test_general_solver_no_solution():
-    with pytest.raises(NoSolutionError):
-        solve_reduction_general(*N1_NO_ROOT, 1)
+    cases, notes = _with_notes(solve_reduction_general, *N1_NO_ROOT, 1)
+    assert cases == []
+    assert len(notes) == 2
 
 
 def test_general_solver_rejects_invalid_draw():
@@ -240,16 +246,6 @@ def test_general_solver_rejects_invalid_draw():
 # the reduce-sweep benchmark's panel draw at seed 1
 PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
               1.5176724071367766)
-
-
-def _with_notes(solve, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            cases = solve(*args)
-        except NoSolutionError:
-            cases = []
-    return cases, [str(w.message) for w in caught]
 
 
 def _fifty_row_defect(case):
@@ -272,30 +268,29 @@ def test_general_solver_accounts_for_every_root(n_case):
         assert min(abs(q - 20.084068) for q in qs) < 1e-5
 
 
-@pytest.mark.parametrize("solve, draw, n_case, complex_notes", [
+@pytest.mark.parametrize("solver, draw, n_case, complex_notes", [
     (q_candidates_N1, N1_DRAW, 1, 0),
     (q_candidates_N1, N1_NO_ROOT, 1, 2),
     (q_candidates_N1, N1_REPEAT, 1, 0),
     (q_candidates_N2, N2_DRAW, 2, 0),
     (q_candidates_N2, N2_COMPLEX, 2, 2),
 ], ids=["N1_DRAW", "N1_NO_ROOT", "N1_REPEAT", "N2_DRAW", "N2_COMPLEX"])
-def test_closed_forms_account_for_every_root(solve, draw, n_case, complex_notes):
+def test_closed_forms_account_for_every_root(solver, draw, n_case, complex_notes):
     # each of the N+1 roots is a case or one note, as in the eigen solver
-    cases, notes = _with_notes(solve, *draw)
+    cases, notes = _with_notes(solver, *draw)
     assert len(cases) + len(notes) == n_case + 1
     assert all(" dropped: " in note for note in notes)
     assert sum("dropped: q is complex" in note for note in notes) == complex_notes
 
 
 def test_general_solver_on_the_panel_draw():
-    cases, _ = _with_notes(solve_reduction_general, *PANEL_DRAW, 3)
+    cases, _ = solve(*PANEL_DRAW, 3)
     assert [round(c.params.q, 3) for c in cases] == [26.871, 41.8]
     for case in cases:
         assert _fifty_row_defect(case) <= GENERAL_TOL
 
-    with pytest.raises(NoSolutionError) as info:
-        solve_reduction_general(*PANEL_DRAW, 6)
-    reasons = str(info.value).split(": ", 1)[1].split("; ")
+    cases, reasons = solve(*PANEL_DRAW, 6)
+    assert cases == []
     assert len(reasons) == 7
     ill = [r for r in reasons if "ill-conditioned" in r]
     assert len(ill) == 2
