@@ -13,9 +13,9 @@ summation and a power-series oracle. Everything runs in plain numpy.
 from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      NonConvergenceError, NumericalError, PoleError,
                      PreconditionError, SingularPointError, ValidationError)
-from .evaluator import (Evaluation, evaluate, evaluation_table,
-                        forced_residual, forcing_constant, forcing_defect,
-                        homogeneous_residual, ode_residual)
+from .evaluator import (Evaluation, evaluate, evaluate_points,
+                        evaluation_table, forced_residual, forcing_constant,
+                        forcing_defect, homogeneous_residual, ode_residual)
 from .oracle import (FrobeniusSeries, cross_check, frobenius_coefficients,
                      frobenius_eval)
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
@@ -47,7 +47,7 @@ __all__ = [
     "ValidationError", "ValidationIssue", "case_to_dict",
     "coeff_P", "coeff_Q", "coeff_R", "collect_issues", "cross_check",
     "degree_claim_defect", "delta_for_reduction", "delta_from_fuchsian",
-    "evaluate", "evaluation_table", "forced_residual",
+    "evaluate", "evaluate_points", "evaluation_table", "forced_residual",
     "forcing_constant", "forcing_defect", "homogeneous_residual",
     "frobenius_coefficients", "frobenius_eval", "gauss_2f1",
     "gauss_2f1_deriv", "identity_lhs", "identity_scale", "is_nonpos_int",

@@ -516,8 +516,8 @@ def expansion_prefix(g, x1, x2, es, big_m, mcap, n0):
 
 def settled(tail, value, tol):
     """The one convergence test: a tail within tol of its value, or a value
-    too small to measure a tail against."""
-    return tail <= tol * abs(value) or abs(value) < VALUE_FLOOR
+    too small to measure a tail against; elementwise on arrays."""
+    return (tail <= tol * abs(value)) | (abs(value) < VALUE_FLOOR)
 
 
 def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, cs, wt, wle,

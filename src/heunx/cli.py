@@ -17,7 +17,7 @@ import sys
 from .errors import (DivisionByZeroError, DomainError, NonConvergenceError,
                      NumericalError, PoleError, PreconditionError,
                      SingularPointError, ValidationError)
-from .evaluator import (check_disk, check_interior, evaluate,
+from .evaluator import (check_disk, check_interior, evaluate_points,
                         evaluation_table, forced_residual,
                         homogeneous_residual, summation_gap)
 from .oracle import cross_check
@@ -50,6 +50,10 @@ def _jsonable(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
+
+
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else "null"
 
 
 def _parse_floats(text: str) -> list:
@@ -144,12 +148,19 @@ def cmd_eval(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=False)
     if ns.format == "json":
+        # the bytes of json.dumps({"rows": [...], "tolerances": {...}},
+        # sort_keys=True, indent=2) + "\n" from one row template: with an
+        # indent the stdlib json runs its pure-Python encoder, not the C one
+        row = ('    {\n      "ddu": %r,\n      "du": %r,\n      "residual": %s,\n'
+               '      "status": "%s",\n      "terms_used": %d,\n      "u": %r,\n'
+               '      "z": %r\n    }')
         ctl = SeriesControl(rel_tol=ns.rel_tol)
-        rows = [{"z": ev.z, "u": ev.u, "du": ev.du, "ddu": ev.ddu,
-                 "residual": _jsonable(homogeneous_residual(case, ev)),
-                 "terms_used": ev.terms_used, "status": _joint_status(ev.status)}
-                for ev in (evaluate(case, z, ctl) for z in zs)]
-        _print_json({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol}})
+        rows = ",\n".join(
+            row % (ev.ddu, ev.du, _json_float(homogeneous_residual(case, ev)),
+                   _joint_status(ev.status), ev.terms_used, ev.u, ev.z)
+            for ev in evaluate_points(case, zs, ctl))
+        sys.stdout.write('{\n  "rows": [\n' + rows + '\n  ],\n  "tolerances": {\n'
+                         '    "rel_tol": ' + json.dumps(ctl.rel_tol) + "\n  }\n}\n")
     else:
         sys.stdout.write(evaluation_table(case, zs))
     return EXIT_OK
@@ -159,7 +170,7 @@ def cmd_residual(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=True)
     rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
-            for ev in (evaluate(case, z) for z in zs)]
+            for ev in evaluate_points(case, zs)]
     if ns.format == "json":
         _print_json({"rows": [{"z": z, "residual": r, "forced_residual": f}
                               for z, r, f in rows]})
@@ -190,7 +201,7 @@ def cmd_verify(ns) -> int:
 
     if report.passed:
         case = ReductionCase.build(p, es, report=report)
-        evs = [evaluate(case, z, ctl) for z in zs]
+        evs = evaluate_points(case, zs, ctl)
         ode_values = [homogeneous_residual(case, ev) for ev in evs]
         ode_ok = max(ode_values) <= ns.ode_tol
         cross_value = cross_check(case, evs)

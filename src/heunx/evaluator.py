@@ -6,7 +6,8 @@ falling-factorial pieces, and as g = alpha+beta-1-N each sums to a binomial
 series: with v = 1/(1-z), K = Gamma(g) / (Gamma(alpha) Gamma(beta)) and d_i
 the falling-factorial coefficients of prod_k (1 + n/e_k),
 u = sum_{k=1..N+1} B_k v^k with B_{N+1-i} = K d_i (g-alpha)_i (g-beta)_i (N-i)!,
-and u', u'' follow from dv/dz = v^2. The tail-resummed summation of the
+and u', u'' follow from dv/dz = v^2. A call builds the B_k once and runs
+one Horner pass over all of its points. The tail-resummed summation of the
 series (`_sum_all`) is the independent route the form is checked against.
 
 Against a two-term stream the operator telescopes term by term, so the sum
@@ -138,31 +139,49 @@ def _form(case: ReductionCase):
     return b[::-1], err[::-1], math.fsum((p.alpha, p.beta, -p.gamma, -p.epsilon, -1.0 - n))
 
 
-def evaluate(case: ReductionCase, z: float,
-             ctl: SeriesControl | None = None) -> Evaluation:
-    """(u, u', u'') at z by Horner's rule in v = 1/(1-z); each tail is the
-    Horner bound gamma_m sum_k |c_k| |v|^k plus the B_k's error bounds."""
+def evaluate_points(case: ReductionCase, zs,
+                    ctl: SeriesControl | None = None) -> list[Evaluation]:
+    """(u, u', u'') at each z of zs by Horner's rule in v = 1/(1-z), the B_k
+    built once and every point stepped at once; each tail is the Horner bound
+    gamma_m sum_k |c_k| |v|^k plus the B_k's error bounds."""
     ctl = ctl or SeriesControl()
-    z = float(z)
-    check_disk(z)
+    zs = [float(z) for z in zs]
+    for z in zs:
+        check_disk(z)
     b, b_err, r = _form(case)
     n = len(b)
-    v = 1.0 / (1.0 - z)
+    vs = [1.0 / (1.0 - z) for z in zs]
     # 4N + 12 roundings (v, its powers, the steps); the series has Gamma(k+r) v^(k+r),
     # k+r, k+1+r for (k-1)! v^k, k, k+1: |r| (|log v| + log k + 0.58 + 1.5) relative
-    gm = _gamma_n(4 * n + 8) + abs(r) * (abs(math.log(v)) + math.log(n) + 2.2)
-    acc, bound = [0.0] * 3, [0.0] * 3
-    for k in range(n, 0, -1):
-        for order, w in enumerate((1.0, float(k), k * (k + 1.0))):
-            acc[order] = acc[order] * v + w * b[k - 1]
-            bound[order] = bound[order] * abs(v) + w * (gm * abs(b[k - 1]) + b_err[k - 1])
-    values = [acc[0] * v, acc[1] * v * v, acc[2] * v * v * v]
-    tails = tuple(t * abs(v) ** (order + 1) for order, t in enumerate(bound))
-    if not all(map(math.isfinite, values)):
+    gm0, log_n = _gamma_n(4 * n + 8), math.log(n)
+    gm = np.array([gm0 + abs(r) * (abs(math.log(v)) + log_n + 2.2) for v in vs])
+    v = np.array(vs)
+    av = np.abs(v)
+    # the weights 1, k, k(k+1) of B_k v^k in u, u'/v, u''/v^2 as rows, k = 1..N+1
+    w = np.array([(1.0, float(k), k * (k + 1.0)) for k in range(1, n + 1)]).T
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        wb = w * np.array(b)
+        wt = w[:, :, None] * (gm * np.abs(b)[:, None] + np.array(b_err)[:, None])
+        acc = bound = np.zeros((3, len(vs)))
+        for j in range(n - 1, -1, -1):
+            acc = acc * v + wb[:, j, None]
+            bound = bound * av + wt[:, j]
+        values = np.array((acc[0] * v, acc[1] * v * v, acc[2] * v * v * v))
+        # |v|^(order+1) by Python's float power: numpy's |v| ** 3 rounds differently
+        tails = bound * np.array([(x, x ** 2, x ** 3) for x in map(abs, vs)]).T
+    if not np.isfinite(values).all():
         raise NumericalError("the rational form produced a non-finite value")
-    status = tuple(EvalStatus.CONVERGED if _kernels.settled(t, x, ctl.rel_tol)
-                   else EvalStatus.MAX_TERMS_REACHED for t, x in zip(tails, values))
-    return Evaluation(z, *values, n, tails, status)
+    status = [tuple(EvalStatus.CONVERGED if ok else EvalStatus.MAX_TERMS_REACHED
+                    for ok in row)
+              for row in _kernels.settled(tails, values, ctl.rel_tol).T.tolist()]
+    return [Evaluation(z, *x, n, tuple(t), st) for z, x, t, st
+            in zip(zs, values.T.tolist(), tails.T.tolist(), status)]
+
+
+def evaluate(case: ReductionCase, z: float,
+             ctl: SeriesControl | None = None) -> Evaluation:
+    """evaluate_points at the one point z."""
+    return evaluate_points(case, (z,), ctl)[0]
 
 
 def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
@@ -269,8 +288,7 @@ def evaluation_table(case: ReductionCase, z_values) -> str:
     """CSV with columns z, u, u', u'', residual, terms_used: the residual is
     the homogeneous one, nan at a singular point; floats go out as repr."""
     lines = ["z,u,du,ddu,residual,terms_used"]
-    for z in z_values:
-        ev = evaluate(case, z)
+    for ev in evaluate_points(case, z_values):
         lines.append(f"{ev.z!r},{ev.u!r},{ev.du!r},{ev.ddu!r},"
                      f"{homogeneous_residual(case, ev)!r},{ev.terms_used}")
     return "\n".join(lines) + "\n"

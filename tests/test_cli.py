@@ -9,15 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heunx._kernels
 import heunx.cli
+import heunx.evaluator
 import heunx.reduction
-from heunx import (DivisionByZeroError, EvalStatus, params_to_dict,
-                   q_candidates_N0, q_candidates_N2, residual_rows,
-                   solve_reduction_general, stream_to_csv, stream_to_json,
-                   three_term_coefficients, two_term_coefficients)
+from heunx import (DivisionByZeroError, EvalStatus, ReductionCase,
+                   SeriesControl, evaluate, homogeneous_residual,
+                   load_params_file, params_to_dict, q_candidates_N0,
+                   q_candidates_N2, residual_rows, solve_reduction_general,
+                   stream_to_csv, stream_to_json, three_term_coefficients,
+                   two_term_coefficients)
 
 CLI = [sys.executable, "-m", "heunx.cli"]
 # the child imports the same heunx as this process, also when pytest put
@@ -191,16 +195,16 @@ def test_eval_json_format(write_params):
 
 
 def test_eval_json_status_covers_every_order(write_params, monkeypatch, capsys):
-    real = heunx.cli.evaluate
+    real = heunx.cli.evaluate_points
     worst = (EvalStatus.CONVERGED, EvalStatus.CONVERGED,
              EvalStatus.MAX_TERMS_REACHED)
 
     def u2_unsettled(*args):
-        return dataclasses.replace(real(*args), status=worst)
+        return [dataclasses.replace(ev, status=worst) for ev in real(*args)]
 
     path = write_params(ANCHOR_FULL)
     args = ["eval", "--params", path, "--z=0.1,0.25", "--format", "json"]
-    monkeypatch.setattr(heunx.cli, "evaluate", u2_unsettled)
+    monkeypatch.setattr(heunx.cli, "evaluate_points", u2_unsettled)
     assert heunx.cli.main(args) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["status"] for r in rows] == ["MaxTermsReached"] * 2
@@ -329,6 +333,33 @@ def test_each_point_is_summed_once(write_params, monkeypatch, args, sums):
     assert len(calls) == sums
 
 
+# the B_k depend on the case alone: one form per evaluate_points call, and
+# verify's second is cross_check's normalisation at the origin
+@pytest.mark.parametrize("args, forms", [
+    (("eval", "--format", "csv"), 1),
+    (("eval", "--format", "json"), 1),
+    (("residual",), 1),
+    (("verify",), 2),
+])
+def test_form_is_built_once_per_call(write_params, monkeypatch, args, forms):
+    path = write_params(ANCHOR_FULL)
+    calls = []
+    form = heunx.evaluator._form
+
+    def counted(case):
+        calls.append(case)
+        return form(case)
+
+    monkeypatch.setattr(heunx.evaluator, "_form", counted)
+    # 41 points, none singular and all in the power series's safe radius, so
+    # residual and verify take them too
+    zs = (np.linspace(-0.85, 0.85, 41) + 0.01).tolist()
+    z_arg = "--z=" + ",".join(repr(z) for z in zs)
+    code = heunx.cli.main([args[0], "--params", path, z_arg, *args[1:]])
+    assert code in (0, 3)
+    assert len(calls) == forms
+
+
 def test_certificate_runs_once_per_case(write_params, monkeypatch, capsys):
     calls = []
     verify = heunx.reduction.verify_reduction
@@ -428,6 +459,54 @@ def test_table_writers_match_row_code(name, write_params, capsys):
                 assert (code, out) == (0, want)
             if name == "N3-terminating" and n_max == 60:
                 assert stream_to_json(stream).count('"ratio": null') == 57
+
+
+def _eval_csv_by_rows(case, zs):
+    """eval's CSV as one evaluate call and one f-string per row."""
+    lines = ["z,u,du,ddu,residual,terms_used"]
+    for z in zs:
+        ev = evaluate(case, z)
+        lines.append(f"{ev.z!r},{ev.u!r},{ev.du!r},{ev.ddu!r},"
+                     f"{homogeneous_residual(case, ev)!r},{ev.terms_used}")
+    return "\n".join(lines) + "\n"
+
+
+def _eval_json_by_rows(case, zs, rel_tol):
+    """eval's JSON as row dicts through json.dumps: the code the template
+    replaced."""
+    ctl = SeriesControl(rel_tol=rel_tol)
+    rows = [{"z": ev.z, "u": ev.u, "du": ev.du, "ddu": ev.ddu,
+             "residual": _jsonable(homogeneous_residual(case, ev)),
+             "terms_used": ev.terms_used,
+             "status": ("Converged" if all(s is EvalStatus.CONVERGED for s in ev.status)
+                        else "MaxTermsReached")}
+            for ev in (evaluate(case, z, ctl) for z in zs)]
+    return json.dumps({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol}},
+                      sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("params, e", [(ANCHOR_FULL, ""), (N2_FULL, N2_E),
+                                       (TERMINATING_FULL, "")],
+                         ids=["anchor", "N2", "terminating"])
+def test_eval_writers_match_row_code(write_params, capsys, params, e):
+    path = write_params(params)
+    case = ReductionCase.build(load_params_file(path),
+                               [float(x) for x in e.split(",") if x])
+    grids = ([0.0], [0.0, 0.5, -0.9, 0.95],
+             np.linspace(-0.9, 0.9, 41).tolist() + [0.0, -0.95])
+    outs = []
+    for zs in grids:
+        argv = ["eval", "--params", path, "--e=" + e,
+                "--z=" + ",".join(map(repr, zs))]
+        assert heunx.cli.main(argv) == 0
+        assert capsys.readouterr().out == _eval_csv_by_rows(case, zs)
+        for rel_tol in (1e-14, 1e-16):
+            code = heunx.cli.main(argv + ["--rel-tol", repr(rel_tol), "--format", "json"])
+            outs.append(capsys.readouterr().out)
+            assert (code, outs[-1]) == (0, _eval_json_by_rows(case, zs, rel_tol))
+    # z = 0 is singular: a null residual; 1e-16 is below the tails
+    assert all('"residual": null' in out for out in outs)
+    assert any('"MaxTermsReached"' in out for out in outs)
 
 
 def test_readme_coeffs_table(write_params, capsys):

@@ -3,12 +3,17 @@ series the case's parameters define, and the honesty of the status it
 reports."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from conftest import solve_draw
-from heunx import EvalStatus, ReductionCase, SeriesControl, evaluate
-from heunx.evaluator import summation_gap
+from heunx import (DomainError, EvalStatus, NumericalError, ReductionCase,
+                   SeriesControl, evaluate, evaluate_points)
+from heunx._kernels import VALUE_FLOOR
+from heunx.evaluator import (Evaluation, _form, _gamma_n, check_disk,
+                             summation_gap)
 
 mp = pytest.importorskip("mpmath")
 
@@ -103,3 +108,54 @@ def test_relation_residual_is_in_the_bound():
     zs = (-0.95, -0.5, 0.3, 0.9)
     assert max(max(_errors(off, z, evaluate(off, z))) for z in zs) > 1e-12
     _assert_honest(off, zs, (1e-14, 1e-12, 1e-11, 1e-10))
+
+
+def _evaluate_reference(case, z, ctl=None):
+    """The one-point Horner loop evaluate_points replaced, as it was."""
+    ctl = ctl or SeriesControl()
+    z = float(z)
+    check_disk(z)
+    b, b_err, r = _form(case)
+    n = len(b)
+    v = 1.0 / (1.0 - z)
+    gm = _gamma_n(4 * n + 8) + abs(r) * (abs(math.log(v)) + math.log(n) + 2.2)
+    acc, bound = [0.0] * 3, [0.0] * 3
+    for k in range(n, 0, -1):
+        for order, w in enumerate((1.0, float(k), k * (k + 1.0))):
+            acc[order] = acc[order] * v + w * b[k - 1]
+            bound[order] = bound[order] * abs(v) + w * (gm * abs(b[k - 1]) + b_err[k - 1])
+    values = [acc[0] * v, acc[1] * v * v, acc[2] * v * v * v]
+    tails = tuple(t * abs(v) ** (order + 1) for order, t in enumerate(bound))
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("the rational form produced a non-finite value")
+    status = tuple(EvalStatus.CONVERGED
+                   if t <= ctl.rel_tol * abs(x) or abs(x) < VALUE_FLOOR
+                   else EvalStatus.MAX_TERMS_REACHED for t, x in zip(tails, values))
+    return Evaluation(z, *values, n, tails, status)
+
+
+EDGES = (0.0, 0.95, -0.95, -0.9)
+GRIDS = ([(z,) for z in EDGES] + [EDGES[:3], EDGES[1:]]
+         + [EDGES[:3] + tuple(np.linspace(-0.9, 0.9, 38).tolist())])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-14, 1e-16])
+def test_points_match_the_one_point_loop(form_cases, rel_tol):
+    # every field to the bit, repr telling -0.0 and numpy floats apart
+    ctl = SeriesControl(rel_tol=rel_tol)
+    assert {len(zs) for zs in GRIDS} == {1, 3, 41}
+    for case in form_cases:
+        for zs in GRIDS:
+            want = [repr(_evaluate_reference(case, z, ctl)) for z in zs]
+            assert [repr(ev) for ev in evaluate_points(case, zs, ctl)] == want
+            assert [repr(evaluate(case, z, ctl)) for z in zs] == want
+
+
+def test_points_out_of_disk_raise_as_one_point(form_cases):
+    case = form_cases[0]
+    with pytest.raises(DomainError) as one:
+        evaluate(case, -0.97)
+    for zs in ((-0.97,), (0.3, -0.97, 0.99), (0.95, 0.0, -0.97)):
+        with pytest.raises(DomainError) as many:
+            evaluate_points(case, zs)
+        assert str(many.value) == str(one.value)
