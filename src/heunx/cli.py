@@ -23,17 +23,22 @@ from .evaluator import (check_disk, check_interior, evaluate_points,
 from .oracle import cross_check
 from .params import (check_order, load_params_file, params_to_dict,
                      require_valid)
-from .recurrence import (CoefficientSource, recurrence_residual,
+from .recurrence import (CoefficientSource, json_float, recurrence_residual,
                          stream_to_csv, stream_to_json,
                          three_term_coefficients, two_term_coefficients)
-from .reduction import (A_TOP_TOL, VERIFY_TOL, ReductionCase, case_to_dict,
-                        solve, verify_reduction)
+from .reduction import (A_TOP_TOL, STREAM_ROWS, VERIFY_TOL, ReductionCase,
+                        case_to_dict, solve, verify_reduction)
 from .special import EvalStatus, SeriesControl
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_SOLUTION = 3
 EXIT_NUMERICAL = 4
+
+# verify's gates; each is printed as its check's "tol"
+RECURRENCE_TOL = 1e-10
+ODE_TOL = 1e-7
+CROSS_TOL = 1e-7
 
 _SOURCES = {
     "closed": CoefficientSource.GAMMA_CLOSED_FORM,
@@ -50,10 +55,6 @@ def _jsonable(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
-
-
-def _json_float(x: float) -> str:
-    return repr(x) if math.isfinite(x) else "null"
 
 
 def _parse_floats(text: str) -> list:
@@ -156,7 +157,7 @@ def cmd_eval(ns) -> int:
                '      "z": %r\n    }')
         ctl = SeriesControl(rel_tol=ns.rel_tol)
         rows = ",\n".join(
-            row % (ev.ddu, ev.du, _json_float(homogeneous_residual(case, ev)),
+            row % (ev.ddu, ev.du, json_float(homogeneous_residual(case, ev)),
                    _joint_status(ev.status), ev.terms_used, ev.u, ev.z)
             for ev in evaluate_points(case, zs, ctl))
         sys.stdout.write('{\n  "rows": [\n' + rows + '\n  ],\n  "tolerances": {\n'
@@ -184,14 +185,13 @@ def cmd_verify(ns) -> int:
     p = require_valid(load_params_file(ns.params))
     es = _parse_floats(ns.e)
     zs = _z_points(ns, p.a, interior=True)
-    ctl = SeriesControl(rel_tol=ns.rel_tol, max_terms=ns.max_terms)
 
-    rec_value = recurrence_residual(two_term_coefficients(p, es, ns.n_stream))
-    rec_ok = rec_value <= ns.recurrence_tol
+    rec_value = recurrence_residual(two_term_coefficients(p, es, STREAM_ROWS))
+    rec_ok = rec_value <= RECURRENCE_TOL
 
     report = verify_reduction(p, es)
     checks = {
-        "recurrence_residual": {"value": rec_value, "tol": ns.recurrence_tol,
+        "recurrence_residual": {"value": rec_value, "tol": RECURRENCE_TOL,
                                 "passed": rec_ok},
         "collocation": {"passed": report.passed, "tol": report.tolerance_used,
                         "a_top_gap": report.a_top_gap,
@@ -201,23 +201,22 @@ def cmd_verify(ns) -> int:
 
     if report.passed:
         case = ReductionCase.build(p, es, report=report)
-        evs = evaluate_points(case, zs, ctl)
+        # one form pass: the origin's u normalises cross_check
+        origin, *evs = evaluate_points(case, (0.0, *zs))
         ode_values = [homogeneous_residual(case, ev) for ev in evs]
-        ode_ok = max(ode_values) <= ns.ode_tol
-        cross_value = cross_check(case, evs)
-        cross_ok = cross_value <= ns.cross_tol
+        cross_value = cross_check(case, evs, origin.u)
         forced = [forced_residual(case, ev) for ev in evs]
-        checks["ode_residual"] = {"values": ode_values, "tol": ns.ode_tol,
-                                  "passed": ode_ok}
-        checks["cross_check"] = {"value": cross_value, "tol": ns.cross_tol,
-                                 "passed": cross_ok}
+        checks["ode_residual"] = {"values": ode_values, "tol": ODE_TOL,
+                                  "passed": max(ode_values) <= ODE_TOL}
+        checks["cross_check"] = {"value": cross_value, "tol": CROSS_TOL,
+                                 "passed": cross_value <= CROSS_TOL}
         checks["forced_residual"] = {"values": forced, "gating": False}
-        checks["summation"] = {"values": [summation_gap(case, ev, ctl)
+        checks["summation"] = {"values": [summation_gap(case, ev)
                                           for ev in evs], "gating": False}
     else:
-        checks["ode_residual"] = {"values": [], "tol": ns.ode_tol,
+        checks["ode_residual"] = {"values": [], "tol": ODE_TOL,
                                   "passed": False, "skipped": True}
-        checks["cross_check"] = {"value": None, "tol": ns.cross_tol,
+        checks["cross_check"] = {"value": None, "tol": CROSS_TOL,
                                  "passed": False, "skipped": True}
 
     passed = bool(rec_ok and report.passed and checks["ode_residual"]["passed"]
@@ -235,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "search, coefficient tables, evaluation, certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_tol=False):
+    def common(sp):
         sp.add_argument("--params", required=True,
                         help="JSON file with the equation parameters")
         sp.add_argument("--e", default="",
                         help="comma-separated e_1..e_N (empty for N=0)")
-        if with_tol:
-            sp.add_argument("--rel-tol", type=float, default=1e-14)
 
     sp = sub.add_parser("reduce", help="find (q, e_1..e_N) reduction cases")
     sp.add_argument("--params", required=True)
@@ -257,19 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coeffs)
 
     sp = sub.add_parser("eval", help="u, u', u'' and residual on a z grid")
-    common(sp, with_tol=True)
+    common(sp)
+    sp.add_argument("--rel-tol", type=float, default=1e-14)
     sp.add_argument("--z", required=True, help="comma-separated evaluation points")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="full certification of a reduction")
-    common(sp, with_tol=True)
-    sp.add_argument("--max-terms", type=int, default=10000)
+    common(sp)
     sp.add_argument("--z", default="0.1,0.25,0.4")
-    sp.add_argument("--n-stream", type=int, default=50)
-    sp.add_argument("--recurrence-tol", type=float, default=1e-10)
-    sp.add_argument("--ode-tol", type=float, default=1e-7)
-    sp.add_argument("--cross-tol", type=float, default=1e-7)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("residual", help="equation residuals on a z grid")

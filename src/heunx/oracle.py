@@ -2,9 +2,10 @@
 
 The coefficients come from collecting powers of z in the cleared-denominator
 form of the equation with undetermined b_n, nothing shared with the
-expansion machinery; the test suite re-checks order-by-order that the
-truncated series leaves no low-order residual, so this path certifies the
-main one without any common failure mode.
+expansion machinery: cross_check takes the expansion's values, u(0) too,
+from its caller. The test suite re-checks order-by-order that the truncated
+series leaves no low-order residual, so this path certifies the main one
+without any common failure mode.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, PoleError, PreconditionError
-from .evaluator import evaluate
 from .params import ValidatedHeunParams, is_nonpos_int
 from .reduction import ReductionCase
 from .special import EvalResult, EvalStatus
 
 SAFE_RADIUS_FACTOR = 0.9
 _TAIL_OK = 1e-12
+CROSS_CHECK_TERMS = 400    # cross_check sums the power series b_0..b_400
 
 
 @dataclass(frozen=True)
@@ -66,17 +67,17 @@ def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:
                       EvalStatus.CONVERGED if converged else EvalStatus.MAX_TERMS_REACHED)
 
 
-def cross_check(case: ReductionCase, evaluations, n_max: int = 400) -> float:
+def cross_check(case: ReductionCase, evaluations, u0: float) -> float:
     """Max relative deviation between the expansion, read from the
     Evaluation records at their own z, and the power series after matching
-    the two at z = 0, where the series is b_0 = 1 and the expansion is u(0)."""
-    scale = evaluate(case, 0.0).u
-    if abs(scale) < 1e-280:
+    the two at z = 0, where the series is b_0 = 1 and the expansion is u0,
+    its value at the origin (the caller evaluates it with the points)."""
+    if abs(u0) < 1e-280:
         raise PreconditionError("expansion vanishes at the origin; cannot normalize")
-    series = frobenius_coefficients(case.params, n_max)
+    series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
     worst = 0.0
     for ev in evaluations:
         uf = frobenius_eval(series, ev.z).value
-        dev = abs(ev.u - scale * uf) / (abs(ev.u) + 1e-300)
+        dev = abs(ev.u - u0 * uf) / (abs(ev.u) + 1e-300)
         worst = max(worst, dev)
     return worst

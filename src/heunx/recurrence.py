@@ -167,6 +167,11 @@ def stream_columns(stream: CoefficientStream):
     return vals, np.r_[np.nan, ratio], resid
 
 
+def json_float(x: float) -> str:
+    """A float as a row template writes it into JSON: repr, null if not finite."""
+    return repr(x) if math.isfinite(x) else "null"
+
+
 def stream_to_csv(stream: CoefficientStream) -> str:
     """CSV with columns n, c_n, ratio, residual from stream_columns. Floats
     are emitted with repr so output is byte-deterministic."""
@@ -181,8 +186,8 @@ def stream_to_json(stream: CoefficientStream) -> str:
     null for every non-finite value."""
     row = ('    {\n      "c_n": %s,\n      "n": %d,\n      "ratio": %s,\n'
            '      "residual": %s\n    }')
-    c, ratio, resid = ([repr(x) if math.isfinite(x) else "null"
-                        for x in col.tolist()] for col in stream_columns(stream))
+    c, ratio, resid = (list(map(json_float, col.tolist()))
+                       for col in stream_columns(stream))
     rows = ",\n".join(row % x for x in zip(c, range(len(c)), ratio, resid))
     return ('{\n  "rows": [\n' + rows + '\n  ],\n  "source": '
             + json.dumps(stream.source.value) + "\n}\n")

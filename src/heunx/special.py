@@ -12,6 +12,7 @@ factor leaves the floats) and _kernels.gauss_2f1_at_one (by lgamma).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,8 +29,8 @@ class SeriesControl:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise PreconditionError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise PreconditionError("rel_tol must be positive and finite")
         if self.max_terms < 1:
             raise PreconditionError("max_terms must be at least 1")
 

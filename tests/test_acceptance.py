@@ -95,7 +95,8 @@ def test_criterion_4_homogeneous_residual(random_cases):
                    "differs from the forced solution by an O(1) particular part")
 def test_criterion_4_oracle_cross_check(random_cases):
     for case in _wide_cases(random_cases, 10):
-        assert cross_check(case, [evaluate(case, z) for z in Z_GRID]) < 1e-7
+        assert cross_check(case, [evaluate(case, z) for z in Z_GRID],
+                           evaluate(case, 0.0).u) < 1e-7
 
 
 @pytest.mark.acceptance(4)
@@ -109,7 +110,8 @@ def test_criterion_4_forcing_certificate_and_sensitivity(random_cases):
         bumped = ValidatedHeunParams(**{**p.as_dict(), "q": p.q + 1e-2})
         off = types.SimpleNamespace(params=bumped, e_list=case.e_list)
         assert max(ode_residual(off, z) for z in Z_GRID) > 1e-4
-        assert cross_check(off, [evaluate(off, z) for z in Z_GRID]) > 1e-4
+        assert cross_check(off, [evaluate(off, z) for z in Z_GRID],
+                           evaluate(off, 0.0).u) > 1e-4
 
 
 def _valid_closed_form(builder, a, alpha, beta, gamma):

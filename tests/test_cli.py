@@ -210,13 +210,28 @@ def test_eval_json_status_covers_every_order(write_params, monkeypatch, capsys):
     assert [r["status"] for r in rows] == ["MaxTermsReached"] * 2
 
 
-def test_eval_inner_series_cap_exits_4(write_params):
-    # eval reads the closed form; the summation and its term cap run in
-    # verify's summation check
-    path = write_params(ANCHOR_FULL)
-    out = run_cli("verify", "--params", path, "--max-terms", "5")
+def test_eval_form_overflow_exits_4(write_params):
+    # the N = 0 case of (a, alpha, beta, gamma) = (2, 600, 600, 1): the
+    # form's gamma factor K is past the largest float
+    path = write_params({"a": 2.0, "q": 358803.0, "alpha": 600.0,
+                         "beta": 600.0, "gamma": 1.0, "delta": 2.0,
+                         "epsilon": 1198.0})
+    out = run_cli("eval", "--params", path, "--z", "0.5")
     assert out.returncode == 4
     assert out.stdout == ""
+    assert out.stderr == "error: a gamma factor of the form leaves the floats\n"
+
+
+@pytest.mark.parametrize("rel_tol", ["inf", "nan"])
+def test_eval_rejects_non_finite_rel_tol(write_params, capsys, rel_tol):
+    # JSON has no Infinity or NaN for the tolerances block to print
+    path = write_params(ANCHOR_FULL)
+    args = ["eval", "--params", path, "--z=0.5", "--rel-tol", rel_tol,
+            "--format", "json"]
+    assert heunx.cli.main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: rel_tol must be positive and finite\n"
 
 
 def test_import_writes_nothing():
@@ -254,6 +269,27 @@ def test_residual_takes_no_series_options(write_params):
     for opt in ("--rel-tol", "--max-terms"):
         out = run_cli("residual", "--params", path, "--z=0.1", opt, "1e-10")
         assert out.returncode == 2 and "unrecognized arguments" in out.stderr
+
+
+@pytest.mark.parametrize("full, e", [(ANCHOR_FULL, ""), (N2_FULL, N2_E)])
+def test_verify_takes_no_tuning_options(write_params, capsys, full, e):
+    # verify gates at fixed bounds and prints each as its check's tol
+    path = write_params(full)
+    for opt in ("--rel-tol", "--max-terms", "--n-stream", "--recurrence-tol",
+                "--ode-tol", "--cross-tol"):
+        with pytest.raises(SystemExit) as exc:
+            heunx.cli.main(["verify", "--params", path, "--e=" + e, opt, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    heunx.cli.main(["verify", "--params", path, "--e=" + e])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["recurrence_residual"]["tol"] == heunx.cli.RECURRENCE_TOL
+    assert checks["collocation"]["tol"] == heunx.reduction.VERIFY_TOL
+    assert checks["ode_residual"]["tol"] == heunx.cli.ODE_TOL
+    assert checks["cross_check"]["tol"] == heunx.cli.CROSS_TOL
+    # the recurrence check and the collocation's stream defect agree to the bit
+    assert (checks["recurrence_residual"]["value"]
+            == checks["collocation"]["stream_defect"])
 
 
 def test_residual_rejects_singular_point(write_params):
@@ -333,13 +369,13 @@ def test_each_point_is_summed_once(write_params, monkeypatch, args, sums):
     assert len(calls) == sums
 
 
-# the B_k depend on the case alone: one form per evaluate_points call, and
-# verify's second is cross_check's normalisation at the origin
+# the B_k depend on the case alone: one form per call, verify's taking the
+# origin for cross_check with its points
 @pytest.mark.parametrize("args, forms", [
     (("eval", "--format", "csv"), 1),
     (("eval", "--format", "json"), 1),
     (("residual",), 1),
-    (("verify",), 2),
+    (("verify",), 1),
 ])
 def test_form_is_built_once_per_call(write_params, monkeypatch, args, forms):
     path = write_params(ANCHOR_FULL)

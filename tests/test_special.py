@@ -60,8 +60,9 @@ def test_gauss_term_cap_raises():
 
 
 def test_series_control_rejects_bad_fields():
-    with pytest.raises(PreconditionError):
-        SeriesControl(rel_tol=0.0)
+    for rel_tol in (0.0, math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            SeriesControl(rel_tol=rel_tol)
     with pytest.raises(PreconditionError):
         SeriesControl(max_terms=0)
 
