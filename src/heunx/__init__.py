@@ -15,22 +15,21 @@ from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      PreconditionError, SingularPointError, ValidationError)
 from .evaluator import (Evaluation, evaluate, evaluate_points,
                         evaluation_table, forced_residual, forcing_constant,
-                        forcing_defect, homogeneous_residual, ode_residual)
+                        homogeneous_residual)
 from .oracle import (FrobeniusSeries, cross_check, frobenius_coefficients,
                      frobenius_eval)
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
-                     ValidationIssue, collect_issues, delta_from_fuchsian,
-                     is_nonpos_int, load_params_file, params_from_dict,
-                     params_to_dict, require_valid, validate_params)
-from .recurrence import (CoefficientSource, CoefficientStream, coeff_P,
-                         coeff_Q, coeff_R, recurrence_residual, residual_rows,
-                         stream_to_csv, stream_to_json, termination_index,
+                     ValidationIssue, collect_issues, is_nonpos_int,
+                     load_params_file, params_from_dict, params_to_dict,
+                     require_valid)
+from .recurrence import (CoefficientSource, CoefficientStream,
+                         recurrence_residual, residual_rows, stream_to_csv,
+                         stream_to_json, termination_index,
                          three_term_coefficients, two_term_coefficients)
 from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
-                        degree_claim_defect, delta_for_reduction,
-                        identity_lhs, identity_scale, leading_difference,
-                        q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                        q_for_N0, solve, solve_reduction_general,
+                        degree_claim_defect, identity_lhs, identity_scale,
+                        leading_difference, q_candidates_N0, q_candidates_N1,
+                        q_candidates_N2, solve, solve_reduction_general,
                         verify_reduction)
 from .special import (EvalResult, EvalStatus, SeriesControl, gauss_2f1,
                       gauss_2f1_deriv, pochhammer)
@@ -44,17 +43,15 @@ __all__ = [
     "NonConvergenceError",
     "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
     "SeriesControl", "SingularPointError", "ValidatedHeunParams",
-    "ValidationError", "ValidationIssue", "case_to_dict",
-    "coeff_P", "coeff_Q", "coeff_R", "collect_issues", "cross_check",
-    "degree_claim_defect", "delta_for_reduction", "delta_from_fuchsian",
-    "evaluate", "evaluate_points", "evaluation_table", "forced_residual",
-    "forcing_constant", "forcing_defect", "homogeneous_residual",
-    "frobenius_coefficients", "frobenius_eval", "gauss_2f1",
-    "gauss_2f1_deriv", "identity_lhs", "identity_scale", "is_nonpos_int",
-    "leading_difference", "load_params_file", "ode_residual", "params_from_dict",
-    "params_to_dict", "pochhammer", "q_candidates_N0", "q_candidates_N1",
-    "q_candidates_N2", "q_for_N0", "recurrence_residual", "require_valid",
-    "residual_rows", "solve", "solve_reduction_general", "stream_to_csv",
-    "stream_to_json", "termination_index", "three_term_coefficients",
-    "two_term_coefficients", "validate_params", "verify_reduction",
+    "ValidationError", "ValidationIssue", "case_to_dict", "collect_issues",
+    "cross_check", "degree_claim_defect", "evaluate", "evaluate_points",
+    "evaluation_table", "forced_residual", "forcing_constant",
+    "homogeneous_residual", "frobenius_coefficients", "frobenius_eval",
+    "gauss_2f1", "gauss_2f1_deriv", "identity_lhs", "identity_scale",
+    "is_nonpos_int", "leading_difference", "load_params_file",
+    "params_from_dict", "params_to_dict", "pochhammer", "q_candidates_N0",
+    "q_candidates_N1", "q_candidates_N2", "recurrence_residual",
+    "require_valid", "residual_rows", "solve", "solve_reduction_general",
+    "stream_to_csv", "stream_to_json", "termination_index",
+    "three_term_coefficients", "two_term_coefficients", "verify_reduction",
 ]

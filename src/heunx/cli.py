@@ -67,6 +67,8 @@ def _parse_floats(text: str) -> list:
             out.append(float(tok))
         except ValueError:
             raise PreconditionError(f"not a number: {tok!r}") from None
+        if not math.isfinite(out[-1]):
+            raise PreconditionError(f"not a finite number: {tok!r}")
     return out
 
 
@@ -193,7 +195,7 @@ def cmd_verify(ns) -> int:
     checks = {
         "recurrence_residual": {"value": rec_value, "tol": RECURRENCE_TOL,
                                 "passed": rec_ok},
-        "collocation": {"passed": report.passed, "tol": report.tolerance_used,
+        "collocation": {"passed": report.passed, "tol": VERIFY_TOL,
                         "a_top_gap": report.a_top_gap,
                         "stream_defect": _jsonable(report.stream_defect),
                         "values": [_jsonable(v) for v in report.identity_values]},

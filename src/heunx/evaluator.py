@@ -13,7 +13,7 @@ series (`_sum_all`) is the independent route the form is checked against.
 Against a two-term stream the operator telescopes term by term, so the sum
 solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)
 prod_k e_k): the homogeneous equation exactly when C = 0, i.e. when the
-stream terminates. `forcing_defect` is the residual that certifies it.
+stream terminates. `forced_residual` is the residual that certifies it.
 """
 
 from __future__ import annotations
@@ -238,13 +238,6 @@ def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:
     return float(num / den)
 
 
-def ode_residual(case: ReductionCase, z: float) -> float:
-    """Scale-free residual of the homogeneous equation at z: small only for
-    terminating streams, O(1) under the forcing of a generic case."""
-    check_interior(z, case.params.a)
-    return homogeneous_residual(case, evaluate(case, z))
-
-
 def forcing_constant(case: ReductionCase) -> float:
     """The constant C the cleared-denominator operator maps the sum onto.
 
@@ -275,13 +268,6 @@ def forced_residual(case: ReductionCase, ev: Evaluation) -> float:
     num = abs(w * ev.ddu + wp * ev.du + wq * ev.u + c)
     den = abs(w * ev.ddu) + abs(wp * ev.du) + abs(wq * ev.u) + abs(c) + 1e-300
     return float(num / den)
-
-
-def forcing_defect(case: ReductionCase, z: float) -> float:
-    """Scale-free residual of the constant-forced equation; the end-to-end
-    certificate that holds for every accepted reduction, terminating or not."""
-    check_interior(z, case.params.a)
-    return forced_residual(case, evaluate(case, z))
 
 
 def evaluation_table(case: ReductionCase, z_values) -> str:

@@ -29,7 +29,6 @@ CROSS_CHECK_TERMS = 400    # cross_check sums the power series b_0..b_400
 class FrobeniusSeries:
     coefficients: np.ndarray
     radius_hint: float
-    params: ValidatedHeunParams
 
 
 def frobenius_coefficients(p: ValidatedHeunParams, n_max: int) -> FrobeniusSeries:
@@ -53,7 +52,7 @@ def frobenius_coefficients(p: ValidatedHeunParams, n_max: int) -> FrobeniusSerie
     coeffs, radius = _kernels.frobenius_fill(p.a, p.q, p.alpha, p.beta,
                                              p.gamma, p.delta, p.epsilon,
                                              int(n_max))
-    return FrobeniusSeries(coefficients=coeffs, radius_hint=radius, params=p)
+    return FrobeniusSeries(coefficients=coeffs, radius_hint=radius)
 
 
 def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:

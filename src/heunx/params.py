@@ -10,7 +10,8 @@ non-positive integers, where its gamma-function factors have poles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PreconditionError, ValidationError
@@ -48,11 +49,6 @@ def check_order(p: HeunParams, n_case: int) -> None:
         raise PreconditionError(f"delta = {p.delta!r} does not equal N+2 = {n_case + 2}")
 
 
-def delta_from_fuchsian(alpha: float, beta: float, gamma: float, epsilon: float) -> float:
-    """The unique delta closing the exponent-sum relation."""
-    return 1.0 + alpha + beta - gamma - epsilon
-
-
 @dataclass(frozen=True)
 class HeunParams:
     """Raw parameter record; carries no validity guarantee."""
@@ -64,9 +60,6 @@ class HeunParams:
     gamma: float
     delta: float
     epsilon: float
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(HeunParams)}
 
 
 def collect_issues(p: HeunParams) -> list[ValidationIssue]:
@@ -106,24 +99,18 @@ class ValidatedHeunParams(HeunParams):
             raise ValidationError(issues)
 
 
-def validate_params(p: HeunParams):
-    """Validated wrapper when all invariants hold, else the full issue list."""
-    try:
-        return require_valid(p)
-    except ValidationError as exc:
-        return exc.issues
-
-
 def require_valid(p: HeunParams) -> ValidatedHeunParams:
-    """validate_params that raises instead of returning issues."""
-    return ValidatedHeunParams(**p.as_dict())
+    """p as ValidatedHeunParams; ValidationError lists every violated invariant."""
+    return ValidatedHeunParams(**params_to_dict(p))
 
 
 def params_from_dict(data: dict, *, optional: dict | None = None) -> HeunParams:
     """Build HeunParams from a JSON-style mapping.
 
-    Unknown keys are rejected. Keys of `optional` may be absent and then take
-    the value it maps them to (the reduction workflow solves for q itself).
+    Unknown keys are rejected, and so is a value that is not a finite float
+    (NaN, an infinity, or a number out of the float range). Keys of
+    `optional` may be absent and then take the value it maps them to (the
+    reduction workflow solves for q itself).
     """
     if not isinstance(data, dict):
         raise PreconditionError("parameter file must contain a JSON object")
@@ -141,7 +128,12 @@ def params_from_dict(data: dict, *, optional: dict | None = None) -> HeunParams:
         v = data[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise PreconditionError(f"parameter {key} must be a number, got {v!r}")
-        values[key] = float(v)
+        try:
+            values[key] = float(v)
+        except OverflowError:
+            values[key] = math.inf
+        if not math.isfinite(values[key]):
+            raise PreconditionError(f"parameter {key} must be a finite float")
     return HeunParams(**values)
 
 

@@ -52,20 +52,6 @@ class CoefficientStream:
         return len(self.values)
 
 
-def coeff_R(n: float, p: HeunParams) -> float:
-    return _kernels.coeff_r(float(n), p.a, p.gamma, p.epsilon)
-
-
-def coeff_Q(n: float, p: HeunParams) -> float:
-    return _kernels.coeff_q(float(n), p.a, p.q, p.alpha, p.beta, p.gamma,
-                            p.delta, p.epsilon)
-
-
-def coeff_P(n: float, p: HeunParams) -> float:
-    return _kernels.coeff_p(float(n), p.a, p.q, p.alpha, p.beta, p.gamma,
-                            p.delta, p.epsilon)
-
-
 def termination_index(p: HeunParams) -> int:
     """First index n0 with c_n = 0 for all n >= n0, or NO_TERMINATION.
 

@@ -67,13 +67,6 @@ def identity_scale(p: HeunParams, e_list, n):
     return abs(t1) + abs(t2) + abs(t3)
 
 
-def delta_for_reduction(n_case: int) -> float:
-    """The exponent value delta = N+2 that every order-N reduction requires."""
-    if n_case < 0:
-        raise PreconditionError("reduction order N must be non-negative")
-    return float(n_case + 2)
-
-
 def _forward_difference(values, order: int) -> float:
     """Delta^order values[0] / order!: the n^order coefficient of a
     polynomial sampled at n = 0..order."""
@@ -105,7 +98,6 @@ class ConstraintReport:
     collocation_points: tuple
     identity_values: tuple
     passed: bool
-    tolerance_used: float
     a_top: float
     a_top_gap: float
     stream_defect: float
@@ -158,7 +150,6 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
         collocation_points=tuple(float(n) for n in nodes[1:]),
         identity_values=tuple(float(v) for v in lhs[1:]),
         passed=colloc_ok and a_top_gap <= A_TOP_TOL and defect <= VERIFY_TOL,
-        tolerance_used=VERIFY_TOL,
         a_top=a_top,
         a_top_gap=a_top_gap,
         stream_defect=defect,
@@ -258,7 +249,7 @@ def _polish(coeffs, x: float) -> float:
 
 
 def _build_params(a, q, alpha, beta, gamma, n_case) -> ValidatedHeunParams:
-    de = delta_for_reduction(n_case)
+    de = float(n_case + 2)
     ep = 1.0 + alpha + beta - gamma - de
     return require_valid(HeunParams(a=a, q=q, alpha=alpha, beta=beta,
                                     gamma=gamma, delta=de, epsilon=ep))
@@ -274,16 +265,11 @@ def _e_sum_rule(a, alpha, beta, gamma, n_case, q) -> float:
             + (alpha - 1.0) * (beta - 1.0))
 
 
-def q_for_N0(a: float, alpha: float, beta: float, gamma: float) -> float:
-    """The single order-0 accessory value q = a*gamma + (alpha-1)(beta-1)."""
-    return a * gamma + (alpha - 1.0) * (beta - 1.0)
-
-
 def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
     """The order-0 reduction as a verified case (exactly one, unless it
     fails the certificate and leaves a note in notes)."""
-    q = q_for_N0(a, alpha, beta, gamma)
+    q = a * gamma + (alpha - 1.0) * (beta - 1.0)
     return _accept(_build_params(a, q, alpha, beta, gamma, 0), (), 0, VERIFY_TOL,
                    [] if notes is None else notes)
 

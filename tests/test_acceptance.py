@@ -18,9 +18,10 @@ import pytest
 
 from heunx import (CoefficientSource, PreconditionError,
                    ValidatedHeunParams, ValidationError, cross_check,
-                   degree_claim_defect, evaluate, forcing_defect, gauss_2f1,
-                   gauss_2f1_deriv, identity_lhs, identity_scale,
-                   leading_difference, ode_residual, pochhammer,
+                   degree_claim_defect, evaluate, forced_residual, gauss_2f1,
+                   gauss_2f1_deriv, homogeneous_residual, identity_lhs,
+                   identity_scale, leading_difference, params_to_dict,
+                   pochhammer,
                    q_candidates_N0, q_candidates_N1, q_candidates_N2,
                    solve_reduction_general, termination_index,
                    three_term_coefficients, two_term_coefficients)
@@ -87,7 +88,7 @@ def _wide_cases(random_cases, count):
 def test_criterion_4_homogeneous_residual(random_cases):
     for case in _wide_cases(random_cases, 10):
         for z in Z_GRID:
-            assert ode_residual(case, z) < 1e-7
+            assert homogeneous_residual(case, evaluate(case, z)) < 1e-7
 
 
 @pytest.mark.acceptance(4)
@@ -105,11 +106,11 @@ def test_criterion_4_forcing_certificate_and_sensitivity(random_cases):
     sample.append(q_candidates_N0(2.0, 1.0, 2.4, 0.8)[0])   # terminating
     for case in sample:
         for z in Z_GRID:
-            assert forcing_defect(case, z) < 1e-9
+            assert forced_residual(case, evaluate(case, z)) < 1e-9
         p = case.params
-        bumped = ValidatedHeunParams(**{**p.as_dict(), "q": p.q + 1e-2})
+        bumped = ValidatedHeunParams(**{**params_to_dict(p), "q": p.q + 1e-2})
         off = types.SimpleNamespace(params=bumped, e_list=case.e_list)
-        assert max(ode_residual(off, z) for z in Z_GRID) > 1e-4
+        assert max(homogeneous_residual(off, evaluate(off, z)) for z in Z_GRID) > 1e-4
         assert cross_check(off, [evaluate(off, z) for z in Z_GRID],
                            evaluate(off, 0.0).u) > 1e-4
 
@@ -185,7 +186,7 @@ def test_criterion_6_rational_degeneration():
         found = termination_index(case.params)
         assert found == n0 and found <= 500
         for z in Z_GRID:
-            assert ode_residual(case, z) < 1e-10
+            assert homogeneous_residual(case, evaluate(case, z)) < 1e-10
 
 
 @pytest.mark.acceptance(7)

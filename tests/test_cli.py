@@ -116,6 +116,24 @@ def test_reduce_n2_takes_alpha_or_beta_3(write_params, draw, code, notes):
         assert payload["cases"] == []
 
 
+@pytest.mark.parametrize("draw, n, rows", [
+    ({k: v for k, v in N2_FULL.items() if k not in ("q", "delta")}, "2",
+     ["2,2,5.250000000000018,-1.591607978309986;-0.40839202169003186,True"]),
+    (NO_ROOT_SEARCH, "1", []),
+])
+def test_reduce_csv_matches_json(write_params, capsys, draw, n, rows):
+    # one row per case of the JSON output, e joined by ';'; no case exits 3
+    path = write_params(draw)
+    code = heunx.cli.main(["reduce", "--params", path, "--n", n, "--format", "csv"])
+    assert capsys.readouterr().out == "\n".join(["N,q_root_index,q,e,passed", *rows]) + "\n"
+    assert code == (0 if rows else 3)
+    assert heunx.cli.main(["reduce", "--params", path, "--n", n]) == code
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert [f"{c['N']},{c['q_root_index']},{c['q']!r},"
+            f"{';'.join(map(repr, c['e']))},{c['report']['passed']}"
+            for c in cases] == rows
+
+
 def test_reduce_rejects_unknown_key(write_params):
     path = write_params(dict(ANCHOR_SEARCH, zeta=1.0))
     out = run_cli("reduce", "--params", path, "--n", "0")
@@ -232,6 +250,37 @@ def test_eval_rejects_non_finite_rel_tol(write_params, capsys, rel_tol):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: rel_tol must be positive and finite\n"
+
+
+def _with_raw(key, text):
+    """ANCHOR_FULL as JSON text with the value of key replaced by text."""
+    return json.dumps(ANCHOR_FULL).replace(
+        f'"{key}": {ANCHOR_FULL[key]!r}', f'"{key}": {text}')
+
+
+@pytest.mark.parametrize("raw, args", [
+    (_with_raw("a", "1e400"), ["coeffs"]),
+    (_with_raw("a", "NaN"), ["coeffs"]),
+    (_with_raw("alpha", "NaN"), ["coeffs"]),
+    (_with_raw("q", "-Infinity"), ["coeffs"]),
+    (_with_raw("a", "1" + "0" * 400), ["coeffs"]),
+    (_with_raw("alpha", "NaN"), ["reduce", "--n", "0"]),
+    (json.dumps(N2_FULL), ["coeffs", "--e", "nan,1"]),
+    (json.dumps(N2_FULL), ["coeffs", "--e=inf"]),
+    (json.dumps(ANCHOR_FULL), ["eval", "--z", "nan"]),
+    (json.dumps(ANCHOR_FULL), ["verify", "--z=0.1,nan"]),
+], ids=["a-1e400", "a-NaN", "alpha-NaN", "q-Infinity", "a-400-digits",
+        "reduce-alpha-NaN", "e-nan", "e-inf", "eval-z-nan", "verify-z-nan"])
+def test_non_finite_input_exits_2(tmp_path, raw, args):
+    # a value that is not a finite float is invalid input, rejected where
+    # the parameter file and the --e/--z lists are read
+    path = tmp_path / "p.json"
+    path.write_text(raw)
+    out = run_cli(args[0], "--params", str(path), *args[1:])
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
 
 
 def test_import_writes_nothing():

@@ -6,10 +6,10 @@ import pytest
 
 from heunx import (DomainError, EvalStatus, NonConvergenceError, SeriesControl,
                    SingularPointError, _kernels, evaluate, evaluation_table,
-                   forcing_constant, forcing_defect, gauss_2f1,
-                   gauss_2f1_deriv, ode_residual, q_candidates_N0,
+                   forced_residual, forcing_constant, gauss_2f1,
+                   gauss_2f1_deriv, homogeneous_residual, q_candidates_N0,
                    q_candidates_N2, solve_reduction_general)
-from heunx.evaluator import _sum_all, summation_gap
+from heunx.evaluator import _sum_all, check_interior, summation_gap
 from heunx.recurrence import NO_TERMINATION, termination_index
 
 
@@ -159,7 +159,7 @@ def test_point_next_to_the_origin(anchor_case):
 @pytest.mark.parametrize("z", [0.0, 1.0, 2.0, 1e-12])
 def test_residual_rejects_singular_points(anchor_case, z):
     with pytest.raises(SingularPointError):
-        ode_residual(anchor_case, z)
+        check_interior(z, anchor_case.params.a)
 
 
 def test_detect_truncation(anchor_case, single_term_case):
@@ -173,7 +173,7 @@ def test_terminating_cases_solve_the_equation(rational_case):
     # a zero forcing constant leaves the genuine homogeneous solution
     assert forcing_constant(rational_case) == 0.0
     for z in (0.25, 0.4, -0.35):
-        assert ode_residual(rational_case, z) < 1e-10
+        assert homogeneous_residual(rational_case, evaluate(rational_case, z)) < 1e-10
 
 
 def test_forcing_constant_anchor(anchor_case):
@@ -185,13 +185,13 @@ def test_forcing_defect_certifies_every_case(anchor_case, single_term_case,
                                              rational_case):
     for case in (anchor_case, single_term_case, rational_case):
         for z in (0.1, 0.25, 0.4):
-            assert forcing_defect(case, z) < 1e-10
+            assert forced_residual(case, evaluate(case, z)) < 1e-10
 
 
 @pytest.mark.xfail(strict=True, reason="the generic two-term sum solves the "
                    "constant-forced equation, not the homogeneous one")
 def test_generic_case_homogeneous_residual(anchor_case):
-    assert ode_residual(anchor_case, 0.25) < 1e-7
+    assert homogeneous_residual(anchor_case, evaluate(anchor_case, 0.25)) < 1e-7
 
 
 def forced_power_series(p, u0, c, n_max):

@@ -3,9 +3,8 @@
 import pytest
 
 from heunx import (HeunParams, IssueCode, PreconditionError, ValidatedHeunParams,
-                   ValidationError, collect_issues, delta_from_fuchsian,
-                   is_nonpos_int, params_from_dict, params_to_dict,
-                   require_valid, validate_params)
+                   ValidationError, collect_issues, is_nonpos_int,
+                   params_from_dict, params_to_dict, require_valid)
 
 ANCHOR = dict(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0, delta=2.0, epsilon=3.0)
 
@@ -19,9 +18,9 @@ def codes(p):
 
 
 def test_anchor_is_valid():
-    out = validate_params(make())
+    out = require_valid(make())
     assert isinstance(out, ValidatedHeunParams)
-    assert out.as_dict() == ANCHOR
+    assert params_to_dict(out) == ANCHOR
 
 
 def test_validation_is_idempotent():
@@ -73,7 +72,7 @@ def test_all_issues_reported_together():
 
 def test_validated_constructor_raises():
     with pytest.raises(ValidationError) as err:
-        ValidatedHeunParams(**make(a=1.0).as_dict())
+        ValidatedHeunParams(**params_to_dict(make(a=1.0)))
     assert err.value.issues
 
 
@@ -87,15 +86,6 @@ def test_validated_constructor_raises():
 ])
 def test_integer_proximity_rule(x, want):
     assert is_nonpos_int(x) is want
-
-
-@pytest.mark.parametrize("args,want", [
-    ((3.0, 2.0, 1.0, 3.0), 2.0),
-    ((0.0, 0.0, 0.0, 0.0), 1.0),
-    ((2.0, 2.0, 1.0, 1.0), 3.0),
-])
-def test_delta_from_fuchsian(args, want):
-    assert delta_from_fuchsian(*args) == want
 
 
 def test_params_from_dict_round_trip():

@@ -6,24 +6,28 @@ import pytest
 import heunx._kernels
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
-                   coeff_P, coeff_Q, coeff_R, q_candidates_N0, q_candidates_N2,
+                   params_to_dict, q_candidates_N0, q_candidates_N2,
                    recurrence_residual, residual_rows, solve_reduction_general,
                    stream_to_csv, termination_index, three_term_coefficients,
                    two_term_coefficients)
+from heunx._kernels import coeff_p, coeff_q, coeff_r
 from heunx.recurrence import NO_TERMINATION
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
 
 
+def _args(p):
+    """The parameters of p in the order the coefficient kernels take them."""
+    return tuple(params_to_dict(p).values())
+
+
 def test_coefficient_values_at_anchor():
-    assert coeff_R(0.0, ANCHOR) == 0.0
-    assert coeff_R(1.0, ANCHOR) == -4.0
-    assert coeff_R(2.0, ANCHOR) == -10.0
-    assert coeff_Q(0.0, ANCHOR) == 2.0
-    assert coeff_Q(1.0, ANCHOR) == 12.0
-    assert coeff_P(0.0, ANCHOR) == -3.0
-    assert coeff_P(1.0, ANCHOR) == pytest.approx(-9.6, rel=1e-15)
+    a, ga, ep = ANCHOR.a, ANCHOR.gamma, ANCHOR.epsilon
+    assert [coeff_r(n, a, ga, ep) for n in (0.0, 1.0, 2.0)] == [0.0, -4.0, -10.0]
+    assert [coeff_q(n, *_args(ANCHOR)) for n in (0.0, 1.0)] == [2.0, 12.0]
+    assert coeff_p(0.0, *_args(ANCHOR)) == -3.0
+    assert coeff_p(1.0, *_args(ANCHOR)) == pytest.approx(-9.6, rel=1e-15)
 
 
 def test_coeff_P_vanishing_denominator():
@@ -31,7 +35,7 @@ def test_coeff_P_vanishing_denominator():
     raw = HeunParams(a=2.0, q=1.0, alpha=1.5, beta=0.5, gamma=0.5,
                      delta=5.5, epsilon=-2.5)
     with pytest.raises(DivisionByZeroError):
-        coeff_P(2.0, raw)
+        coeff_p(2.0, *_args(raw))
 
 
 def test_three_term_stream_vanishing_denominator():
@@ -185,9 +189,9 @@ def _ratio_stream_by_rows(g, x1, x2, es, nmax, n0):
 def _residual_rows_by_rows(p, values):
     rows = np.zeros(len(values))
     for n in range(2, len(values)):
-        t1 = coeff_R(n, p) * values[n]
-        t2 = coeff_Q(n - 1, p) * values[n - 1]
-        t3 = coeff_P(n - 2, p) * values[n - 2]
+        t1 = coeff_r(float(n), p.a, p.gamma, p.epsilon) * values[n]
+        t2 = coeff_q(n - 1.0, *_args(p)) * values[n - 1]
+        t3 = coeff_p(n - 2.0, *_args(p)) * values[n - 2]
         rows[n] = abs(t1 + t2 + t3) / (abs(t1) + abs(t2) + abs(t3) + 1e-300)
     return rows
 

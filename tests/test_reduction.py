@@ -7,10 +7,9 @@ import pytest
 
 from heunx import (HeunParams, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
-                   degree_claim_defect, delta_for_reduction, identity_lhs,
-                   identity_scale, leading_difference, q_candidates_N0,
-                   q_candidates_N1, q_candidates_N2, q_for_N0,
-                   recurrence_residual, solve, solve_reduction_general,
+                   degree_claim_defect, identity_lhs, identity_scale,
+                   leading_difference, params_to_dict, q_candidates_N0,
+                   q_candidates_N1, q_candidates_N2, recurrence_residual, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
 from heunx.reduction import (GENERAL_TOL, _cubic_q_coeffs,
                              _quadratic_q_coeffs)
@@ -48,20 +47,24 @@ def test_identity_vanishes_for_anchor_everywhere():
 
 
 def test_identity_detects_wrong_q():
-    p = HeunParams(**{**ANCHOR.as_dict(), "q": 5.0})
+    p = HeunParams(**{**params_to_dict(ANCHOR), "q": 5.0})
     assert abs(identity_lhs(p, (), 1.0)) > 1e-3
 
 
 def test_delta_for_reduction():
-    assert [delta_for_reduction(n) for n in (0, 1, 2)] == [2.0, 3.0, 4.0]
+    # every order-N case carries delta = N+2; a negative order is rejected
+    draw = (2.0, 2.5, 1.7, 0.6)
+    assert [c.params.delta for n in (0, 1, 2) for c in solve(*draw, n)[0]] == [
+        2.0, 3.0, 3.0, 4.0]
     with pytest.raises(PreconditionError):
-        delta_for_reduction(-1)
+        solve(*draw, -1)
 
 
 def test_q_for_N0_values():
-    assert q_for_N0(2.0, 3.0, 2.0, 1.0) == 4.0
-    assert q_for_N0(0.5, 1.0, 1.0, 0.0) == 0.0
-    assert q_for_N0(-2.0, 1.0, 3.0, 1.0) == -2.0
+    # the order-0 case sits at q = a*gamma + (alpha-1)(beta-1)
+    assert q_candidates_N0(2.0, 3.0, 2.0, 1.0)[0].params.q == 4.0
+    assert q_candidates_N0(0.5, 1.0, 1.0, 0.0)[0].params.q == 0.0
+    assert q_candidates_N0(-2.0, 1.0, 3.0, 1.0)[0].params.q == -2.0
 
 
 def test_N0_case_matches_anchor():
@@ -96,7 +99,7 @@ def test_N1_negative_discriminant_notes_empty():
 
 def test_perturbed_q_fails_verification():
     case = q_candidates_N1(*N1_DRAW)[0]
-    p = HeunParams(**{**case.params.as_dict(), "q": case.params.q + 1e-3})
+    p = HeunParams(**{**params_to_dict(case.params), "q": case.params.q + 1e-3})
     report = verify_reduction(p, case.e_list)
     assert not report.passed
 
@@ -190,7 +193,7 @@ def test_case_build_rejects_wrong_delta():
 
 
 def test_case_build_rejects_failed_collocation():
-    p = HeunParams(**{**ANCHOR.as_dict(), "q": 5.0})
+    p = HeunParams(**{**params_to_dict(ANCHOR), "q": 5.0})
     with pytest.raises(PreconditionError, match="verification"):
         ReductionCase.build(p, ())
 
