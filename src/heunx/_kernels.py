@@ -36,6 +36,8 @@ CONSECUTIVE_SMALL = 3
 # last; the cap bounds a pass to 64 columns of every live series
 _FIRST_PASS = 16
 _LAST_PASS = 64
+NEWTON_TOL = 1e-12  # newton_general's convergence bound and step cap
+POLISH_STEPS = 6
 
 
 def poch(x, n):
@@ -403,17 +405,18 @@ def _colloc_state(a, al, be, ga, n_case, q, es):
     return t1 + t2 + t3, np.max(np.abs(t1) + np.abs(t2) + np.abs(t3)), jac
 
 
-def newton_general(a, al, be, ga, n_case, q0, es0, tol, maxit):
+def newton_general(a, al, be, ga, n_case, q0, es0):
     """Newton polish of a reduction (q, e_1..e_N) on the collocation map,
     with the exact Jacobian; a step is kept only while it lowers the largest
-    residual, for at most maxit steps. Each step evaluates the identity once
-    (_colloc_state).
+    residual, for at most POLISH_STEPS steps. Each step evaluates the
+    identity once (_colloc_state).
 
-    Returns (q, es, scaled_residual, converged).
+    Returns (q, es, scaled_residual, converged), converged meaning the
+    scaled residual is within NEWTON_TOL.
     """
     x = np.concatenate(([q0], es0))
     f, sc, jac = _colloc_state(a, al, be, ga, n_case, x[0], x[1:])
-    for _ in range(maxit):
+    for _ in range(POLISH_STEPS):
         try:
             xt = x - np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
@@ -424,7 +427,7 @@ def newton_general(a, al, be, ga, n_case, q0, es0, tol, maxit):
         x, f, sc, jac = xt, ft, st, jt
     fn = np.max(np.abs(f))
     sc += 1.0
-    return x[0], x[1:], fn / sc, fn <= tol * sc
+    return x[0], x[1:], fn / sc, fn <= NEWTON_TOL * sc
 
 
 def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
@@ -432,10 +435,11 @@ def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
     identity of the differential equation; b_0 = 1.
 
     Returns (b, radius): the radius of convergence is the distance from the
-    origin to the nearer of the singular points 1 and a.
+    origin to the nearer of the singular points 1 and a. Run over Python
+    floats, b_k ~ radius^-k passes into inf and nan without a warning.
     """
-    b = np.zeros(nmax + 1)
-    b[0] = 1.0
+    a, q, al, be, ga, de, ep = map(float, (a, q, al, be, ga, de, ep))
+    b = [1.0]
     gde = ga + de + ep
     c1 = ga * (1.0 + a) + a * de + ep
     for m in range(nmax):
@@ -445,23 +449,8 @@ def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
         t = ((1.0 + a) * m * (m - 1.0) + c1 * m + q) * b[m]
         if m >= 1:
             t -= ((m - 1.0) * (m - 2.0) + gde * (m - 1.0) + al * be) * b[m - 1]
-        b[m + 1] = t / den
-    return b, min(1.0, abs(a))
-
-
-def horner_eval(coefs, z):
-    """Horner value of the truncated series plus a last-three-terms tail bound."""
-    n = len(coefs) - 1
-    acc = 0.0
-    for k in range(n, -1, -1):
-        acc = acc * z + coefs[k]
-    tail = 0.0
-    zp = 1.0
-    for k in range(n + 1):
-        if k > n - 3:
-            tail += abs(coefs[k]) * abs(zp)
-        zp *= z
-    return acc, tail
+        b.append(t / den)
+    return np.array(b), min(1.0, abs(a))
 
 
 def expansion_weights(g, x1, x2, es, mcap):

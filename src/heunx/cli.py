@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input, 3 no solution or failed
 verification, 4 internal numerical failure. Output is byte-deterministic
-for a fixed input file and argument list: JSON is emitted with sorted keys
-and floats carry full repr precision.
+for a fixed input file and argument list: JSON is emitted with sorted keys,
+floats carry full repr precision, and a float that is not finite is null.
 """
 
 from __future__ import annotations
@@ -47,14 +47,17 @@ _SOURCES = {
 }
 
 
+def _null_non_finite(obj):
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _jsonable(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
+    sys.stdout.write(json.dumps(_null_non_finite(obj), sort_keys=True, indent=2,
+                                allow_nan=False) + "\n")
 
 
 def _parse_floats(text: str) -> list:
@@ -197,8 +200,8 @@ def cmd_verify(ns) -> int:
                                 "passed": rec_ok},
         "collocation": {"passed": report.passed, "tol": VERIFY_TOL,
                         "a_top_gap": report.a_top_gap,
-                        "stream_defect": _jsonable(report.stream_defect),
-                        "values": [_jsonable(v) for v in report.identity_values]},
+                        "stream_defect": report.stream_defect,
+                        "values": list(report.identity_values)},
     }
 
     if report.passed:

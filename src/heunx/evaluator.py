@@ -214,12 +214,11 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
         doublings += 1
 
 
-def summation_gap(case: ReductionCase, ev: Evaluation,
-                  ctl: SeriesControl | None = None) -> float:
-    """Largest relative gap over u, u', u'' of ev to _sum_all at ev.z; the
-    summation's own cancellation sets its floor (README), and with W_m exact
-    to the last bit the largest gaps barely move."""
-    summed = _sum_all(case, ev.z, ctl or SeriesControl())[:3]
+def summation_gap(case: ReductionCase, ev: Evaluation) -> float:
+    """Largest relative gap over u, u', u'' of ev to _sum_all at ev.z, at the
+    default SeriesControl; the summation's own cancellation sets its floor
+    (README), and with W_m exact to the last bit the largest gaps barely move."""
+    summed = _sum_all(case, ev.z, SeriesControl())[:3]
     return float(max(abs(s - x) / max(abs(x), _kernels.TINY)
                      for s, x in zip(summed, (ev.u, ev.du, ev.ddu))))
 

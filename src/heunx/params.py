@@ -36,11 +36,11 @@ class ValidationIssue:
     offending_value: float
 
 
-def is_nonpos_int(x: float, tol: float = INT_SNAP) -> bool:
+def is_nonpos_int(x: float) -> bool:
     """Integer-proximity rule: x counts as a non-positive integer when it is
-    within tol of one. Keeps pole rejection deterministic for float inputs."""
+    within INT_SNAP of one. Keeps pole rejection deterministic for float inputs."""
     r = round(x)
-    return abs(x - r) < tol and r <= 0
+    return abs(x - r) < INT_SNAP and r <= 0
 
 
 def check_order(p: HeunParams, n_case: int) -> None:

@@ -43,6 +43,14 @@ N2_E = "-1.591607978309986,-0.40839202169003186"
 # order-1 draw whose q-condition has no real root
 NO_ROOT_SEARCH = {"a": -0.5, "alpha": 0.2, "beta": 0.1, "gamma": 2.0,
                   "epsilon": -3.7}
+# terminating order-0 case at |a| < 0.17: the oracle's b_0..b_400 leave
+# the floats, so its cross-check has no finite value; safe radius 0.045
+SMALL_A_FULL = {"a": 0.05, "q": 0.045, "alpha": 2.3, "beta": 1.0, "gamma": 0.9,
+                "delta": 2.0, "epsilon": 1.4}
+# the anchor at delta = 4 with both e_k at 1e160: the identity overflows
+OVERFLOW_E_FULL = {"a": 2.0, "q": 4.0, "alpha": 3.0, "beta": 2.0, "gamma": 1.0,
+                   "delta": 4.0, "epsilon": 1.0}
+OVERFLOW_E = "1e160,1e160"
 
 
 def run_cli(*args, env=None):
@@ -378,6 +386,54 @@ def test_verify_generic_case_reports_forcing(write_params):
     assert checks["summation"]["gating"] is False
     assert len(checks["summation"]["values"]) == 3
     assert all(v < 1e-12 for v in checks["summation"]["values"])
+
+
+def test_verify_overflowing_oracle_fails(write_params):
+    path = write_params(SMALL_A_FULL)
+    out = run_cli("verify", "--params", path, "--e=", "--z=0.02")
+    assert out.returncode == 3
+    assert out.stderr == ""  # no RuntimeWarning from the overflow
+    payload = json.loads(out.stdout)
+    assert payload["passed"] is False
+    assert payload["checks"]["cross_check"] == {"passed": False, "tol": 1e-07,
+                                                "value": None}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", [
+    ("reduce", "--format", "json"),
+    ("coeffs", "--format", "json"),
+    ("eval", "--format", "json"),
+    ("residual", "--format", "json"),
+    ("verify",),
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("full, e, z", [
+    (ANCHOR_FULL, "", "0.1,0.25,0.4"),
+    (N2_FULL, N2_E, "0.1,0.25,0.4"),
+    (SMALL_A_FULL, "", "0.02"),
+    (OVERFLOW_E_FULL, OVERFLOW_E, "0.1,0.25,0.4"),
+], ids=["anchor", "N2", "small-a", "overflow-e"])
+def test_json_output_is_strict(write_params, capsys, command, full, e, z):
+    # NaN and Infinity are not JSON; every writer prints null instead, and
+    # a RuntimeWarning on the way fails the test (pyproject.toml)
+    name, *fmt = command
+    if name == "reduce":
+        args = ["--n", str(int(full["delta"]) - 2)]  # delta = N + 2
+    elif name == "coeffs":
+        args = [f"--e={e}"]
+    else:
+        args = [f"--e={e}", f"--z={z}"]
+    code = heunx.cli.main([name, "--params", write_params(full), *args, *fmt])
+    out = capsys.readouterr()
+    if full is OVERFLOW_E_FULL and name in ("eval", "residual"):
+        # the case fails its certificate before any output
+        assert (code, out.out) == (2, "") and out.err.startswith("error: ")
+        return
+    assert code in (0, 3)
+    json.loads(out.out, parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize("args", [

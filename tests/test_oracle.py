@@ -1,11 +1,33 @@
 """Independent power-series oracle and the expansion cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 
 from heunx import (DomainError, EvalStatus, HeunParams, PoleError,
-                   cross_check, evaluate, frobenius_coefficients,
-                   frobenius_eval, q_candidates_N0, q_candidates_N1)
+                   cross_check, evaluate, evaluate_points,
+                   frobenius_coefficients, frobenius_eval, q_candidates_N0,
+                   q_candidates_N1)
+from heunx.oracle import CROSS_CHECK_TERMS, SAFE_RADIUS_FACTOR
+
+Z_GRID = (0.1, 0.25, 0.4)  # the acceptance grid
+
+
+def horner_by_points(coefs, z):
+    """The scalar Horner loop the oracle's np.polyval pass must match bit for
+    bit, and the last-three-terms tail it took alongside."""
+    n = len(coefs) - 1
+    acc = 0.0
+    for k in range(n, -1, -1):
+        acc = acc * z + coefs[k]
+    tail = 0.0
+    zp = 1.0
+    for k in range(n + 1):
+        if k > n - 3:
+            tail += abs(coefs[k]) * abs(zp)
+        zp *= z
+    return acc, tail
 
 
 def test_first_coefficients_anchor(anchor_case):
@@ -115,3 +137,40 @@ def test_generic_case_matches_homogeneous_series(anchor_case):
     assert cross_check(anchor_case, [evaluate(anchor_case, z)
                                       for z in (0.1, 0.25, 0.4)],
                        evaluate(anchor_case, 0.0).u) < 1e-7
+
+
+def test_array_pass_matches_scalar_horner(random_cases):
+    # one np.polyval over the points takes the loop's multiply-then-add
+    # steps in its order; the deviations are then the loop's to the bit
+    for case in random_cases:
+        series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
+        b = series.coefficients
+        safe = SAFE_RADIUS_FACTOR * series.radius_hint
+        origin, *evs = evaluate_points(case, (0.0, *Z_GRID))
+        outside = [z for z in Z_GRID if abs(z) >= safe]
+        if outside:
+            with pytest.raises(DomainError, match=repr(outside[0])):
+                cross_check(case, evs, origin.u)
+            continue
+        want = [abs(ev.u - origin.u * horner_by_points(b, ev.z)[0])
+                / (abs(ev.u) + 1e-300) for ev in evs]
+        np.testing.assert_array_equal(cross_check(case, evs, origin.u),
+                                      np.max(want, initial=0.0))
+        for z in Z_GRID:
+            got = frobenius_eval(series, z)
+            value, tail = horner_by_points(b, z)
+            np.testing.assert_array_equal(got.value, value)
+            assert got.tail_estimate == pytest.approx(tail, rel=1e-13, nan_ok=True)
+
+
+def test_overflowing_series_fails_cross_check():
+    # b_k grows like |a|^-k: at a = 0.05 b_0..b_400 leave the floats from
+    # k = 249 on, and the deviation at every point is not finite, where the
+    # scalar pass's max dropped it and reported 0.0; a RuntimeWarning on the
+    # way fails the test (pyproject.toml)
+    case = q_candidates_N0(0.05, 2.3, 1.0, 0.9)[0]
+    b = frobenius_coefficients(case.params, CROSS_CHECK_TERMS).coefficients
+    origin, ev = evaluate_points(case, (0.0, 0.02))
+    value = cross_check(case, [ev], origin.u)
+    assert np.isfinite(b[:249]).all() and not np.isfinite(b[249:]).any()
+    assert not math.isfinite(value)

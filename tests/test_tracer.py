@@ -50,3 +50,40 @@ def test_tracer_sees_closed_and_general_reduce(tmp_path):
     solvers = [rec[2] for rec in spans.spans
                if rec[2] in ("reduction.closed", "reduction.general")]
     assert solvers == ["reduction.closed", "reduction.general"]
+
+
+# the N = 2 bench case of tests/test_cli.py
+N2_FULL = {"a": 2.0, "q": 5.250000000000018, "alpha": 2.5, "beta": 1.7,
+           "gamma": 0.6, "delta": 4.0, "epsilon": 0.6000000000000005}
+N2_E = "-1.591607978309986,-0.40839202169003186"
+
+
+def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
+    # _info reads frobenius_fill's result[0], _sum_all's args[2].max_terms
+    # and expansion_core's args[9] by position; a signature change that
+    # moves one of them must fail here, not only in a traced benchmark run
+    tracer = _load_tracer()
+    spans = tracer.Tracer()
+    path = tmp_path / "n2.json"
+    path.write_text(json.dumps(N2_FULL))
+    spans.install()
+    try:
+        # generic case: the homogeneous checks fail, every check runs
+        assert heunx.cli.main(["verify", "--params", str(path), "--e=" + N2_E]) == 3
+        assert heunx.cli.main(["coeffs", "--params", str(path),
+                               "--source", "three-term"]) == 0
+    finally:
+        spans.uninstall()
+    capsys.readouterr()
+    info = {}
+    for rec in spans.spans:
+        info.setdefault(rec[2], []).append(rec[7])
+    assert info["kernels.frobenius_fill"] == [{"terms": 401}]
+    assert [r["max_terms"] for r in info["evaluator.sum"]] == [10000] * 3
+    assert [r["big_m"] for r in info["kernels.expansion_core"]] == [128] * 3
+    metrics = tracer.layer_metrics(spans, 1)
+    assert metrics["oracle.frobenius.terms"] == 401
+    assert metrics["evaluator.sum_calls"] == 3
+    assert metrics["evaluator.terms"] == 387
+    assert metrics["kernels.f21.calls"] == 3
+    assert metrics["kernels.three_term.s"] > 0.0
