@@ -242,15 +242,22 @@ def _relation_rows(n, a, q, al, be, ga, de, ep):
 
 
 def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
-    """Scale-free residual of the three-term relation at each n >= 2: all
-    rows at once, each in the arithmetic order of coeff_r, coeff_q, coeff_p."""
+    """Scale-free residual of the three-term relation at each n >= 2, all rows
+    at once, each in the arithmetic order of coeff_r, coeff_q, coeff_p. A row
+    whose term scale overflows (a warning unless the caller's np.errstate
+    ignores it) is taken again with c times 2^-64, exact for normal terms."""
     nmax = len(values) - 1
     rows = np.zeros(nmax + 1)
     r, qn, p, _ = _relation_rows(np.arange(2.0, nmax + 1.0), a, q, al, be, ga, de, ep)
-    t1 = r * values[2:]
-    t2 = qn * values[1:nmax]
-    t3 = p * values[:nmax - 1]
-    rows[2:] = np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + TINY)
+    c2, c1, c0 = values[2:], values[1:nmax], values[:nmax - 1]
+    t1, t2, t3 = r * c2, qn * c1, p * c0
+    scale = np.abs(t1) + np.abs(t2) + np.abs(t3)
+    rows[2:] = np.abs(t1 + t2 + t3) / (scale + TINY)
+    big = np.isinf(scale)
+    if big.any():
+        s = 2.0 ** -64
+        t1, t2, t3 = r[big] * (c2[big] * s), qn[big] * (c1[big] * s), p[big] * (c0[big] * s)
+        rows[2:][big] = np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + TINY)
     return rows
 
 

@@ -6,7 +6,7 @@ expansion machinery: cross_check takes the expansion's values, u(0) too,
 from its caller. The test suite re-checks order-by-order that the truncated
 series leaves no low-order residual, so this path certifies the main one
 without any common failure mode.
-cross_check evaluates all of its points in one np.polyval pass. b_k grows
+cross_check runs Horner's rule over Python floats at its points. b_k grows
 like min(1, |a|)^-k, so for |a| below about 0.17 b_0..b_400 leave the
 floats; the deviation is then not finite, and the check fails on it.
 """
@@ -58,14 +58,19 @@ def frobenius_coefficients(p: ValidatedHeunParams, n_max: int) -> FrobeniusSerie
 
 
 def _series_values(series: FrobeniusSeries, zs) -> np.ndarray:
-    """The truncated series at every z of zs by one np.polyval, Horner's rule
-    over the points as an array; the first z outside the safe radius raises."""
+    """The truncated series at every z of zs by Horner's rule over Python
+    floats from 0.0, the bits of np.polyval; a z outside the safe radius raises."""
     safe = SAFE_RADIUS_FACTOR * series.radius_hint
+    b = series.coefficients[::-1].tolist()
+    out = []
     for z in zs:
         if abs(z) >= safe:
             raise DomainError(f"|z| = {abs(z)!r} is outside the safe radius {safe!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.polyval(series.coefficients[::-1], np.asarray(zs, dtype=np.float64))
+        acc, z = 0.0, float(z)
+        for bk in b:
+            acc = acc * z + bk
+        out.append(acc)
+    return np.array(out)
 
 
 def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:

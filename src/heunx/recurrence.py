@@ -7,10 +7,10 @@ products. Route agreement is the working certificate that a reduction
 really holds, so the two-term generator always computes both of its forms
 and checks them against each other.
 
-A `coeffs` table is the float columns of stream_columns put into one row
-template with the repr of each float. For JSON that gives the bytes of
-json.dumps(..., indent=2), whose stdlib encoder skips its C core and walks
-a dict per row in pure Python whenever indent is set.
+A `coeffs` table is one `%` pass: the row template, repeated once per row,
+takes n and the float columns of stream_columns from one row-major list.
+For JSON that gives the bytes of json.dumps(..., indent=2), whose stdlib
+encoder walks a dict per row in pure Python whenever indent is set.
 """
 
 from __future__ import annotations
@@ -128,9 +128,10 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
 def residual_rows(stream: CoefficientStream) -> np.ndarray:
     """Scale-free recurrence defect per index; entries 0 and 1 are 0."""
     p = stream.params
-    return _kernels.recurrence_residual_rows(
-        p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
-        np.asarray(stream.values, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):   # big rows are taken again
+        return _kernels.recurrence_residual_rows(
+            p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
+            np.asarray(stream.values, dtype=np.float64))
 
 
 def recurrence_residual(stream: CoefficientStream) -> float:
@@ -161,9 +162,10 @@ def json_float(x: float) -> str:
 def stream_to_csv(stream: CoefficientStream) -> str:
     """CSV with columns n, c_n, ratio, residual from stream_columns. Floats
     are emitted with repr so output is byte-deterministic."""
-    cols = [col.tolist() for col in stream_columns(stream)]
-    return "n,c_n,ratio,residual\n" + "".join(
-        map("{},{!r},{!r},{!r}\n".format, range(len(cols[0])), *cols))
+    c, ratio, resid = stream_columns(stream)
+    flat = np.column_stack([np.zeros(len(c)), c, ratio, resid]).ravel().tolist()
+    flat[0::4] = range(len(c))
+    return "n,c_n,ratio,residual\n" + ("%d,%r,%r,%r\n" * len(c)) % tuple(flat)
 
 
 def stream_to_json(stream: CoefficientStream) -> str:
@@ -172,8 +174,12 @@ def stream_to_json(stream: CoefficientStream) -> str:
     null for every non-finite value."""
     row = ('    {\n      "c_n": %s,\n      "n": %d,\n      "ratio": %s,\n'
            '      "residual": %s\n    }')
-    c, ratio, resid = (list(map(json_float, col.tolist()))
-                       for col in stream_columns(stream))
-    rows = ",\n".join(row % x for x in zip(c, range(len(c)), ratio, resid))
+    c, ratio, resid = stream_columns(stream)
+    table = np.column_stack([c, np.zeros(len(c)), ratio, resid])
+    flat = table.ravel().tolist()
+    flat[1::4] = range(len(c))
+    for i in np.flatnonzero(~np.isfinite(table)).tolist():
+        flat[i] = "null"
+    rows = ",\n".join([row] * len(c)) % tuple(flat)
     return ('{\n  "rows": [\n' + rows + '\n  ],\n  "source": '
             + json.dumps(stream.source.value) + "\n}\n")

@@ -95,10 +95,14 @@ def degree_claim_defect(p: HeunParams, e_list) -> tuple:
 class ConstraintReport:
     collocation_points: tuple
     identity_values: tuple
-    passed: bool
     a_top: float
     a_top_gap: float
     stream_defect: float
+    failed: tuple       # each failed check as the certificate error names it
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 def _stream_defect(p: HeunParams, e_list) -> float:
@@ -129,7 +133,7 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     coefficient a_top, reported with how far it sits from its closed form
     2+N-delta. Also takes the _stream_defect of the first 50 coefficients.
     Passes iff all three hold: every identity value, the gap within
-    A_TOP_TOL and the defect within VERIFY_TOL.
+    A_TOP_TOL and the defect within VERIFY_TOL; `failed` names the others.
     """
     es = tuple(float(e) for e in e_list)
     n_case = len(es)
@@ -143,14 +147,17 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
         a_top = _forward_difference(lhs, n_case + 1)
         a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
     defect = _stream_defect(p, es)
+    checks = (("identity values", colloc_ok),
+              (f"A_top gap {a_top_gap:.2e}", a_top_gap <= A_TOP_TOL),
+              (f"{STREAM_ROWS}-row defect {defect:.2e}", defect <= VERIFY_TOL))
 
     return ConstraintReport(
         collocation_points=tuple(float(n) for n in nodes[1:]),
         identity_values=tuple(float(v) for v in lhs[1:]),
-        passed=colloc_ok and a_top_gap <= A_TOP_TOL and defect <= VERIFY_TOL,
         a_top=a_top,
         a_top_gap=a_top_gap,
         stream_defect=defect,
+        failed=tuple(name for name, ok in checks if not ok),
     )
 
 
@@ -180,9 +187,8 @@ class ReductionCase:
                 raise PreconditionError(f"e = {e!r} is a non-positive integer")
         report = self.report or verify_reduction(p, self.e_list)
         if not report.passed:
-            raise PreconditionError(
-                "verification failed for the proposed reduction "
-                f"({STREAM_ROWS}-row defect {report.stream_defect:.2e})")
+            raise PreconditionError("verification failed for the proposed "
+                                    f"reduction ({', '.join(report.failed)})")
         object.__setattr__(self, "report", report)
 
     @classmethod
@@ -192,11 +198,6 @@ class ReductionCase:
         es = tuple(float(e) for e in e_list)
         return cls(N=len(es), params=p, e_list=es, q_root_index=q_root_index,
                    report=report)
-
-
-def _ill_conditioned(report: ConstraintReport, tol: float) -> str:
-    return (f"ill-conditioned in double ({STREAM_ROWS}-row three-term defect "
-            f"{report.stream_defect:.2e} > {tol:.0e})")
 
 
 def _drop(notes: list, q, why: str) -> None:
@@ -215,7 +216,8 @@ def _accept(params: HeunParams, es: tuple, idx: int, tol: float,
     report = verify_reduction(params, es)
     if report.passed and report.stream_defect <= tol:
         return [ReductionCase.build(params, es, idx, report=report)]
-    _drop(notes, params.q, _ill_conditioned(report, tol))
+    _drop(notes, params.q, f"ill-conditioned in double ({STREAM_ROWS}-row three-term "
+                           f"defect {report.stream_defect:.2e} > {tol:.0e})")
     return []
 
 

@@ -399,6 +399,17 @@ def test_verify_overflowing_oracle_fails(write_params):
                                                 "value": None}
 
 
+@pytest.mark.parametrize("command", ["eval", "residual"])
+def test_certificate_error_names_failed_checks(write_params, command):
+    # the identity overflows and its A_top gap is nan; the 50-row defect is
+    # 0 and passes, so the error names only the first two
+    path = write_params(OVERFLOW_E_FULL)
+    out = run_cli(command, "--params", path, f"--e={OVERFLOW_E}", "--z=0.1")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: verification failed for the proposed "
+                          "reduction (identity values, A_top gap nan)\n")
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -574,7 +585,7 @@ def test_table_writers_match_row_code(name, write_params, capsys):
     writers = {"csv": (stream_to_csv, _csv_by_rows),
                "json": (stream_to_json, _json_by_rows)}
     for source, flag in heunx.cli._SOURCES.items():
-        for n_max in (0, 1, 2, 60):
+        for n_max in (0, 1, 2, 60, 5000):   # 5000: the benchmark's tables
             try:
                 if source == "three-term":
                     stream = three_term_coefficients(case.params, n_max)

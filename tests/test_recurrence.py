@@ -1,9 +1,12 @@
 """Three-term recurrence coefficients and the two generation routes."""
 
+import json
+
 import numpy as np
 import pytest
 
 import heunx._kernels
+import heunx.cli
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    params_to_dict, q_candidates_N0, q_candidates_N2,
@@ -194,6 +197,30 @@ def _residual_rows_by_rows(p, values):
         t3 = coeff_p(n - 2.0, *_args(p)) * values[n - 2]
         rows[n] = abs(t1 + t2 + t3) / (abs(t1) + abs(t2) + abs(t3) + 1e-300)
     return rows
+
+
+def test_residual_rows_past_the_float_range(tmp_path, capsys):
+    # forward recursion (|a/(a-1)| = 12/11) takes c_n to 1.3e299 at n = 8079;
+    # from n = 8072 on |t1|+|t2|+|t3| leaves the floats and the plain formula
+    # reads 0.0, so those rows must be the ones with c times 2^-64; a
+    # RuntimeWarning on the way fails the test (pyproject.toml)
+    full = {"a": 12.0, "q": 0.5, "alpha": 0.3, "beta": 0.7, "gamma": 1.2,
+            "delta": 0.4, "epsilon": 0.4}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(full))
+    code = heunx.cli.main(["coeffs", "--params", str(path), "--source",
+                           "three-term", "--n-max", "8079"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    rows = np.array([float(line.split(",")[3]) for line in lines])
+    p = HeunParams(**full)
+    values = three_term_coefficients(p, 8079).values.tolist()
+    plain = _residual_rows_by_rows(p, values)
+    scaled = _residual_rows_by_rows(p, [c * 2.0 ** -64 for c in values])
+    assert code == 0 and len(rows) == 8080
+    assert np.array_equal(rows[2:8072], plain[2:8072])
+    assert not plain[8072:].any()
+    assert np.array_equal(rows[8072:], scaled[8072:])
+    assert (rows[8074], rows[8079]) == (4.3195369138962623e-17, 2.795032353709283e-17)
 
 
 def test_vectorised_stream_kernels_match_row_loops():

@@ -102,6 +102,12 @@ def test_perturbed_q_fails_verification():
     p = HeunParams(**{**params_to_dict(case.params), "q": case.params.q + 1e-3})
     report = verify_reduction(p, case.e_list)
     assert not report.passed
+    # the identity and the 50-row defect fail, the A_top gap (free of q)
+    # holds, and the certificate error names the two that failed
+    failed = ("identity values", "50-row defect 6.14e-04")
+    assert report.failed == failed
+    with pytest.raises(PreconditionError, match=re.escape(f"({', '.join(failed)})")):
+        ReductionCase.build(p, case.e_list)
 
 
 def test_N2_roots_satisfy_cubic_and_e_relations():
