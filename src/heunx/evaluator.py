@@ -8,7 +8,8 @@ the falling-factorial coefficients of prod_k (1 + n/e_k),
 u = sum_{k=1..N+1} B_k v^k with B_{N+1-i} = K d_i (g-alpha)_i (g-beta)_i (N-i)!,
 and u', u'' follow from dv/dz = v^2. A call builds the B_k once and runs
 one Horner pass over all of its points. The tail-resummed summation of the
-series (`_sum_all`) is the independent route the form is checked against.
+series (`_sum_points`) is the independent route the form is checked against:
+one prefix per direct-sum length and one inner kernel pass over all points.
 
 Against a two-term stream the operator telescopes term by term, so the sum
 solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)
@@ -184,10 +185,11 @@ def evaluate(case: ReductionCase, z: float,
     return evaluate_points(case, (z,), ctl)[0]
 
 
-def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
-    """(u, u', u'', terms_used, tails, doublings) summed to length M with
-    the tail resummed (expansion_core), doubling M until every tail settles
-    or M + 1 reaches ctl.max_terms. perfbench's tracer reads index 3."""
+def _sum_points(case: ReductionCase, zs, ctl: SeriesControl) -> list[tuple]:
+    """(u, u', u'', terms_used, tails, doublings) at each z of zs, summed to
+    length M with the tail resummed (expansion_core): one prefix and one
+    kernel call for all points at a given M, the points whose tails have not
+    settled going round again at 2M, until M + 1 reaches ctl.max_terms."""
     p = case.params
     g = p.gamma + p.epsilon
     es = np.asarray(case.e_list, dtype=np.float64)
@@ -196,31 +198,46 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
     top = ctl.max_terms - 1
     big_m = min(_M_START if n0 >= _M_START else max(n0, 8), top)
     doublings = 0
-    while True:
+    zs = [float(z) for z in zs]
+    out = [None] * len(zs)
+    todo = list(range(len(zs)))
+    while todo:
         cs, wt, wle = _kernels.expansion_prefix(
             g, g - p.alpha, g - p.beta, es, big_m, _MCAP, n0)
-        u, du, ddu, terms, t0, t1, t2 = _kernels.expansion_core(
+        us, dus, ddus, _, t0, t1, t2, used = _kernels.expansion_core(
             p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es,
-            float(z), big_m, cs, wt, wle, ctl.rel_tol / 10.0,
+            [zs[i] for i in todo], big_m, cs, wt, wle, ctl.rel_tol / 10.0,
             ctl.max_terms, _kernels.CONSECUTIVE_SMALL)
-        if not all(map(math.isfinite, (u, du, ddu))):
-            raise NumericalError("expansion summation produced a non-finite value")
-        tails = (t0, t1, t2)
-        done = all(_kernels.settled(t, x, ctl.rel_tol)
-                   for t, x in zip(tails, (u, du, ddu)))
-        if done or big_m >= top or big_m >= n0:
-            return u, du, ddu, terms, tails, doublings
+        last = big_m >= top or big_m >= n0
+        again = []
+        for i, u, du, ddu, terms, *tails in zip(todo, us, dus, ddus, used, t0, t1, t2):
+            if not all(map(math.isfinite, (u, du, ddu))):
+                raise NumericalError("expansion summation produced a non-finite value")
+            if last or all(_kernels.settled(t, x, ctl.rel_tol)
+                           for t, x in zip(tails, (u, du, ddu))):
+                out[i] = (u, du, ddu, terms, tuple(tails), doublings)
+            else:
+                again.append(i)
+        todo = again
         big_m = min(2 * big_m, top)
         doublings += 1
+    return out
 
 
-def summation_gap(case: ReductionCase, ev: Evaluation) -> float:
-    """Largest relative gap over u, u', u'' of ev to _sum_all at ev.z, at the
+def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
+    """_sum_points at the one point z; perfbench's tracer reads its z and [3]."""
+    return _sum_points(case, (z,), ctl)[0]
+
+
+def summation_gaps(case: ReductionCase, evs) -> list[float]:
+    """Per ev of evs, the largest relative gap over u, u', u'' of ev to the
+    summation at ev.z, all points summed in one _sum_points call at the
     default SeriesControl; the summation's own cancellation sets its floor
     (README), and with W_m exact to the last bit the largest gaps barely move."""
-    summed = _sum_all(case, ev.z, SeriesControl())[:3]
-    return float(max(abs(s - x) / max(abs(x), _kernels.TINY)
-                     for s, x in zip(summed, (ev.u, ev.du, ev.ddu))))
+    summed = _sum_points(case, [ev.z for ev in evs], SeriesControl())
+    return [float(max(abs(s - x) / max(abs(x), _kernels.TINY)
+                      for s, x in zip(row[:3], (ev.u, ev.du, ev.ddu))))
+            for row, ev in zip(summed, evs)]
 
 
 def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:

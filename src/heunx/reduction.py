@@ -147,9 +147,10 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
         a_top = _forward_difference(lhs, n_case + 1)
         a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
     defect = _stream_defect(p, es)
+    # a name is formatted only for a check that fails
     checks = (("identity values", colloc_ok),
-              (f"A_top gap {a_top_gap:.2e}", a_top_gap <= A_TOP_TOL),
-              (f"{STREAM_ROWS}-row defect {defect:.2e}", defect <= VERIFY_TOL))
+              ("A_top gap {0:.2e}", a_top_gap <= A_TOP_TOL),
+              ("{2}-row defect {1:.2e}", defect <= VERIFY_TOL))
 
     return ConstraintReport(
         collocation_points=tuple(float(n) for n in nodes[1:]),
@@ -157,7 +158,8 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
         a_top=a_top,
         a_top_gap=a_top_gap,
         stream_defect=defect,
-        failed=tuple(name for name, ok in checks if not ok),
+        failed=tuple(name.format(a_top_gap, defect, STREAM_ROWS)
+                     for name, ok in checks if not ok),
     )
 
 

@@ -462,8 +462,8 @@ def test_list_may_start_with_a_minus(write_params, args):
 
 # eval and residual read the closed form and never sum. verify sums once
 # per default point for its summation check: at these points the anchor
-# needs 129 terms and M is never doubled, so one expansion_core call is one
-# summation of (u, u', u'').
+# needs 129 terms and M is never doubled, so its one expansion_core call
+# holds each point once.
 @pytest.mark.parametrize("args, sums", [
     (("eval", "--z=0.1,0.25", "--format", "csv"), 0),
     (("eval", "--z=0.1,0.25", "--format", "json"), 0),
@@ -476,13 +476,13 @@ def test_each_point_is_summed_once(write_params, monkeypatch, args, sums):
     core = heunx._kernels.expansion_core
 
     def counted(*core_args):
-        calls.append(core_args[8])    # z
+        calls.append(core_args[8])    # the points summed
         return core(*core_args)
 
     monkeypatch.setattr(heunx._kernels, "expansion_core", counted)
     code = heunx.cli.main([args[0], "--params", path, *args[1:]])
     assert code in (0, 3)
-    assert len(calls) == sums
+    assert sum(map(len, calls)) == sums
 
 
 # the B_k depend on the case alone: one form per call, verify's taking the

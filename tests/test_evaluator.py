@@ -9,7 +9,8 @@ from heunx import (DomainError, EvalStatus, NonConvergenceError, SeriesControl,
                    forced_residual, forcing_constant, gauss_2f1,
                    gauss_2f1_deriv, homogeneous_residual, q_candidates_N0,
                    q_candidates_N2, solve_reduction_general)
-from heunx.evaluator import _sum_all, check_interior, summation_gap
+from heunx.evaluator import (_M_START, _MCAP, _sum_all, _sum_points,
+                             check_interior, summation_gaps)
 from heunx.recurrence import NO_TERMINATION, termination_index
 
 
@@ -94,15 +95,18 @@ def test_stopping_rule_at_the_anchor(anchor_case):
     assert ddu == pytest.approx(6.0 / w ** 3, rel=1e-12)
 
 
-def _core_at(case, z, big_m, mcap):
+def _core_at(case, z, big_m, mcap, inner_tol=1e-15, max_terms=10000):
+    """z summed alone at direct-sum length big_m:
+    (u, du, ddu, terms, tail0, tail1, tail2)."""
     p = case.params
     g = p.gamma + p.epsilon
     es = np.asarray(case.e_list, dtype=np.float64)
     cs, wt, wle = _kernels.expansion_prefix(
         g, g - p.alpha, g - p.beta, es, big_m, mcap, termination_index(p))
-    return _kernels.expansion_core(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
-                                   p.epsilon, es, z, big_m, cs, wt, wle,
-                                   1e-15, 10000, 3)
+    (u,), (du,), (ddu,), terms, (t0,), (t1,), (t2,), _ = _kernels.expansion_core(
+        p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es, [z], big_m,
+        cs, wt, wle, inner_tol, max_terms, 3)
+    return u, du, ddu, terms, t0, t1, t2
 
 
 def test_tail_estimate_measures_truncation():
@@ -154,6 +158,39 @@ def test_point_next_to_the_origin(anchor_case):
     assert near.status == (EvalStatus.CONVERGED,) * 3
     ctl = SeriesControl()
     assert _sum_all(anchor_case, 1e-200, ctl)[:3] == _sum_all(anchor_case, 0.0, ctl)[:3]
+
+
+def _sum_alone(case, z, ctl):
+    """z summed by itself, one prefix and one kernel call per direct-sum
+    length, M doubled until its tails settle: what _sum_points groups."""
+    n0 = termination_index(case.params)
+    top = ctl.max_terms - 1
+    big_m = min(_M_START if n0 >= _M_START else max(n0, 8), top)
+    doublings = 0
+    while True:
+        u, du, ddu, terms, *tails = _core_at(case, z, big_m, _MCAP,
+                                             ctl.rel_tol / 10.0, ctl.max_terms)
+        if big_m >= top or big_m >= n0 or all(
+                _kernels.settled(t, x, ctl.rel_tol) for t, x in zip(tails, (u, du, ddu))):
+            return u, du, ddu, terms, tuple(tails), doublings
+        big_m = min(2 * big_m, top)
+        doublings += 1
+
+
+def test_one_pass_summation_keeps_the_bits(random_cases, anchor_case):
+    # every point of a _sum_points call gets the bits of its summation alone
+    zs = (-0.9, -0.5, -0.2, 0.1, 0.25, 0.4, 0.6, 0.85)
+    ctl = SeriesControl()
+    for case in random_cases:
+        want = [_sum_alone(case, z, ctl) for z in zs]
+        assert repr(_sum_points(case, zs, ctl)) == repr(want)
+    # at rel_tol 1e-17 the anchor doubles M at 0.3 and 0.5 but not at 0.1,
+    # and the origin takes the weights: the call regroups at each M
+    ctl = SeriesControl(rel_tol=1e-17, max_terms=300)
+    zs = (0.1, 0.5, 0.0, 0.3, -0.2)
+    got = _sum_points(anchor_case, zs, ctl)
+    assert [row[5] for row in got] == [0, 2, 0, 1, 2]
+    assert repr(got) == repr([_sum_alone(anchor_case, z, ctl) for z in zs])
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 2.0, 1e-12])
@@ -247,4 +284,4 @@ def test_cancelling_point_is_not_converged():
     ev = evaluate(case, -0.95)
     assert ev.status[2] is EvalStatus.MAX_TERMS_REACHED
     assert ev.tails[2] < 1e-8 * abs(ev.ddu)
-    assert summation_gap(case, ev) > 1e-4
+    assert summation_gaps(case, [ev])[0] > 1e-4

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import heunx.cli  # loads every module the tracer looks in
+from heunx import ReductionCase, SeriesControl, params_from_dict
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,19 +60,23 @@ N2_E = "-1.591607978309986,-0.40839202169003186"
 
 
 def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
-    # _info reads frobenius_fill's result[0], _sum_all's args[2].max_terms
-    # and expansion_core's args[9] by position; a signature change that
-    # moves one of them must fail here, not only in a traced benchmark run
+    # _info reads frobenius_fill's result[0], _sum_all's args[1] and
+    # args[2].max_terms, and expansion_core's args[9] and result[3] by
+    # position; a signature change that moves one of them must fail here,
+    # not only in a traced benchmark run
     tracer = _load_tracer()
     spans = tracer.Tracer()
     path = tmp_path / "n2.json"
     path.write_text(json.dumps(N2_FULL))
+    case = ReductionCase.build(params_from_dict(N2_FULL), N2_E.split(","))
     spans.install()
     try:
-        # generic case: the homogeneous checks fail, every check runs
+        # generic case: the homogeneous checks fail, every check runs; verify
+        # sums its 3 points in one expansion_core call, not through _sum_all
         assert heunx.cli.main(["verify", "--params", str(path), "--e=" + N2_E]) == 3
         assert heunx.cli.main(["coeffs", "--params", str(path),
                                "--source", "three-term"]) == 0
+        heunx.evaluator._sum_all(case, 0.25, SeriesControl())
     finally:
         spans.uninstall()
     capsys.readouterr()
@@ -79,11 +84,12 @@ def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
     for rec in spans.spans:
         info.setdefault(rec[2], []).append(rec[7])
     assert info["kernels.frobenius_fill"] == [{"terms": 401}]
-    assert [r["max_terms"] for r in info["evaluator.sum"]] == [10000] * 3
-    assert [r["big_m"] for r in info["kernels.expansion_core"]] == [128] * 3
+    assert info["evaluator.sum"] == [{"z": 0.25, "terms": 129, "max_terms": 10000}]
+    assert info["kernels.expansion_core"] == [{"big_m": 128, "terms": 387},
+                                              {"big_m": 128, "terms": 129}]
     metrics = tracer.layer_metrics(spans, 1)
     assert metrics["oracle.frobenius.terms"] == 401
-    assert metrics["evaluator.sum_calls"] == 3
-    assert metrics["evaluator.terms"] == 387
-    assert metrics["kernels.f21.calls"] == 3
+    assert metrics["evaluator.sum_calls"] == 1
+    assert metrics["evaluator.terms"] == 129
+    assert metrics["kernels.f21.calls"] == 2
     assert metrics["kernels.three_term.s"] > 0.0
