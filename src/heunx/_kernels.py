@@ -389,28 +389,40 @@ def _colloc_state(a, al, be, ga, n_case, q, es):
     and the exact Jacobian in (q, e_1..e_N). delta and epsilon are pinned by
     the reduction. The q-dependent factors in front of P(n), P(n-1) and
     P(n-2) come from one identity_terms call; q enters only through
-    -q P(n-1), and e_k through each summand's e-product."""
+    -q P(n-1), and e_k through each summand's e-product. The factors
+    e_j + n, e_j - 1 + n, e_j - 2 + n form one (3, N, N+1) array; the
+    products over j, and those without row k, are each one multiply-reduce,
+    which runs in order of j as the scalar loop does (times 1.0 at j = k)."""
     n = np.arange(1.0, n_case + 2.0)
     de = n_case + 2.0
     ep = 1.0 + al + be - ga - de
-    f1, f2, f3 = identity_terms(a, q, al, be, ga, de, ep, es[:0], n)
-    p1 = p2 = p3 = 1.0
-    for k in range(n_case):
-        p1 *= es[k] + n
-        p2 *= es[k] - 1.0 + n
-        p3 *= es[k] - 2.0 + n
-    t1, t2, t3 = f1 * p1, f2 * p2, f3 * p3
-    jac = np.zeros((n_case + 1, n_case + 1))
-    jac[:, 0] = -p2
-    for k in range(n_case):
-        d1 = d2 = d3 = 1.0
-        for j in range(n_case):
-            if j != k:
-                d1 *= es[j] + n
-                d2 *= es[j] - 1.0 + n
-                d3 *= es[j] - 2.0 + n
-        jac[:, k + 1] = f1 * d1 + f2 * d2 + f3 * d3
-    return t1 + t2 + t3, np.max(np.abs(t1) + np.abs(t2) + np.abs(t3)), jac
+    f = np.array(identity_terms(a, q, al, be, ga, de, ep, es[:0], n))
+    x = (np.asarray(es, dtype=np.float64)[None, :, None]
+         - np.array([0.0, 1.0, 2.0])[:, None, None]) + n
+    p = np.prod(x, axis=1, initial=1.0)
+    t = f * p
+    without = np.repeat(x[:, None], n_case, axis=1)
+    k = np.arange(n_case)
+    without[:, k, k] = 1.0
+    d = f[:, None] * np.prod(without, axis=2, initial=1.0)
+    jac = np.empty((n_case + 1, n_case + 1))
+    jac[:, 0] = -p[1]
+    jac[:, 1:] = (d[0] + d[1] + d[2]).T
+    return t[0] + t[1] + t[2], np.max(np.abs(t[0]) + np.abs(t[1]) + np.abs(t[2])), jac
+
+
+def companion_roots(rows):
+    """np.roots of each row of polynomial coefficients (highest first), the
+    companion matrices of all rows in one np.linalg.eigvals call. A row with
+    an exact zero at either end goes through np.roots, which strips it."""
+    rows = np.asarray(rows, dtype=np.float64)
+    deg = rows.shape[1] - 1
+    plain = (rows[:, 0] != 0.0) & (rows[:, -1] != 0.0)
+    comp = np.zeros((int(plain.sum()), deg, deg))
+    comp[:, :1] = (-rows[plain, 1:] / rows[plain, :1])[:, None]  # the first row
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    eig = iter(np.linalg.eigvals(comp))
+    return [next(eig) if ok else np.roots(row) for row, ok in zip(rows, plain)]
 
 
 def newton_general(a, al, be, ga, n_case, q0, es0):

@@ -416,8 +416,9 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     """Every order-N reduction, from one generalized eigenproblem.
 
     The N+1 eigenvalues of the pencil (_pencil) are the q-roots. The e_k of
-    a real one are the negated roots of its eigenvector's polynomial, then
-    (q, e) is polished by _kernels.newton_general. Returns, sorted by q, the
+    a real one are the negated roots of its eigenvector's polynomial, those
+    of all real roots from one _kernels.companion_roots call, then (q, e)
+    is polished by _kernels.newton_general. Returns, sorted by q, the
     cases whose certificate passes with a 50-row defect of at most
     GENERAL_TOL. Every other root gets one note in notes with its reason:
     complex q, a complex e-pair, a non-positive integer e_k, or
@@ -432,10 +433,13 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
     for j in np.flatnonzero(~real):
         _drop(notes, complex(qs[j]), "q is complex")
-    for idx, j in enumerate(sorted(np.flatnonzero(real), key=lambda j: qs[j].real)):
+    order = sorted(np.flatnonzero(real), key=lambda j: qs[j].real)
+    # each eigenvector scaled by its largest entry, all columns at once
+    xs = vecs[:, order] / vecs[np.argmax(np.abs(vecs[:, order]), axis=0), order]
+    e_roots = _kernels.companion_roots(xs.real[::-1].T)
+    for idx, (j, roots) in enumerate(zip(order, e_roots)):
         q = float(qs[j].real)
-        x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
-        roots = np.roots(x.real[::-1]) + (n_case + 2) / 2.0
+        roots = roots + (n_case + 2) / 2.0
         if len(roots) < n_case:
             _drop(notes, q, "an e_k is infinite")
             continue

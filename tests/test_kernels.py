@@ -200,7 +200,7 @@ def _colloc_jacobian(a, al, be, ga, n_case, q, es):
     return jac
 
 
-@pytest.mark.parametrize("n_case", range(6))
+@pytest.mark.parametrize("n_case", range(9))
 def test_colloc_state_matches_separate_evaluations(n_case):
     # one identity evaluation gives the residual, scale and Jacobian that
     # three separate evaluations give, to the bit
@@ -214,6 +214,23 @@ def test_colloc_state_matches_separate_evaluations(n_case):
         assert np.array_equal(res, _colloc_residual(*args))
         assert scale == _colloc_scale(*args)
         assert np.array_equal(jac, _colloc_jacobian(*args))
+
+
+@pytest.mark.parametrize("deg", range(9))
+def test_companion_roots_match_np_roots(deg):
+    # one eigvals call over the stacked companion matrices gives each row the
+    # bits np.roots gives it, and a row with an exact zero at either end
+    # keeps np.roots's stripping: fewer roots, or a root 0.0 appended
+    rows = np.random.default_rng(deg).normal(size=(30, deg + 1))
+    rows[1::3, 0] = 0.0
+    rows[2::3, -1] = 0.0
+    got = _kernels.companion_roots(rows)
+    assert len(got) == len(rows)
+    for row, roots in zip(rows, got):
+        want = np.roots(row)
+        assert roots.shape == want.shape
+        assert np.array_equal(roots.real, want.real)
+        assert np.array_equal(roots.imag, np.imag(want))
 
 
 def _forward_by_rows(a, q, al, be, ga, de, ep, c, upto):

@@ -1,5 +1,6 @@
 """Reduction identity, closed-form q-conditions, and the general solver."""
 
+import random
 import re
 
 import numpy as np
@@ -11,7 +12,9 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    leading_difference, params_to_dict, q_candidates_N0,
                    q_candidates_N1, q_candidates_N2, recurrence_residual, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
-from heunx.reduction import (GENERAL_TOL, _cubic_q_coeffs,
+from heunx import HeunxError, _kernels
+from heunx.reduction import (GENERAL_TOL, _accept, _build_params,
+                             _cubic_q_coeffs, _drop, _pencil,
                              _quadratic_q_coeffs)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
@@ -306,3 +309,54 @@ def test_general_solver_on_the_panel_draw():
     for reason in ill:
         defect = float(re.search(r"defect (\S+) >", reason).group(1))
         assert defect > GENERAL_TOL
+
+
+def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
+    """solve_reduction_general with one np.roots call per real q-root: the
+    reference the batched companion eigvals must reproduce to the bit."""
+    big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
+    qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
+    cases = []
+    real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
+    for j in np.flatnonzero(~real):
+        _drop(notes, complex(qs[j]), "q is complex")
+    for idx, j in enumerate(sorted(np.flatnonzero(real), key=lambda j: qs[j].real)):
+        q = float(qs[j].real)
+        x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
+        roots = np.roots(x.real[::-1]) + (n_case + 2) / 2.0
+        if len(roots) < n_case:
+            _drop(notes, q, "an e_k is infinite")
+            continue
+        if np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))):
+            _drop(notes, q, "the e_k include a complex pair")
+            continue
+        q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, -roots.real)
+        q, es = float(q), tuple(sorted(float(e) for e in es))
+        cases += _accept(_build_params(a, q, alpha, beta, gamma, n_case), es, idx,
+                         GENERAL_TOL, notes)
+    return cases
+
+
+def _box_draw(seed):
+    """(a, alpha, beta, gamma) from the benchmark's box: a in +-[1.5, 3],
+    the rest in [-3, 3]."""
+    rng = random.Random(seed)
+    a = rng.choice((-1.0, 1.0)) * rng.uniform(1.5, 3.0)
+    return (a, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+
+
+def _outcome(solver, draw, n_case):
+    notes = []
+    try:
+        cases = solver(*draw, n_case, notes)
+    except HeunxError as exc:
+        return repr(exc), notes
+    return repr([(c.params.q, c.e_list, c.report) for c in cases]), notes
+
+
+@pytest.mark.parametrize("n_case", range(9))
+def test_general_solver_matches_root_by_root_reference(n_case):
+    # every case (q, e_list, report) and every note, to the bit
+    for draw in [PANEL_DRAW, N2_DRAW] + [_box_draw(seed) for seed in range(100)]:
+        assert (_outcome(solve_reduction_general, draw, n_case)
+                == _outcome(_solve_root_by_root, draw, n_case))
