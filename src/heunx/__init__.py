@@ -16,8 +16,7 @@ from .errors import (DivisionByZeroError, DomainError, HeunxError,
 from .evaluator import (Evaluation, evaluate, evaluate_points,
                         evaluation_table, forced_residual, forcing_constant,
                         homogeneous_residual)
-from .oracle import (FrobeniusSeries, cross_check, frobenius_coefficients,
-                     frobenius_eval)
+from .oracle import FrobeniusSeries, cross_check, frobenius_coefficients
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
                      ValidationIssue, collect_issues, is_nonpos_int,
                      load_params_file, params_from_dict, params_to_dict,
@@ -46,8 +45,8 @@ __all__ = [
     "ValidationError", "ValidationIssue", "case_to_dict", "collect_issues",
     "cross_check", "degree_claim_defect", "evaluate", "evaluate_points",
     "evaluation_table", "forced_residual", "forcing_constant",
-    "homogeneous_residual", "frobenius_coefficients", "frobenius_eval",
-    "gauss_2f1", "gauss_2f1_deriv", "identity_lhs", "identity_scale",
+    "homogeneous_residual", "frobenius_coefficients", "gauss_2f1",
+    "gauss_2f1_deriv", "identity_lhs", "identity_scale",
     "is_nonpos_int", "leading_difference", "load_params_file",
     "params_from_dict", "params_to_dict", "pochhammer", "q_candidates_N0",
     "q_candidates_N1", "q_candidates_N2", "recurrence_residual",

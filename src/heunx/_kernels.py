@@ -13,7 +13,8 @@ blocked passes; expansion_core hands it the (point, n) grid of every point
 it sums. The three-term fills take R_n, Q_n and P_n as arrays over
 the indices their loop visits, raise where the loop would first raise, and
 run the recurrence itself over Python floats, as the loop did.
-tests/test_kernels.py holds the scalar loops as references.
+tests/test_kernels.py holds the scalar loops as references, and
+tests/conftest.py the scalar P_n they take.
 """
 
 import math
@@ -212,25 +213,12 @@ def coeff_q(n, a, q, al, be, ga, de, ep):
     return -coeff_r(n, a, ga, ep) + a * (1.0 + n - de) * (n + ep) + (a * al * be - q)
 
 
-def coeff_p(n, a, q, al, be, ga, de, ep):
-    g = ep + ga
-    f1 = n + g - al
-    f2 = n + g - be
-    # these factors own the structural zeros behind stream termination;
-    # the integer-proximity rule must make them exact zeros, not O(1e-16)
-    if abs(f1) < INT_SNAP:
-        f1 = 0.0
-    if abs(f2) < INT_SNAP:
-        f2 = 0.0
-    if abs(n + g) < 1e-12:
-        raise DivisionByZeroError(_VANISHES.format(n))
-    return -a / (n + g) * (n + ep) * f1 * f2
-
-
 def _relation_rows(n, a, q, al, be, ga, de, ep):
     """R_n, Q_{n-1} and P_{n-2} of the relation at each entry of the float
-    array n, in the arithmetic and snap of coeff_r, coeff_q and coeff_p, and
-    the mask where coeff_p raises. Overflow passes silently, as in floats."""
+    array n, and the mask where P's denominator n-2+epsilon+gamma vanishes.
+    P's factors m+g-alpha and m+g-beta own the structural zeros behind stream
+    termination; the integer-proximity rule makes them exact zeros, not
+    O(1e-16). Overflow passes silently, as in floats."""
     m = n - 2.0
     g = ep + ga
     with np.errstate(all="ignore"):
@@ -244,9 +232,9 @@ def _relation_rows(n, a, q, al, be, ga, de, ep):
 
 def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
     """Scale-free residual of the three-term relation at each n >= 2, all rows
-    at once, each in the arithmetic order of coeff_r, coeff_q, coeff_p. A row
-    whose term scale overflows (a warning unless the caller's np.errstate
-    ignores it) is taken again with c times 2^-64, exact for normal terms."""
+    at once, from the R, Q and P of _relation_rows. A row whose term scale
+    overflows (a warning unless the caller's np.errstate ignores it) is taken
+    again with c times 2^-64, exact for normal terms."""
     nmax = len(values) - 1
     rows = np.zeros(nmax + 1)
     r, qn, p, _ = _relation_rows(np.arange(2.0, nmax + 1.0), a, q, al, be, ga, de, ep)

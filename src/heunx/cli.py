@@ -153,6 +153,7 @@ def _joint_status(status) -> str:
 def cmd_eval(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=False)
+    ctl = SeriesControl(rel_tol=ns.rel_tol)   # checked for CSV too; only JSON reads it
     if ns.format == "json":
         # the bytes of json.dumps({"rows": [...], "tolerances": {...}},
         # sort_keys=True, indent=2) + "\n" from one row template: with an
@@ -160,7 +161,6 @@ def cmd_eval(ns) -> int:
         row = ('    {\n      "ddu": %r,\n      "du": %r,\n      "residual": %s,\n'
                '      "status": "%s",\n      "terms_used": %d,\n      "u": %r,\n'
                '      "z": %r\n    }')
-        ctl = SeriesControl(rel_tol=ns.rel_tol)
         rows = ",\n".join(
             row % (ev.ddu, ev.du, json_float(homogeneous_residual(case, ev)),
                    _joint_status(ev.status), ev.terms_used, ev.u, ev.z)

@@ -21,10 +21,8 @@ from . import _kernels
 from .errors import DomainError, PoleError, PreconditionError
 from .params import ValidatedHeunParams, is_nonpos_int
 from .reduction import ReductionCase
-from .special import EvalResult, EvalStatus
 
 SAFE_RADIUS_FACTOR = 0.9
-_TAIL_OK = 1e-12
 CROSS_CHECK_TERMS = 400    # cross_check sums the power series b_0..b_400
 
 
@@ -71,16 +69,6 @@ def _series_values(series: FrobeniusSeries, zs) -> np.ndarray:
             acc = acc * z + bk
         out.append(acc)
     return np.array(out)
-
-
-def frobenius_eval(series: FrobeniusSeries, z: float) -> EvalResult:
-    """Horner evaluation with a last-three-terms tail estimate."""
-    value = float(_series_values(series, [z])[0])
-    b = np.abs(series.coefficients[-3:])
-    tail = float(np.sum(b * abs(z) ** np.arange(len(series.coefficients))[-3:]))
-    converged = tail <= _TAIL_OK * (abs(value) + 1e-300)
-    return EvalResult(value, len(series.coefficients), tail,
-                      EvalStatus.CONVERGED if converged else EvalStatus.MAX_TERMS_REACHED)
 
 
 def cross_check(case: ReductionCase, evaluations, u0: float) -> float:

@@ -46,7 +46,6 @@ class CoefficientStream:
     values: np.ndarray
     source: CoefficientSource
     params: HeunParams
-    e_list: tuple
 
     def __len__(self) -> int:
         return len(self.values)
@@ -86,7 +85,7 @@ def three_term_coefficients(p: HeunParams, n_max: int) -> CoefficientStream:
         p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
         int(n_max), n0, RHO_SWITCH)
     _finite_or_raise(values, "three-term stream")
-    return CoefficientStream(values, CoefficientSource.THREE_TERM, p, ())
+    return CoefficientStream(values, CoefficientSource.THREE_TERM, p)
 
 
 def two_term_coefficients(p: HeunParams, e_list, n_max: int,
@@ -122,7 +121,7 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
         raise NumericalError(
             f"ratio and closed-form streams disagree ({worst:.3e} relative)")
     values = closed if source == CoefficientSource.GAMMA_CLOSED_FORM else ratio
-    return CoefficientStream(values, source, p, tuple(es))
+    return CoefficientStream(values, source, p)
 
 
 def residual_rows(stream: CoefficientStream) -> np.ndarray:

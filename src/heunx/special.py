@@ -1,13 +1,14 @@
 """Gauss hypergeometric and gamma-family kernels.
 
-Series evaluation lives in the unit disk; derivatives use the
-parameter-shift identities d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z)
-and its second-order iterate. Rising factorials of integer order are
-finite Pochhammer products, not quotients of Gamma values, so none
-overflows or hits a pole for orders up to 1e4. Quotients of Gamma values
-of non-integer order are formed elsewhere: evaluator._gamma_ratio (the
-form's K and the forcing constant C, by math.gamma or by lgamma where a
-factor leaves the floats) and _kernels.gauss_2f1_at_one (by lgamma).
+Series evaluation lives in the unit disk; one kernel call sums the value
+and its first two z-derivatives term by term. The parameter-shift identity
+d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z) is the tests' oracle for the
+derivatives. Rising factorials of integer order are finite Pochhammer
+products, not quotients of Gamma values, so none overflows or hits a pole
+for orders up to 1e4. Quotients of Gamma values of non-integer order are
+formed elsewhere: evaluator._gamma_ratio (the form's K and the forcing
+constant C, by math.gamma or by lgamma where a factor leaves the floats)
+and _kernels.gauss_2f1_at_one (by lgamma).
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def _check_series_args(c: float, z: float) -> None:
         raise PoleError(f"c = {c!r} is a non-positive integer")
 
 
+def _sums(a, b, c, z, ctl):
+    """(f, f', f'', terms, last) of one series from the kernel, by ctl."""
+    if ctl is None:
+        ctl = SeriesControl()
+    _check_series_args(c, z)
+    return _kernels.f21_with_derivs(float(a), float(b), float(c), float(z),
+                                    ctl.rel_tol, ctl.max_terms,
+                                    _kernels.CONSECUTIVE_SMALL)
+
+
 def gauss_2f1(a: float, b: float, c: float, z: float,
               ctl: SeriesControl | None = None) -> EvalResult:
     """2F1(a,b;c;z) by direct summation, the series the expansion sums too.
@@ -70,25 +81,15 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     rel_tol times the running sum, in the value and in its second
     derivative.
     """
-    if ctl is None:
-        ctl = SeriesControl()
-    _check_series_args(c, z)
-    value, _, _, terms, last = _kernels.f21_with_derivs(
-        float(a), float(b), float(c), float(z),
-        ctl.rel_tol, ctl.max_terms, _kernels.CONSECUTIVE_SMALL)
+    value, _, _, terms, last = _sums(a, b, c, z, ctl)
     return EvalResult(float(value[0]), terms, float(last[0]),
                       EvalStatus.CONVERGED)
 
 
 def gauss_2f1_deriv(a: float, b: float, c: float, z: float, order: int,
                     ctl: SeriesControl | None = None) -> float:
-    """First or second z-derivative of 2F1 via parameter shifts."""
+    """First or second z-derivative of 2F1, summed term by term alongside
+    the value under gauss_2f1's stopping rule."""
     if order not in (1, 2):
         raise PreconditionError("derivative order must be 1 or 2")
-    if ctl is None:
-        ctl = SeriesControl()
-    _check_series_args(c, z)
-    factor = a * b / c
-    if order == 2:
-        factor *= (a + 1.0) * (b + 1.0) / (c + 1.0)
-    return factor * gauss_2f1(a + order, b + order, c + order, z, ctl).value
+    return float(_sums(a, b, c, z, ctl)[order][0])

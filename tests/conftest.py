@@ -13,8 +13,10 @@ try:
 except ImportError:
     pass
 
-from heunx import (PreconditionError, ValidationError, q_candidates_N0,
-                   q_candidates_N1, q_candidates_N2, solve)
+from heunx import (DivisionByZeroError, PreconditionError, ValidationError,
+                   q_candidates_N0, q_candidates_N1, q_candidates_N2, solve)
+from heunx import _kernels
+from heunx.params import INT_SNAP
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "N=0 anchor: q=4, c_1=0.5, c_2=0.3 from both routes within 1e-13, < 0.1 s",
@@ -57,6 +59,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if num in _RESULTS:
             terminalreporter.write_line(
                 f"criterion {num}: {_RESULTS[num]} - {ACCEPTANCE_DESCRIPTIONS[num]}")
+
+
+def coeff_p(n, a, q, al, be, ga, de, ep):
+    """P_n of the three-term relation for one float n: the scalar reference
+    the by-rows fills use, whose bits the P column of
+    _kernels._relation_rows must reproduce."""
+    g = ep + ga
+    f1 = n + g - al
+    f2 = n + g - be
+    if abs(f1) < INT_SNAP:
+        f1 = 0.0
+    if abs(f2) < INT_SNAP:
+        f2 = 0.0
+    if abs(n + g) < 1e-12:
+        raise DivisionByZeroError(_kernels._VANISHES.format(n))
+    return -a / (n + g) * (n + ep) * f1 * f2
 
 
 def draw_accepted_cases(total, seed=2024, orders=(0, 1, 2)):

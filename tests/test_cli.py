@@ -248,12 +248,15 @@ def test_eval_form_overflow_exits_4(write_params):
     assert out.stderr == "error: a gamma factor of the form leaves the floats\n"
 
 
-@pytest.mark.parametrize("rel_tol", ["inf", "nan"])
-def test_eval_rejects_non_finite_rel_tol(write_params, capsys, rel_tol):
-    # JSON has no Infinity or NaN for the tolerances block to print
+@pytest.mark.parametrize("fmt, rel_tol", [
+    pytest.param(fmt, rel_tol, id=rel_tol if fmt == "json" else f"{fmt}-{rel_tol}")
+    for fmt in ("json", "csv") for rel_tol in ("inf", "nan", "0", "-1")])
+def test_eval_rejects_non_finite_rel_tol(write_params, capsys, fmt, rel_tol):
+    # JSON has no Infinity or NaN for the tolerances block to print, and the
+    # CSV table, which prints no status, takes the same check at its input
     path = write_params(ANCHOR_FULL)
     args = ["eval", "--params", path, "--z=0.5", "--rel-tol", rel_tol,
-            "--format", "json"]
+            "--format", fmt]
     assert heunx.cli.main(args) == 2
     out = capsys.readouterr()
     assert out.out == ""

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import coeff_p
 from heunx import (DivisionByZeroError, NonConvergenceError, NumericalError,
                    _kernels, q_candidates_N0, q_candidates_N1, q_candidates_N2,
                    solve_reduction_general)
@@ -244,12 +245,12 @@ def _forward_by_rows(a, q, al, be, ga, de, ep, c, upto):
         if abs(rn) < _kernels.TINY:
             raise DivisionByZeroError(_kernels._PIVOT)
         c[n] = -(_kernels.coeff_q(n - 1.0, a, q, al, be, ga, de, ep) * c[n - 1]
-                 + _kernels.coeff_p(n - 2.0, a, q, al, be, ga, de, ep) * c[n - 2]) / rn
+                 + coeff_p(n - 2.0, a, q, al, be, ga, de, ep) * c[n - 2]) / rn
 
 
 def _backward_by_rows(a, q, al, be, ga, de, ep, work, start, stop):
     for j in range(start, stop, -1):
-        pj = _kernels.coeff_p(j, a, q, al, be, ga, de, ep)
+        pj = coeff_p(j, a, q, al, be, ga, de, ep)
         if abs(pj) < _kernels.TINY:
             raise DivisionByZeroError(_kernels._PIVOT)
         work[j] = -(_kernels.coeff_r(j + 2.0, a, ga, ep) * work[j + 2]

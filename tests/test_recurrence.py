@@ -7,13 +7,14 @@ import pytest
 
 import heunx._kernels
 import heunx.cli
+from conftest import coeff_p
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    params_to_dict, q_candidates_N0, q_candidates_N2,
                    recurrence_residual, residual_rows, solve_reduction_general,
                    stream_to_csv, termination_index, three_term_coefficients,
                    two_term_coefficients)
-from heunx._kernels import coeff_p, coeff_q, coeff_r
+from heunx._kernels import _relation_rows, coeff_q, coeff_r
 from heunx.recurrence import NO_TERMINATION
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
@@ -29,16 +30,19 @@ def test_coefficient_values_at_anchor():
     a, ga, ep = ANCHOR.a, ANCHOR.gamma, ANCHOR.epsilon
     assert [coeff_r(n, a, ga, ep) for n in (0.0, 1.0, 2.0)] == [0.0, -4.0, -10.0]
     assert [coeff_q(n, *_args(ANCHOR)) for n in (0.0, 1.0)] == [2.0, 12.0]
-    assert coeff_p(0.0, *_args(ANCHOR)) == -3.0
-    assert coeff_p(1.0, *_args(ANCHOR)) == pytest.approx(-9.6, rel=1e-15)
+    # rows n = 2 and 3 of the relation carry P_0 and P_1
+    _, _, p, gone = _relation_rows(np.array([2.0, 3.0]), *_args(ANCHOR))
+    assert p[0] == -3.0
+    assert p[1] == pytest.approx(-9.6, rel=1e-15)
+    assert not gone.any()
 
 
 def test_coeff_P_vanishing_denominator():
     # raw record: gamma+epsilon = -2 makes the P denominator vanish at n = 2
     raw = HeunParams(a=2.0, q=1.0, alpha=1.5, beta=0.5, gamma=0.5,
                      delta=5.5, epsilon=-2.5)
-    with pytest.raises(DivisionByZeroError):
-        coeff_p(2.0, *_args(raw))
+    _, _, _, gone = _relation_rows(np.arange(2.0, 7.0), *_args(raw))
+    assert gone.tolist() == [False, False, True, False, False]
 
 
 def test_three_term_stream_vanishing_denominator():
@@ -108,7 +112,7 @@ def test_recurrence_residual_detects_perturbation():
     stream = three_term_coefficients(ANCHOR, 10)
     values = np.array(stream.values, copy=True)
     values[3] *= 1.0 + 1e-3
-    bad = CoefficientStream(values, stream.source, stream.params, stream.e_list)
+    bad = CoefficientStream(values, stream.source, stream.params)
     assert recurrence_residual(bad) > 1e-5
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -76,6 +77,28 @@ def test_deriv_binomial_values():
     # d/dz (1-z)^(-2) = 2(1-z)^(-3); second derivative 6(1-z)^(-4)
     assert gauss_2f1_deriv(2.0, 1.5, 1.5, 0.5, 1) == pytest.approx(16.0, rel=1e-13)
     assert gauss_2f1_deriv(2.0, 1.5, 1.5, 0.5, 2) == pytest.approx(96.0, rel=1e-13)
+
+
+def test_deriv_matches_parameter_shift_identity():
+    # d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z) and its second-order
+    # iterate, in mpmath at 40 digits: an oracle the term-wise sums share
+    # nothing with
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        a, b = map(float, rng.uniform(-3.0, 3.0, 2))
+        c = float(rng.uniform(0.5, 4.0))
+        z = float(rng.uniform(-0.5, 0.5))
+        with mp.workdps(40):
+            x, y, w = map(mp.mpf, (a, b, c))
+            f = abs(float(mp.hyp2f1(x, y, w, z)))
+            first = x * y / w
+            second = first * (x + 1) * (y + 1) / (w + 1)
+            want = [float(factor * mp.hyp2f1(x + order, y + order, w + order, z))
+                    for order, factor in ((1, first), (2, second))]
+        for order, exact in enumerate(want, start=1):
+            got = gauss_2f1_deriv(a, b, c, z, order)
+            assert abs(got - exact) <= 1e-12 * max(abs(exact), f, 1.0)
 
 
 def test_deriv_rejects_bad_order():
