@@ -6,8 +6,9 @@ This package finds the parameter choices (delta = N+2, q on a degree-(N+1)
 polynomial condition, auxiliary shifts e_1..e_N) that collapse the
 recurrence to two terms, builds the resulting gamma-function coefficient
 closed forms, evaluates the expansion from its closed rational form, and
-certifies every step against independent routes, the tail-resummed
-summation and a power-series oracle. Everything runs in plain numpy.
+certifies every step against independent routes: a z-free certificate of
+that form and a power-series oracle (the tests also check the form against
+the tail-resummed summation). Everything runs in plain numpy.
 """
 
 from .errors import (DivisionByZeroError, DomainError, HeunxError,

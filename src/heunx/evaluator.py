@@ -6,15 +6,18 @@ falling-factorial pieces, and as g = alpha+beta-1-N each sums to a binomial
 series: with v = 1/(1-z), K = Gamma(g) / (Gamma(alpha) Gamma(beta)) and d_i
 the falling-factorial coefficients of prod_k (1 + n/e_k),
 u = sum_{k=1..N+1} B_k v^k with B_{N+1-i} = K d_i (g-alpha)_i (g-beta)_i (N-i)!,
-and u', u'' follow from dv/dz = v^2. A call builds the B_k once and runs
-one Horner pass over all of its points. The tail-resummed summation of the
-series (`_sum_points`) is the independent route the form is checked against:
-one prefix per direct-sum length and one inner kernel pass over all points.
+and u', u'' follow from dv/dz = v^2: the form is the series resummed in
+closed form. A call builds the B_k once and runs one Horner pass over all of
+its points. The tail-resummed summation of the series (`_sum_points`) is the
+tests' term-by-term route the form is checked against: one prefix per
+direct-sum length and one inner kernel pass over all points.
 
 Against a two-term stream the operator telescopes term by term, so the sum
 solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)
 prod_k e_k): the homogeneous equation exactly when C = 0, i.e. when the
-stream terminates. `forced_residual` is the residual that certifies it.
+stream terminates. `forced_residual` is the residual that certifies it at a
+point. `form_certificate`, which `verify` reports, checks the same equation
+on the B_k themselves, with no z and no summation.
 """
 
 from __future__ import annotations
@@ -140,16 +143,17 @@ def _form(case: ReductionCase):
     return b[::-1], err[::-1], math.fsum((p.alpha, p.beta, -p.gamma, -p.epsilon, -1.0 - n))
 
 
-def evaluate_points(case: ReductionCase, zs,
-                    ctl: SeriesControl | None = None) -> list[Evaluation]:
+def evaluate_points(case: ReductionCase, zs, ctl: SeriesControl | None = None,
+                    form: tuple | None = None) -> list[Evaluation]:
     """(u, u', u'') at each z of zs by Horner's rule in v = 1/(1-z), the B_k
-    built once and every point stepped at once; each tail is the Horner bound
-    gamma_m sum_k |c_k| |v|^k plus the B_k's error bounds."""
+    built once (or taken from form, the caller's _form(case)) and every point
+    stepped at once; each tail is the Horner bound gamma_m sum_k |c_k| |v|^k
+    plus the B_k's error bounds."""
     ctl = ctl or SeriesControl()
     zs = [float(z) for z in zs]
     for z in zs:
         check_disk(z)
-    b, b_err, r = _form(case)
+    b, b_err, r = form or _form(case)
     n = len(b)
     vs = [1.0 / (1.0 - z) for z in zs]
     # 4N + 12 roundings (v, its powers, the steps); the series has Gamma(k+r) v^(k+r),
@@ -229,17 +233,6 @@ def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
     return _sum_points(case, (z,), ctl)[0]
 
 
-def summation_gaps(case: ReductionCase, evs) -> list[float]:
-    """Per ev of evs, the largest relative gap over u, u', u'' of ev to the
-    summation at ev.z, all points summed in one _sum_points call at the
-    default SeriesControl; the summation's own cancellation sets its floor
-    (README), and with W_m exact to the last bit the largest gaps barely move."""
-    summed = _sum_points(case, [ev.z for ev in evs], SeriesControl())
-    return [float(max(abs(s - x) / max(abs(x), _kernels.TINY)
-                      for s, x in zip(row[:3], (ev.u, ev.du, ev.ddu))))
-            for row, ev in zip(summed, evs)]
-
-
 def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:
     """Scale-free residual of the homogeneous equation at ev.z; nan where
     ev.z is a singular point of the equation."""
@@ -284,6 +277,46 @@ def forced_residual(case: ReductionCase, ev: Evaluation) -> float:
     num = abs(w * ev.ddu + wp * ev.du + wq * ev.u + c)
     den = abs(w * ev.ddu) + abs(wp * ev.du) + abs(wq * ev.u) + abs(c) + 1e-300
     return float(num / den)
+
+
+def form_certificate(case: ReductionCase, b=None) -> float:
+    """The z-free check of the closed form against forcing_constant: with
+    t = 1 - z, u = sum_k B_k t^-k, and t^(N+3) times forced_residual's
+    operator w u'' + wp u' + wq u + C is a polynomial in t whose every
+    coefficient must vanish. Returns the largest coefficient over the largest
+    sum of the magnitudes of the terms that form one coefficient. A ratio per
+    coefficient would read noise in a terminating case, whose top coefficient
+    holds only B_1 and C, both 0 up to rounding. b: the B_k of _form(case),
+    when the caller already holds them."""
+    if b is None:
+        b = _form(case)[0]
+    p = case.params
+    c = forcing_constant(case)
+    k = np.arange(1.0, len(b) + 1.0)
+    polys = []
+    for f in (np.positive, np.abs):  # the signed terms, then their magnitudes
+        # z, z - 1 and z - a as coefficients of t^0, t^1
+        z, z1, za = [1.0, f(-1.0)], [0.0, f(-1.0)], [f(1.0 - p.a), f(-1.0)]
+        w = np.convolve(np.convolve(z, z1), za)
+        wp = (f(p.gamma) * np.convolve(z1, za) + f(p.delta) * np.convolve(z, za)
+              + f(p.epsilon) * np.convolve(z, z1))
+        wq = [f(p.alpha * p.beta) + f(-p.q), f(-p.alpha * p.beta)]
+        bk = f(np.array(b))
+        # t^(N+3) u'', u', u: k(k+1) B_k, k B_k, B_k at t^(N+1-k), t^(N+2-k), t^(N+3-k)
+        poly = (np.convolve((k * (k + 1.0) * bk)[::-1], w)
+                + np.convolve(np.concatenate(([0.0], (k * bk)[::-1])), wp)
+                + np.convolve(np.concatenate(([0.0, 0.0], bk[::-1])), wq))
+        poly[-1] += f(c)
+        polys.append(poly)
+    num, den = polys
+    return float(np.max(np.abs(num)) / np.maximum(np.max(den), _kernels.TINY))
+
+
+def certified_points(case: ReductionCase, zs) -> tuple[list[Evaluation], float]:
+    """evaluate_points at zs and the form_certificate of the same B_k, from
+    one _form pass."""
+    form = _form(case)
+    return evaluate_points(case, zs, form=form), form_certificate(case, form[0])
 
 
 def evaluation_table(case: ReductionCase, z_values) -> str:

@@ -13,9 +13,11 @@ try:
 except ImportError:
     pass
 
-from heunx import (DivisionByZeroError, PreconditionError, ValidationError,
-                   q_candidates_N0, q_candidates_N1, q_candidates_N2, solve)
+from heunx import (DivisionByZeroError, PreconditionError, SeriesControl,
+                   ValidationError, q_candidates_N0, q_candidates_N1,
+                   q_candidates_N2, solve)
 from heunx import _kernels
+from heunx.evaluator import _sum_points
 from heunx.params import INT_SNAP
 
 ACCEPTANCE_DESCRIPTIONS = {
@@ -75,6 +77,18 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
     if abs(n + g) < 1e-12:
         raise DivisionByZeroError(_kernels._VANISHES.format(n))
     return -a / (n + g) * (n + ep) * f1 * f2
+
+
+def summation_gaps(case, evs):
+    """Per ev of evs, the largest relative gap over u, u', u'' of ev to the
+    tail-resummed summation at ev.z, all points summed in one _sum_points
+    call at the default SeriesControl: the term-by-term route the closed form
+    is checked against. The summation's own cancellation sets its floor
+    (README), and with W_m exact to the last bit the largest gaps barely move."""
+    summed = _sum_points(case, [ev.z for ev in evs], SeriesControl())
+    return [float(max(abs(s - x) / max(abs(x), _kernels.TINY)
+                      for s, x in zip(row[:3], (ev.u, ev.du, ev.ddu))))
+            for row, ev in zip(summed, evs)]
 
 
 def draw_accepted_cases(total, seed=2024, orders=(0, 1, 2)):

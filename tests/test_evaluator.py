@@ -1,16 +1,20 @@
 """Evaluation of the expansion and its derivatives from the closed form, the
 tail-resummed summation it is checked against, and the equation residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import summation_gaps
 from heunx import (DomainError, EvalStatus, NonConvergenceError, SeriesControl,
                    SingularPointError, _kernels, evaluate, evaluation_table,
                    forced_residual, forcing_constant, gauss_2f1,
                    gauss_2f1_deriv, homogeneous_residual, q_candidates_N0,
                    q_candidates_N2, solve_reduction_general)
-from heunx.evaluator import (_M_START, _MCAP, _sum_all, _sum_points,
-                             check_interior, summation_gaps)
+from heunx.evaluator import (_M_START, _MCAP, _U, _sum_all, _sum_points,
+                             certified_points, check_interior,
+                             evaluate_points, form_certificate)
 from heunx.recurrence import NO_TERMINATION, termination_index
 
 
@@ -223,6 +227,42 @@ def test_forcing_defect_certifies_every_case(anchor_case, single_term_case,
     for case in (anchor_case, single_term_case, rational_case):
         for z in (0.1, 0.25, 0.4):
             assert forced_residual(case, evaluate(case, z)) < 1e-10
+
+
+def test_form_certificate_holds_on_form_cases(form_cases):
+    # the B_k against forcing_constant with no z: worst 1.5e-14 (N = 6),
+    # 1.1e-14 at N = 3 and 3.5e-16 at N <= 2, terminating cases included
+    for case in form_cases:
+        assert form_certificate(case) <= 1e-13
+
+
+def _moved_cases(case, rel):
+    """case with q, then with each e_k in turn, moved by rel relative; the
+    report is carried over, so nothing re-certifies the moved case."""
+    p = case.params
+    yield dataclasses.replace(case, params=dataclasses.replace(p, q=p.q * (1.0 + rel)))
+    for k in range(case.N):
+        es = list(case.e_list)
+        es[k] *= 1.0 + rel
+        yield dataclasses.replace(case, e_list=tuple(es))
+
+
+def test_form_certificate_sees_a_moved_q_or_e(form_cases):
+    # 1e-8 relative on q or one e_k lifts the value 2.1e4 times or more
+    # (the least: q of an N = 6 case); a value below the unit roundoff
+    # counts as the unit roundoff
+    for case in form_cases:
+        floor = 1e3 * max(form_certificate(case), _U)
+        for moved in _moved_cases(case, 1e-8):
+            assert form_certificate(moved) >= floor
+
+
+def test_certified_points_share_one_form(form_cases):
+    zs = (0.0, -0.5, 0.3)
+    for case in form_cases:
+        evs, value = certified_points(case, zs)
+        assert repr(evs) == repr(evaluate_points(case, zs))
+        assert value == form_certificate(case)
 
 
 @pytest.mark.xfail(strict=True, reason="the generic two-term sum solves the "

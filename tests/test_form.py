@@ -8,12 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import solve_draw
+from conftest import solve_draw, summation_gaps
 from heunx import (DomainError, EvalStatus, NumericalError, ReductionCase,
                    SeriesControl, evaluate, evaluate_points)
 from heunx._kernels import VALUE_FLOOR
-from heunx.evaluator import (Evaluation, _form, _gamma_n, check_disk,
-                             summation_gaps)
+from heunx.evaluator import Evaluation, _form, _gamma_n, check_disk
 
 mp = pytest.importorskip("mpmath")
 

@@ -72,7 +72,8 @@ def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
     spans.install()
     try:
         # generic case: the homogeneous checks fail, every check runs; verify
-        # sums its 3 points in one expansion_core call, not through _sum_all
+        # reads the closed form and sums no series, so the one expansion_core
+        # call and the one f21 pass below are this test's own _sum_all
         assert heunx.cli.main(["verify", "--params", str(path), "--e=" + N2_E]) == 3
         assert heunx.cli.main(["coeffs", "--params", str(path),
                                "--source", "three-term"]) == 0
@@ -85,11 +86,10 @@ def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
         info.setdefault(rec[2], []).append(rec[7])
     assert info["kernels.frobenius_fill"] == [{"terms": 401}]
     assert info["evaluator.sum"] == [{"z": 0.25, "terms": 129, "max_terms": 10000}]
-    assert info["kernels.expansion_core"] == [{"big_m": 128, "terms": 387},
-                                              {"big_m": 128, "terms": 129}]
+    assert info["kernels.expansion_core"] == [{"big_m": 128, "terms": 129}]
     metrics = tracer.layer_metrics(spans, 1)
     assert metrics["oracle.frobenius.terms"] == 401
     assert metrics["evaluator.sum_calls"] == 1
     assert metrics["evaluator.terms"] == 129
-    assert metrics["kernels.f21.calls"] == 2
+    assert metrics["kernels.f21.calls"] == 1
     assert metrics["kernels.three_term.s"] > 0.0
