@@ -8,11 +8,11 @@ Where an array kernel replaces a scalar loop it keeps the loop's bits:
 elementwise numpy arithmetic rounds each operation as a Python float does,
 so each expression keeps the loop's operation order, and a running product
 or sum is a ufunc accumulate, which, unlike a reduction, runs strictly left
-to right. f21_with_derivs sums all inner 2F1 series of a call this way, in
-blocked passes; expansion_core hands it the (point, n) grid of every point
-it sums. The three-term fills take R_n, Q_n and P_n as arrays over
-the indices their loop visits, raise where the loop would first raise, and
-run the recurrence itself over Python floats, as the loop did.
+to right. The three-term fills take R_n, Q_n and P_n as arrays over the
+indices their loop visits, raise where the loop would first raise, and run
+the recurrence itself over Python floats, as the loop did. Each inner 2F1
+series is one scalar loop (_f21_series), which f21_with_derivs runs over
+the (point, n) grid that expansion_core hands it.
 tests/test_kernels.py holds the scalar loops as references, and
 tests/conftest.py the scalar P_n they take.
 """
@@ -34,10 +34,6 @@ NEAR_ORIGIN = 1e-150
 # successive small terms that stop an inner 2F1 series: the non-monotone
 # terms of negative parameters make a single small term an unsafe signal
 CONSECUTIVE_SMALL = 3
-# terms per series in the first pass of f21_with_derivs, doubling up to the
-# last; the cap bounds a pass to 64 columns of every live series
-_FIRST_PASS = 16
-_LAST_PASS = 64
 NEWTON_TOL = 1e-12  # newton_general's convergence bound and step cap
 POLISH_STEPS = 6
 
@@ -82,90 +78,53 @@ def gauss_2f1_at_one(a, b, c):
     return sn * sm * sp * sq * math.exp(logv)
 
 
-def _scan(ufunc, start, steps):
-    """start, start op steps[..., 0], ... along the last axis, strictly left
-    to right: the running product or sum a scalar loop carries."""
-    return ufunc.accumulate(np.concatenate((start[..., None], steps), axis=-1),
-                            axis=-1)[..., 1:]
+def _f21_series(a, b, c, z, rel_tol, max_terms, consec):
+    """(f, f', f'', terms, last): 2F1(a, b; c; z) and its first two
+    z-derivatives by one series, the terms used (1 at the origin, m + 1 after
+    m terms) and the last term's magnitude.
+
+    Term m+1 is term m times (a+m)(b+m)z / ((c+m)(m+1)); the series stops
+    after `consec` successive terms small in the value and in u'', and raises
+    NonConvergenceError if still live after max_terms terms. A z with
+    |z| < NEAR_ORIGIN takes the values at z = 0.
+    """
+    if abs(z) < NEAR_ORIGIN:
+        return (1.0, a * b / c, a * b * (a + 1.0) * (b + 1.0) / (c * (c + 1.0)),
+                1, 0.0)
+    zi = 1.0 / z
+    zi2 = zi * zi
+    term = s0 = 1.0
+    s1 = s2 = 0.0
+    small = m = 0
+    while m < max_terms:
+        term *= (a + m) * (b + m) * z / ((c + m) * (m + 1.0))
+        m += 1
+        fm = float(m)
+        s0 += term
+        s1 += term * fm * zi
+        s2 += term * fm * (fm - 1.0) * zi2
+        t0 = abs(term)
+        # derivative series decay slowest; gate on both ends
+        if (t0 <= rel_tol * (abs(s0) + TINY)
+                and t0 * fm * (fm - 1.0) * zi2 <= rel_tol * (abs(s2) + TINY) + TINY):
+            small += 1
+            if small >= consec:
+                return s0, s1, s2, m + 1, t0
+        else:
+            small = 0
+    raise NonConvergenceError("an inner hypergeometric series did not settle")
 
 
 def f21_with_derivs(a, b, c, z, rel_tol, max_terms, consec):
-    """2F1(a, b; c; z) and its first two z-derivatives for every element of
-    c and z broadcast together, all series summed side by side.
-
-    Per element the rule is the scalar one: term m+1 is term m times
-    (a+m)(b+m)z / ((c+m)(m+1)), added into the value, u' and u'' sums, and
-    the series stops after `consec` successive terms small in the value and
-    in u''. A pass takes the next K terms of every live series at once
-    (K = 16, doubling up to 64) and drops the series that stopped in it;
-    terms past a stop are thrown away. Every element gets the bits of that
-    scalar loop: the same operations in the same order, the running term
-    and sums carried by accumulate. An element with |z| < NEAR_ORIGIN takes
-    the values at z = 0. A series still live after max_terms terms raises
-    NonConvergenceError.
-
-    Returns (f, f', f'', terms, last): the three sums and the last term's
-    magnitude as flat arrays over the broadcast elements in row-major order,
-    and `terms`, the Python int total of the per-element term counts (1 at
-    the origin, m + 1 after m terms).
-    """
-    c, z = np.broadcast_arrays(np.atleast_1d(np.asarray(c, dtype=np.float64)),
-                               np.asarray(z, dtype=np.float64))
-    c, z = c.ravel(), z.ravel()
-    live = np.flatnonzero(~(np.abs(z) < NEAR_ORIGIN))
-    terms = c.size - live.size
-    out = np.empty((3, c.size))  # value, u', u''
-    last = np.zeros(c.size)
-    cl, zl = c[live, None], z[live, None]
-    zi = 1.0 / zl
-    zi2 = zi * zi
-    # each live series as after term m: its term, its three sums and the
-    # run of small terms ending there
-    term = np.ones(live.size)
-    sums = np.zeros((3, live.size))
-    sums[0] = 1.0
-    small = np.zeros(live.size, dtype=np.int64)
-    m = 0
-    width = _FIRST_PASS
-    with np.errstate(all="ignore"):  # columns past a stop may overflow
-        out[0] = 1.0
-        out[1] = a * b / c
-        out[2] = a * b * (a + 1.0) * (b + 1.0) / (c * (c + 1.0))
-        while live.size:
-            if m >= max_terms:
-                raise NonConvergenceError(
-                    "an inner hypergeometric series did not settle")
-            k = min(width, max_terms - m)
-            mm = np.arange(m, m + k, dtype=np.float64)
-            fm = mm + 1.0
-            terms_k = _scan(np.multiply, term,
-                            (a + mm) * (b + mm) * zl / ((cl + mm) * fm))
-            sums_k = _scan(np.add, sums, np.stack(
-                (terms_k, terms_k * fm * zi,
-                 terms_k * fm * (fm - 1.0) * zi2)))
-            t0 = np.abs(terms_k)
-            # derivative series decay slowest; gate on both ends
-            ok = ((t0 <= rel_tol * (np.abs(sums_k[0]) + TINY))
-                  & (t0 * fm * (fm - 1.0) * zi2
-                     <= rel_tol * (np.abs(sums_k[2]) + TINY) + TINY))
-            col = np.arange(k)
-            broken = np.maximum.accumulate(np.where(ok, -1, col), axis=1)
-            run = np.where(broken < 0, small[:, None] + col + 1, col - broken)
-            hit = run >= consec
-            stop = hit.argmax(axis=1)
-            done = hit.any(axis=1)
-            rows, at = np.flatnonzero(done), stop[done]
-            out[:, live[rows]] = sums_k[:, rows, at]
-            last[live[rows]] = t0[rows, at]
-            terms += int(np.sum(at)) + (m + 2) * rows.size
-            keep = ~done
-            live, cl, zl, zi, zi2 = (x[keep] for x in (live, cl, zl, zi, zi2))
-            term = terms_k[keep, -1]
-            sums = sums_k[:, keep, -1]
-            small = run[keep, -1]
-            m += k
-            width = min(2 * width, _LAST_PASS)
-    return out[0], out[1], out[2], terms, last
+    """_f21_series at every element of c and z broadcast together, as flat
+    arrays in row-major order; `terms` is the Python int total of the
+    per-element term counts."""
+    a, b = float(a), float(b)
+    grid = np.array(np.broadcast_arrays(c, z), dtype=np.float64).reshape(2, -1)
+    rows = [_f21_series(a, b, ci, zi, rel_tol, max_terms, consec)
+            for ci, zi in zip(*grid.tolist())]
+    f, f1, f2, _, last = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    return f, f1, f2, sum(r[3] for r in rows), last
 
 
 def two_term_ratio_stream(g, x1, x2, es, nmax, n0):

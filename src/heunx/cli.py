@@ -23,9 +23,9 @@ from .evaluator import (certified_points, check_disk, check_interior,
 from .oracle import cross_check
 from .params import (check_order, load_params_file, params_to_dict,
                      require_valid)
-from .recurrence import (CoefficientSource, json_float, recurrence_residual,
-                         stream_to_csv, stream_to_json,
-                         three_term_coefficients, two_term_coefficients)
+from .recurrence import (CoefficientSource, json_float, stream_to_csv,
+                         stream_to_json, three_term_coefficients,
+                         two_term_coefficients)
 from .reduction import (A_TOP_TOL, STREAM_ROWS, VERIFY_TOL, ReductionCase,
                         case_to_dict, solve, verify_reduction)
 from .special import EvalStatus, SeriesControl
@@ -191,13 +191,14 @@ def cmd_verify(ns) -> int:
     es = _parse_floats(ns.e)
     zs = _z_points(ns, p.a, interior=True)
 
-    rec_value = recurrence_residual(two_term_coefficients(p, es, STREAM_ROWS))
-    rec_ok = rec_value <= RECURRENCE_TOL
-
+    # built first for its checks alone (a pole or order failure exits 2, a
+    # ratio/closed-form disagreement 4); the report holds these rows' defect
+    two_term_coefficients(p, es, STREAM_ROWS)
     report = verify_reduction(p, es)
+    rec_ok = report.stream_defect <= RECURRENCE_TOL
     checks = {
-        "recurrence_residual": {"value": rec_value, "tol": RECURRENCE_TOL,
-                                "passed": rec_ok},
+        "recurrence_residual": {"value": report.stream_defect,
+                                "tol": RECURRENCE_TOL, "passed": rec_ok},
         "collocation": {"passed": report.passed, "tol": VERIFY_TOL,
                         "a_top_gap": report.a_top_gap,
                         "stream_defect": report.stream_defect,

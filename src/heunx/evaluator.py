@@ -10,7 +10,7 @@ and u', u'' follow from dv/dz = v^2: the form is the series resummed in
 closed form. A call builds the B_k once and runs one Horner pass over all of
 its points. The tail-resummed summation of the series (`_sum_points`) is the
 tests' term-by-term route the form is checked against: one prefix per
-direct-sum length and one inner kernel pass over all points.
+direct-sum length and one f21_with_derivs call over all points.
 
 Against a two-term stream the operator telescopes term by term, so the sum
 solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)

@@ -1,11 +1,12 @@
 """Gauss hypergeometric and gamma-family kernels.
 
-Series evaluation lives in the unit disk; one kernel call sums the value
-and its first two z-derivatives term by term. The parameter-shift identity
-d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z) is the tests' oracle for the
-derivatives. Rising factorials of integer order are finite Pochhammer
-products, not quotients of Gamma values, so none overflows or hits a pole
-for orders up to 1e4. Quotients of Gamma values of non-integer order are
+Series evaluation lives in the unit disk; one scalar loop
+(_kernels._f21_series) sums the value and its first two z-derivatives term
+by term. The parameter-shift identity d/dz 2F1(a,b;c;z) =
+(ab/c) 2F1(a+1,b+1;c+1;z) is the tests' oracle for the derivatives.
+Rising factorials of integer order are finite Pochhammer products, not
+quotients of Gamma values, so none overflows or hits a pole for orders up
+to 1e4. Quotients of Gamma values of non-integer order are
 formed elsewhere: evaluator._gamma_ratio (the form's K and the forcing
 constant C, by math.gamma or by lgamma where a factor leaves the floats)
 and _kernels.gauss_2f1_at_one (by lgamma).
@@ -68,9 +69,9 @@ def _sums(a, b, c, z, ctl):
     if ctl is None:
         ctl = SeriesControl()
     _check_series_args(c, z)
-    return _kernels.f21_with_derivs(float(a), float(b), float(c), float(z),
-                                    ctl.rel_tol, ctl.max_terms,
-                                    _kernels.CONSECUTIVE_SMALL)
+    return _kernels._f21_series(float(a), float(b), float(c), float(z),
+                                ctl.rel_tol, ctl.max_terms,
+                                _kernels.CONSECUTIVE_SMALL)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,
@@ -82,8 +83,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     derivative.
     """
     value, _, _, terms, last = _sums(a, b, c, z, ctl)
-    return EvalResult(float(value[0]), terms, float(last[0]),
-                      EvalStatus.CONVERGED)
+    return EvalResult(value, terms, last, EvalStatus.CONVERGED)
 
 
 def gauss_2f1_deriv(a: float, b: float, c: float, z: float, order: int,
@@ -92,4 +92,4 @@ def gauss_2f1_deriv(a: float, b: float, c: float, z: float, order: int,
     the value under gauss_2f1's stopping rule."""
     if order not in (1, 2):
         raise PreconditionError("derivative order must be 1 or 2")
-    return float(_sums(a, b, c, z, ctl)[order][0])
+    return _sums(a, b, c, z, ctl)[order]

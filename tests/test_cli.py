@@ -476,26 +476,40 @@ def test_list_may_start_with_a_minus(write_params, args):
 
 # eval, residual and verify read the closed form and never sum: verify
 # checks the form by its z-free certificate, and the term-by-term summation
-# runs only in the tests.
+# runs only in the tests. reduce and coeffs never reach a series either.
 @pytest.mark.parametrize("args, sums", [
     (("eval", "--z=0.1,0.25", "--format", "csv"), 0),
     (("eval", "--z=0.1,0.25", "--format", "json"), 0),
     (("residual", "--z=0.1,0.25"), 0),
     (("verify",), 0),
+    (("reduce", "--n", "0"), 0),
+    (("coeffs", "--source", "closed"), 0),
+    (("coeffs", "--source", "ratio"), 0),
+    (("coeffs", "--source", "three-term"), 0),
 ])
-def test_each_point_is_summed_once(write_params, monkeypatch, args, sums):
+def test_each_point_is_summed_once(write_params, monkeypatch, capsys, args,
+                                   sums):
     path = write_params(ANCHOR_FULL)
     calls = []
+    series = []
     core = heunx._kernels.expansion_core
+    one = heunx._kernels._f21_series
 
     def counted(*core_args):
         calls.append(core_args[8])    # the points summed
         return core(*core_args)
 
+    def counted_series(*series_args):
+        series.append(series_args)
+        return one(*series_args)
+
     monkeypatch.setattr(heunx._kernels, "expansion_core", counted)
+    monkeypatch.setattr(heunx._kernels, "_f21_series", counted_series)
     code = heunx.cli.main([args[0], "--params", path, *args[1:]])
     assert code in (0, 3)
+    assert capsys.readouterr().out
     assert sum(map(len, calls)) == sums
+    assert len(series) == 0    # no inner 2F1 series is summed
 
 
 # the B_k depend on the case alone: one form per call, verify's taking the

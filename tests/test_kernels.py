@@ -8,7 +8,8 @@ import pytest
 
 from conftest import coeff_p
 from heunx import (DivisionByZeroError, NonConvergenceError, NumericalError,
-                   _kernels, q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                   SeriesControl, _kernels, gauss_2f1, gauss_2f1_deriv,
+                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
                    solve_reduction_general)
 from heunx.params import is_nonpos_int
 from heunx.recurrence import NO_TERMINATION, RHO_SWITCH, termination_index
@@ -58,8 +59,8 @@ KERNEL_Z = (-0.95, -0.9, -0.5, -1e-3, 0.0, 1e-200, 0.3, 0.75, 0.95)
 @pytest.mark.parametrize("consec", [1, 3])
 def test_array_kernel_matches_scalar_loop(a, b, consec):
     # same arithmetic per element in the same order, so equal to the bit;
-    # a = -3 terminates; every (c, z) pair runs in one call, so series that
-    # stop in different passes share each pass
+    # a = -3 terminates; every (c, z) pair runs in one call, whose results
+    # come in row-major order
     c, z = np.meshgrid(KERNEL_C, KERNEL_Z, indexing="ij")
     got = _kernels.f21_with_derivs(a, b, c, z, 1e-15, 10000, consec)
     want = [_f21_by_terms(a, b, ci, zi, 1e-15, 10000, consec)
@@ -71,6 +72,16 @@ def test_array_kernel_matches_scalar_loop(a, b, consec):
     for ci, zi, w in zip(c.ravel(), z.ravel(), want):
         assert _kernels.f21_with_derivs(a, b, ci, zi, 1e-15, 10000,
                                         consec)[3] == w[3]
+    if consec != _kernels.CONSECUTIVE_SMALL:
+        return
+    # the public entry points sum one series each, with the same bits
+    ctl = SeriesControl(rel_tol=1e-15, max_terms=10000)
+    for i, (ci, zi) in enumerate(zip(c.ravel(), z.ravel())):
+        r = gauss_2f1(a, b, ci, zi, ctl)
+        assert (r.value, r.terms_used, r.tail_estimate) == (
+            got[0][i], want[i][3], got[4][i])
+        for order in (1, 2):
+            assert gauss_2f1_deriv(a, b, ci, zi, order, ctl) == got[order][i]
 
 
 def test_array_kernel_stops_at_max_terms():
