@@ -1,4 +1,4 @@
-"""Numeric cores behind the public API, in plain numpy.
+"""Numeric cores behind the public API, in plain numpy and Python floats.
 
 Every function here is side-effect free. A failure raises the typed error
 where it happens: PoleError, DivisionByZeroError, NonConvergenceError or
@@ -12,8 +12,12 @@ to right. The three-term fills take R_n, Q_n and P_n as arrays over the
 indices their loop visits, raise where the loop would first raise, and run
 the recurrence itself over Python floats, as the loop did. Each inner 2F1
 series is one scalar loop (_f21_series), which f21_with_derivs runs over
-the (point, n) grid that expansion_core hands it.
-tests/test_kernels.py holds the scalar loops as references, and
+the (point, n) grid that expansion_core hands it. Where the arrays would
+be small, a scalar loop replaces the array kernels and keeps their bits:
+stream_defect runs two_term_ratio_stream and recurrence_residual_rows
+row by row for the reduction certificate's 50 rows, mapping a NaN row
+(which np.max propagates and Python's max drops) and a division by zero
+to inf. tests/test_kernels.py holds the scalar loops as references, and
 tests/conftest.py the scalar P_n they take.
 """
 
@@ -207,6 +211,51 @@ def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
         t1, t2, t3 = r[big] * (c2[big] * s), qn[big] * (c1[big] * s), p[big] * (c0[big] * s)
         rows[2:][big] = np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + TINY)
     return rows
+
+
+def stream_defect(a, q, al, be, ga, de, ep, es, nmax, n0):
+    """max(recurrence_residual_rows(two_term_ratio_stream(...))[2:]) with the
+    ratio stream of (ga+ep, ga+ep-al, ga+ep-be, es) to nmax >= 2, run row by
+    row over Python floats with the bits of those two kernels; inf where
+    that max is NaN or inf, as it is wherever a division by zero would put
+    one into the stream or a row."""
+    g = ga + ep
+    x1, x2 = g - al, g - be
+    c = [1.0]
+    worst = 0.0
+    try:
+        for k in range(1, nmax + 1):
+            n = float(k)
+            if k < n0:
+                ratio = (x1 + (n - 1.0)) * (x2 + (n - 1.0)) / ((g + (n - 1.0)) * n)
+                for e in es:
+                    ratio *= (e + n) / (e + (n - 1.0))
+                c.append(c[-1] * ratio)
+            else:
+                c.append(0.0)
+            if k < 2:
+                continue
+            m = n - 2.0
+            f1, f2 = m + g - al, m + g - be
+            f1 = 0.0 if abs(f1) < INT_SNAP else f1
+            f2 = 0.0 if abs(f2) < INT_SNAP else f2
+            r = coeff_r(n, a, ga, ep)
+            qn = coeff_q(n - 1.0, a, q, al, be, ga, de, ep)
+            p = -a / (m + g) * (m + ep) * f1 * f2
+            t1, t2, t3 = r * c[k], qn * c[k - 1], p * c[k - 2]
+            scale = abs(t1) + abs(t2) + abs(t3)
+            if scale == math.inf:
+                s = 2.0 ** -64
+                t1, t2, t3 = r * (c[k] * s), qn * (c[k - 1] * s), p * (c[k - 2] * s)
+                scale = abs(t1) + abs(t2) + abs(t3)
+            row = abs(t1 + t2 + t3) / (scale + TINY)
+            if row > worst:
+                worst = row
+            elif row != row:
+                return math.inf
+    except ZeroDivisionError:
+        return math.inf
+    return worst
 
 
 _PIVOT = "a recurrence pivot R_n or P_n vanished"

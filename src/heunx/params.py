@@ -100,7 +100,10 @@ class ValidatedHeunParams(HeunParams):
 
 
 def require_valid(p: HeunParams) -> ValidatedHeunParams:
-    """p as ValidatedHeunParams; ValidationError lists every violated invariant."""
+    """p as ValidatedHeunParams (p itself when it already is one, as the
+    record is frozen); ValidationError lists every violated invariant."""
+    if isinstance(p, ValidatedHeunParams):
+        return p
     return ValidatedHeunParams(**params_to_dict(p))
 
 

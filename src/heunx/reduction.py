@@ -17,6 +17,13 @@ The closed forms of N <= 2 and the eigen solver hand every real root to one
 acceptance routine, _accept, so each of the N+1 roots comes back as a case
 or as one "root q = ... dropped: <reason>" note. solve picks the solver for
 an order and returns both lists.
+
+verify_reduction runs once per accepted root and once per case a command
+builds, on a handful of nodes and 50 rows, where a numpy call costs more
+than its arithmetic. So it runs over Python floats, with the bits of the
+array kernels: identity_terms once per node, and the stream defect as one
+scalar kernel (_kernels.stream_defect). _polish is Horner's rule over
+floats, with np.polyval's bits.
 """
 
 from __future__ import annotations
@@ -105,24 +112,6 @@ class ConstraintReport:
         return not self.failed
 
 
-def _stream_defect(p: HeunParams, e_list) -> float:
-    """Largest scale-free three-term defect of the ratio stream c_0..c_50.
-
-    The quantity `verify` reports as its recurrence residual, from the ratio
-    alone (no closed-form agreement check); inf when the stream leaves the
-    floats, as it does at a non-positive integer e_k.
-    """
-    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
-    g = p.gamma + p.epsilon
-    with np.errstate(all="ignore"):
-        c = _kernels.two_term_ratio_stream(g, g - p.alpha, g - p.beta, es,
-                                           STREAM_ROWS, termination_index(p))
-        rows = _kernels.recurrence_residual_rows(
-            p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, c)
-    worst = float(np.max(rows[2:]))
-    return worst if math.isfinite(worst) else math.inf
-
-
 def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     """The reduction certificate.
 
@@ -131,30 +120,36 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     checked against VERIFY_TOL times the local summand scale (floored at
     1). The values at n = 0..N+1 give the forward-difference leading
     coefficient a_top, reported with how far it sits from its closed form
-    2+N-delta. Also takes the _stream_defect of the first 50 coefficients.
+    2+N-delta. Also takes the largest scale-free three-term defect of the
+    ratio stream c_0..c_50 (_kernels.stream_defect), the quantity `verify`
+    reports as its recurrence residual; inf when the stream leaves the
+    floats, as it does at a non-positive integer e_k.
     Passes iff all three hold: every identity value, the gap within
     A_TOP_TOL and the defect within VERIFY_TOL; `failed` names the others.
     """
     es = tuple(float(e) for e in e_list)
     n_case = len(es)
 
-    nodes = np.append(np.arange(n_case + 4.0), _PROBE_POINT)
-    with np.errstate(all="ignore"):  # an identity past the floats fails below
-        t1, t2, t3 = _identity_terms(p, es, nodes)
-        lhs = t1 + t2 + t3
-        scale = abs(t1) + abs(t2) + abs(t3)
-        colloc_ok = bool(np.all(abs(lhs[1:]) <= VERIFY_TOL * np.maximum(scale[1:], 1.0)))
-        a_top = _forward_difference(lhs, n_case + 1)
-        a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
-    defect = _stream_defect(p, es)
+    # Python floats pass into inf and nan without a warning; an identity
+    # past the floats fails below
+    nodes = [float(n) for n in range(n_case + 4)] + [_PROBE_POINT]
+    terms = [_kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
+                                     p.delta, p.epsilon, es, n) for n in nodes]
+    lhs = [t1 + t2 + t3 for t1, t2, t3 in terms]
+    colloc_ok = all(abs(v) <= VERIFY_TOL * max(abs(t1) + abs(t2) + abs(t3), 1.0)
+                    for v, (t1, t2, t3) in zip(lhs[1:], terms[1:]))
+    a_top = _forward_difference(lhs, n_case + 1)
+    a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
+    defect = _kernels.stream_defect(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
+                                    p.epsilon, es, STREAM_ROWS, termination_index(p))
     # a name is formatted only for a check that fails
     checks = (("identity values", colloc_ok),
               ("A_top gap {0:.2e}", a_top_gap <= A_TOP_TOL),
               ("{2}-row defect {1:.2e}", defect <= VERIFY_TOL))
 
     return ConstraintReport(
-        collocation_points=tuple(float(n) for n in nodes[1:]),
-        identity_values=tuple(float(v) for v in lhs[1:]),
+        collocation_points=tuple(nodes[1:]),
+        identity_values=tuple(lhs[1:]),
         a_top=a_top,
         a_top_gap=a_top_gap,
         stream_defect=defect,
@@ -242,9 +237,15 @@ def case_to_dict(case: ReductionCase) -> dict:
 
 def _polish(coeffs, x: float) -> float:
     """One Newton step on the exact polynomial; removes cancellation noise
-    left by the root finder on wide-spread coefficients."""
-    val = np.polyval(coeffs, x)
-    der = np.polyval(np.polyder(coeffs), x)
+    left by the root finder on wide-spread coefficients. The value and the
+    derivative are each Horner's rule over floats from 0.0, the bits of
+    np.polyval and np.polyder."""
+    deg = len(coeffs) - 1
+    val = der = 0.0
+    for k, c in enumerate(coeffs):
+        val = val * x + c
+        if k < deg:
+            der = der * x + c * (deg - k)
     if der == 0.0:
         return x
     return float(x - val / der)
@@ -282,7 +283,7 @@ def _quadratic_q_coeffs(a, alpha, beta, gamma):
     b0 = ((alpha - 2.0) * (alpha - 1.0) * (beta - 2.0) * (beta - 1.0)
           + a * (4.0 + 2.0 * a - 4.0 * alpha - 4.0 * beta + 3.0 * alpha * beta) * gamma
           + 2.0 * a * a * gamma * gamma)
-    return np.array([1.0, b1, b0])
+    return (1.0, b1, b0)
 
 
 def _real_quadratic_roots(coeffs, notes: list) -> list:
@@ -342,7 +343,7 @@ def _cubic_q_coeffs(a, alpha, beta, gamma):
           - 2.0 * a * g_inner * ga
           + a * a * (18.0 * al + 18.0 * be - 18.0 - 18.0 * a - 11.0 * al * be) * ga * ga
           - 6.0 * a ** 3 * ga ** 3)
-    return np.array([1.0, c2, c1, c0])
+    return (1.0, c2, c1, c0)
 
 
 def n2_ratio_divides_by_zero(alpha: float, beta: float) -> bool:

@@ -14,7 +14,7 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
 from heunx.reduction import (GENERAL_TOL, _accept, _build_params,
-                             _cubic_q_coeffs, _drop, _pencil,
+                             _cubic_q_coeffs, _drop, _pencil, _polish,
                              _quadratic_q_coeffs)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
@@ -94,6 +94,27 @@ def test_N1_roots_satisfy_quadratic():
         assert case.e_list == pytest.approx((e1,), rel=1e-12)
 
 
+def _polish_by_polyval(coeffs, x):
+    """_polish's Newton step by np.polyval and np.polyder."""
+    val = np.polyval(coeffs, x)
+    der = np.polyval(np.polyder(coeffs), x)
+    return x if der == 0.0 else float(x - val / der)
+
+
+def test_polish_matches_polyval_step():
+    # Horner's rule over floats from 0.0 is np.polyval's arithmetic, and
+    # the derivative's coefficients are np.polyder's products
+    draws = [N1_DRAW, N1_REPEAT, N2_DRAW, N2_COMPLEX] + [_box_draw(s) for s in range(60)]
+    for draw in draws:
+        for coeffs in (_quadratic_q_coeffs(*draw), _cubic_q_coeffs(*draw)):
+            for root in np.roots(coeffs).real.tolist():
+                for x in (root, root * (1.0 + 1e-9), root + 1e-3):
+                    assert (repr(_polish(coeffs, x))
+                            == repr(_polish_by_polyval(np.array(coeffs), x)))
+    # at a zero derivative the point comes back unchanged
+    assert _polish((1.0, -2.0, 1.0), 1.0) == 1.0
+
+
 def test_N1_negative_discriminant_notes_empty():
     cases, notes = _with_notes(q_candidates_N1, *N1_NO_ROOT)
     assert cases == []
@@ -164,6 +185,20 @@ def test_leading_coefficient_tracks_delta():
     assert not report.passed
     assert report.a_top == pytest.approx(-0.01, abs=1e-9)
     assert report.a_top_gap < 1e-9
+
+
+def test_report_is_the_array_identity(random_cases):
+    # verify_reduction evaluates the identity node by node over Python
+    # floats; one identity_lhs call over the node array gives the same bits,
+    # on the certified point and with q moved off it
+    for case in random_cases:
+        p, es = case.params, case.e_list
+        moved = HeunParams(**{**params_to_dict(p), "q": p.q * (1.0 + 1e-7)})
+        for report, params in ((case.report, p), (verify_reduction(moved, es), moved)):
+            nodes = np.array(report.collocation_points)
+            assert report.identity_values == tuple(
+                identity_lhs(params, es, nodes).tolist())
+            assert report.a_top == leading_difference(params, es, case.N + 1)
 
 
 def test_leading_coefficient_closed_form_property():

@@ -73,7 +73,8 @@ def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
     try:
         # generic case: the homogeneous checks fail, every check runs; verify
         # reads the closed form and sums no series, so the one expansion_core
-        # call and the one f21 pass below are this test's own _sum_all
+        # call and the one f21_with_derivs call below are this test's own
+        # _sum_all
         assert heunx.cli.main(["verify", "--params", str(path), "--e=" + N2_E]) == 3
         assert heunx.cli.main(["coeffs", "--params", str(path),
                                "--source", "three-term"]) == 0
