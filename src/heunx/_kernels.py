@@ -12,8 +12,8 @@ to right. The three-term fills take R_n, Q_n and P_n as arrays over the
 indices their loop visits, raise where the loop would first raise, and run
 the recurrence itself over Python floats, as the loop did. Each inner 2F1
 series is one scalar loop (_f21_series), which f21_with_derivs runs over
-the (point, n) grid that expansion_core hands it. Where the arrays would
-be small, a scalar loop replaces the array kernels and keeps their bits:
+the n of expansion_core's one point. Where the arrays would be small, a
+scalar loop replaces the array kernels and keeps their bits:
 stream_defect runs two_term_ratio_stream and recurrence_residual_rows
 row by row for the reduction certificate's 50 rows, mapping a NaN row
 (which np.max propagates and Python's max drops) and a division by zero
@@ -525,9 +525,9 @@ def settled(tail, value, tol):
     return (tail <= tol * abs(value)) | (abs(value) < VALUE_FLOOR)
 
 
-def expansion_core(a, q, al, be, ga, de, ep, es, zs, big_m, cs, wt, wle,
+def expansion_core(a, q, al, be, ga, de, ep, es, z, big_m, cs, wt, wle,
                    inner_tol, max_terms_inner, consec):
-    """Value and first two derivatives of the summed expansion at each z of zs.
+    """Value and first two derivatives of the summed expansion at z.
 
     Takes the case parameters in the kernels' common order; the
     coefficients c_0..c_mstop and the weights W_m, W_m^{<=mstop} come
@@ -535,8 +535,8 @@ def expansion_core(a, q, al, be, ga, de, ep, es, zs, big_m, cs, wt, wle,
     sum over n <= mstop plus the exact tail: swapping the n/m double sum
     leaves sum_m h_m z^m s_m with h_m = (al)_m (be)_m / m! and
     s_m = W_m - W_m^{<=mstop} = sum_{n>mstop} c_n / (g+n)_m. The inner
-    2F1 series of every point go through one f21_with_derivs call over the
-    (point, n) grid, and each point's tail is summed over Python floats.
+    2F1 series go through one f21_with_derivs call over n, and the tail is
+    summed over Python floats.
 
     That difference is rounding noise once s_m falls below eps W_m, so the
     tails are estimated without it: every accepted reduction has
@@ -546,56 +546,45 @@ def expansion_core(a, q, al, be, ga, de, ep, es, zs, big_m, cs, wt, wle,
     term's estimate, per derivative order, is below eps of the running
     value in all three orders; those estimates are the returned tails.
 
-    Returns (u, du, ddu, terms, tail0, tail1, tail2, used): tuples over zs,
-    `used` the term counts (mstop + 1 a point, 1 at the origin) and terms
-    their int total.
+    Returns (u, du, ddu, terms, tail0, tail1, tail2), terms the number of
+    terms used: mstop + 1, or 1 at the origin.
     """
     g = ga + ep
     mstop = len(cs) - 1
-    far = [z for z in zs if not abs(z) < NEAR_ORIGIN]
-    if far:
-        f = f21_with_derivs(al, be, g + np.arange(mstop + 1.0)[None, :],
-                            np.array(far)[:, None], inner_tol, max_terms_inner,
-                            consec)
-        # the running sums over n, left to right along each row; c_0 F_0 is
-        # never -0.0, so starting from it gives the bits a sum from 0.0 gives
-        grid = cs * np.reshape(f[:3], (3, len(far), mstop + 1))
-        sums = iter(np.add.accumulate(grid, axis=2)[:, :, -1].T.tolist())
     wt, wle = wt.tolist(), wle.tolist()
+    if abs(z) < NEAR_ORIGIN:
+        # every term function is 1 at the origin; the weights are exact sums
+        return (wt[0], al * be * wt[1], al * be * (al + 1.0) * (be + 1.0) * wt[2],
+                1, 0.0, 0.0, 0.0)
+    f = f21_with_derivs(al, be, g + np.arange(mstop + 1.0), z, inner_tol,
+                        max_terms_inner, consec)
+    # the running sums over n, left to right; c_0 F_0 is never -0.0, so
+    # starting from it gives the bits a sum from 0.0 gives
+    u, du, ddu = np.add.accumulate(cs * np.array(f[:3]), axis=1)[:, -1].tolist()
     # |c_M| M; the stream ended by M when mstop < big_m
     base = abs(float(cs[mstop])) * big_m if mstop == big_m else 0.0
-    rows = []
-    for z in zs:
-        if abs(z) < NEAR_ORIGIN:
-            # every term function is 1 at the origin; the weights are exact sums
-            rows.append((wt[0], al * be * wt[1],
-                         al * be * (al + 1.0) * (be + 1.0) * wt[2], 1, 0.0, 0.0, 0.0))
-            continue
-        u, du, ddu = next(sums)
-        tail0 = tail1 = tail2 = 0.0
-        hm = 1.0
-        zp = 1.0  # z^m
-        zi = 1.0 / z
-        az = abs(z)
-        pm = 1.0  # (g+M+1)_m
-        for m in range(len(wt)):
-            s = wt[m] - wle[m]
-            fm = float(m)
-            u += hm * zp * s
-            du += hm * fm * zp * zi * s
-            ddu += hm * fm * (fm - 1.0) * zp * zi * zi * s
-            hm *= (al + m) * (be + m) / (m + 1.0)
-            zp *= z
-            pm *= g + big_m + 1.0 + m
-            # the next term, m+1, estimates each order's remainder; not at m = 0,
-            # where term 1 carries no u'' though term 2 does
-            fn = fm + 1.0
-            tail0 = abs(hm * zp) * base / ((fn + 1.0) * abs(pm))
-            tail1 = tail0 * fn / az
-            tail2 = tail1 * fm / az
-            if (m >= 1 and settled(tail0, u, EPS) and settled(tail1, du, EPS)
-                    and settled(tail2, ddu, EPS)):
-                break
-        rows.append((u, du, ddu, mstop + 1, tail0, tail1, tail2))
-    us, dus, ddus, used, t0, t1, t2 = zip(*rows)
-    return us, dus, ddus, sum(used), t0, t1, t2, used
+    tail0 = tail1 = tail2 = 0.0
+    hm = 1.0
+    zp = 1.0  # z^m
+    zi = 1.0 / z
+    az = abs(z)
+    pm = 1.0  # (g+M+1)_m
+    for m in range(len(wt)):
+        s = wt[m] - wle[m]
+        fm = float(m)
+        u += hm * zp * s
+        du += hm * fm * zp * zi * s
+        ddu += hm * fm * (fm - 1.0) * zp * zi * zi * s
+        hm *= (al + m) * (be + m) / (m + 1.0)
+        zp *= z
+        pm *= g + big_m + 1.0 + m
+        # the next term, m+1, estimates each order's remainder; not at m = 0,
+        # where term 1 carries no u'' though term 2 does
+        fn = fm + 1.0
+        tail0 = abs(hm * zp) * base / ((fn + 1.0) * abs(pm))
+        tail1 = tail0 * fn / az
+        tail2 = tail1 * fm / az
+        if (m >= 1 and settled(tail0, u, EPS) and settled(tail1, du, EPS)
+                and settled(tail2, ddu, EPS)):
+            break
+    return u, du, ddu, mstop + 1, tail0, tail1, tail2

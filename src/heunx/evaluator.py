@@ -8,9 +8,9 @@ the falling-factorial coefficients of prod_k (1 + n/e_k),
 u = sum_{k=1..N+1} B_k v^k with B_{N+1-i} = K d_i (g-alpha)_i (g-beta)_i (N-i)!,
 and u', u'' follow from dv/dz = v^2: the form is the series resummed in
 closed form. A call builds the B_k once and runs one Horner pass over all of
-its points. The tail-resummed summation of the series (`_sum_points`) is the
-tests' term-by-term route the form is checked against: one prefix per
-direct-sum length and one f21_with_derivs call over all points.
+its points. The tail-resummed summation of the series (`_sum_all`) is the
+tests' term-by-term route the form is checked against, one point at a time:
+one prefix and one f21_with_derivs call per direct-sum length.
 
 Against a two-term stream the operator telescopes term by term, so the sum
 solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)
@@ -36,8 +36,9 @@ from .special import EvalResult, EvalStatus, SeriesControl
 MAX_ABS_Z = 0.95        # guard margin inside the unit disk of the term functions
 SINGULAR_GUARD = 1e-8
 # The m-sum stops once the next tail term is below eps: by m = 13 at M = 128
-# on |z| <= 0.9 for the benchmark cases. _MCAP sizes the weight arrays with
-# room for larger alpha, beta; a tail still above the tolerance doubles M.
+# on |z| <= 0.9 for the N = 0 anchor, the N = 2 case (2, 2.5, 1.7, 0.6) and
+# the tests' 100 random cases. _MCAP sizes the weight arrays with room for
+# larger alpha, beta; a tail still above the tolerance doubles M.
 _MCAP = 24
 _M_START = 128          # direct-sum length to start from; tail terms fall like (|z| m / M)^m
 _U = 2.0 ** -53         # unit roundoff
@@ -189,11 +190,11 @@ def evaluate(case: ReductionCase, z: float,
     return evaluate_points(case, (z,), ctl)[0]
 
 
-def _sum_points(case: ReductionCase, zs, ctl: SeriesControl) -> list[tuple]:
-    """(u, u', u'', terms_used, tails, doublings) at each z of zs, summed to
-    length M with the tail resummed (expansion_core): one prefix and one
-    kernel call for all points at a given M, the points whose tails have not
-    settled going round again at 2M, until M + 1 reaches ctl.max_terms."""
+def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
+    """(u, u', u'', terms_used, tails, doublings) at z, summed to length M
+    with the tail resummed (expansion_core): one prefix and one kernel call
+    per M, M doubling while a tail has not settled, until M + 1 reaches
+    ctl.max_terms. perfbench's tracer reads its z and [3]."""
     p = case.params
     g = p.gamma + p.epsilon
     es = np.asarray(case.e_list, dtype=np.float64)
@@ -202,35 +203,20 @@ def _sum_points(case: ReductionCase, zs, ctl: SeriesControl) -> list[tuple]:
     top = ctl.max_terms - 1
     big_m = min(_M_START if n0 >= _M_START else max(n0, 8), top)
     doublings = 0
-    zs = [float(z) for z in zs]
-    out = [None] * len(zs)
-    todo = list(range(len(zs)))
-    while todo:
+    while True:
         cs, wt, wle = _kernels.expansion_prefix(
             g, g - p.alpha, g - p.beta, es, big_m, _MCAP, n0)
-        us, dus, ddus, _, t0, t1, t2, used = _kernels.expansion_core(
+        u, du, ddu, terms, *tails = _kernels.expansion_core(
             p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es,
-            [zs[i] for i in todo], big_m, cs, wt, wle, ctl.rel_tol / 10.0,
-            ctl.max_terms, _kernels.CONSECUTIVE_SMALL)
-        last = big_m >= top or big_m >= n0
-        again = []
-        for i, u, du, ddu, terms, *tails in zip(todo, us, dus, ddus, used, t0, t1, t2):
-            if not all(map(math.isfinite, (u, du, ddu))):
-                raise NumericalError("expansion summation produced a non-finite value")
-            if last or all(_kernels.settled(t, x, ctl.rel_tol)
-                           for t, x in zip(tails, (u, du, ddu))):
-                out[i] = (u, du, ddu, terms, tuple(tails), doublings)
-            else:
-                again.append(i)
-        todo = again
+            float(z), big_m, cs, wt, wle, ctl.rel_tol / 10.0, ctl.max_terms,
+            _kernels.CONSECUTIVE_SMALL)
+        if not all(map(math.isfinite, (u, du, ddu))):
+            raise NumericalError("expansion summation produced a non-finite value")
+        if big_m >= top or big_m >= n0 or all(
+                _kernels.settled(t, x, ctl.rel_tol) for t, x in zip(tails, (u, du, ddu))):
+            return u, du, ddu, terms, tuple(tails), doublings
         big_m = min(2 * big_m, top)
         doublings += 1
-    return out
-
-
-def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
-    """_sum_points at the one point z; perfbench's tracer reads its z and [3]."""
-    return _sum_points(case, (z,), ctl)[0]
 
 
 def homogeneous_residual(case: ReductionCase, ev: Evaluation) -> float:

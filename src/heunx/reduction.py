@@ -124,8 +124,9 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     ratio stream c_0..c_50 (_kernels.stream_defect), the quantity `verify`
     reports as its recurrence residual; inf when the stream leaves the
     floats, as it does at a non-positive integer e_k.
-    Passes iff all three hold: every identity value, the gap within
-    A_TOP_TOL and the defect within VERIFY_TOL; `failed` names the others.
+    Passes iff all three hold: every identity value finite and within its
+    bound, the gap within A_TOP_TOL and the defect within VERIFY_TOL;
+    `failed` names the others.
     """
     es = tuple(float(e) for e in e_list)
     n_case = len(es)
@@ -136,7 +137,9 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     terms = [_kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
                                      p.delta, p.epsilon, es, n) for n in nodes]
     lhs = [t1 + t2 + t3 for t1, t2, t3 in terms]
-    colloc_ok = all(abs(v) <= VERIFY_TOL * max(abs(t1) + abs(t2) + abs(t3), 1.0)
+    # an inf value passes the bound when its scale is inf too
+    colloc_ok = all(math.isfinite(v)
+                    and abs(v) <= VERIFY_TOL * max(abs(t1) + abs(t2) + abs(t3), 1.0)
                     for v, (t1, t2, t3) in zip(lhs[1:], terms[1:]))
     a_top = _forward_difference(lhs, n_case + 1)
     a_top_gap = abs(a_top - (2.0 + n_case - p.delta))

@@ -17,7 +17,7 @@ from heunx import (DivisionByZeroError, PreconditionError, SeriesControl,
                    ValidationError, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, solve)
 from heunx import _kernels
-from heunx.evaluator import _sum_points
+from heunx.evaluator import _sum_all
 from heunx.params import INT_SNAP
 
 ACCEPTANCE_DESCRIPTIONS = {
@@ -81,14 +81,15 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
 
 def summation_gaps(case, evs):
     """Per ev of evs, the largest relative gap over u, u', u'' of ev to the
-    tail-resummed summation at ev.z, all points summed in one _sum_points
-    call at the default SeriesControl: the term-by-term route the closed form
-    is checked against. The summation's own cancellation sets its floor
-    (README), and with W_m exact to the last bit the largest gaps barely move."""
-    summed = _sum_points(case, [ev.z for ev in evs], SeriesControl())
+    tail-resummed summation at ev.z, one _sum_all call per point at the
+    default SeriesControl: the term-by-term route the closed form is checked
+    against. The summation's own cancellation sets its floor (README), and
+    with W_m exact to the last bit the largest gaps barely move."""
+    ctl = SeriesControl()
     return [float(max(abs(s - x) / max(abs(x), _kernels.TINY)
-                      for s, x in zip(row[:3], (ev.u, ev.du, ev.ddu))))
-            for row, ev in zip(summed, evs)]
+                      for s, x in zip(_sum_all(case, ev.z, ctl)[:3],
+                                      (ev.u, ev.du, ev.ddu))))
+            for ev in evs]
 
 
 def draw_accepted_cases(total, seed=2024, orders=(0, 1, 2)):

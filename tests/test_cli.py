@@ -496,7 +496,7 @@ def test_each_point_is_summed_once(write_params, monkeypatch, capsys, args,
     one = heunx._kernels._f21_series
 
     def counted(*core_args):
-        calls.append(core_args[8])    # the points summed
+        calls.append(core_args[8])    # the point summed
         return core(*core_args)
 
     def counted_series(*series_args):
@@ -508,7 +508,7 @@ def test_each_point_is_summed_once(write_params, monkeypatch, capsys, args,
     code = heunx.cli.main([args[0], "--params", path, *args[1:]])
     assert code in (0, 3)
     assert capsys.readouterr().out
-    assert sum(map(len, calls)) == sums
+    assert len(calls) == sums
     assert len(series) == 0    # no inner 2F1 series is summed
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import summation_gaps
-from heunx import (DomainError, EvalStatus, NonConvergenceError, SeriesControl,
-                   SingularPointError, _kernels, evaluate, evaluation_table,
+from heunx import (DomainError, EvalStatus, NonConvergenceError,
+                   NumericalError, SeriesControl, SingularPointError,
+                   _kernels, evaluate, evaluation_table,
                    forced_residual, forcing_constant, gauss_2f1,
                    gauss_2f1_deriv, homogeneous_residual, q_candidates_N0,
                    q_candidates_N2, solve_reduction_general)
-from heunx.evaluator import (_M_START, _MCAP, _U, _sum_all, _sum_points,
+from heunx.evaluator import (_M_START, _MCAP, _U, _sum_all,
                              certified_points, check_interior,
                              evaluate_points, form_certificate)
 from heunx.recurrence import NO_TERMINATION, termination_index
@@ -100,17 +101,16 @@ def test_stopping_rule_at_the_anchor(anchor_case):
 
 
 def _core_at(case, z, big_m, mcap, inner_tol=1e-15, max_terms=10000):
-    """z summed alone at direct-sum length big_m:
+    """z summed at direct-sum length big_m:
     (u, du, ddu, terms, tail0, tail1, tail2)."""
     p = case.params
     g = p.gamma + p.epsilon
     es = np.asarray(case.e_list, dtype=np.float64)
     cs, wt, wle = _kernels.expansion_prefix(
         g, g - p.alpha, g - p.beta, es, big_m, mcap, termination_index(p))
-    (u,), (du,), (ddu,), terms, (t0,), (t1,), (t2,), _ = _kernels.expansion_core(
-        p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es, [z], big_m,
+    return _kernels.expansion_core(
+        p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, es, z, big_m,
         cs, wt, wle, inner_tol, max_terms, 3)
-    return u, du, ddu, terms, t0, t1, t2
 
 
 def test_tail_estimate_measures_truncation():
@@ -155,6 +155,17 @@ def test_inner_series_cap_raises(anchor_case):
         _sum_all(anchor_case, 0.5, SeriesControl(max_terms=5))
 
 
+def test_non_finite_sum_raises(anchor_case, monkeypatch):
+    core = _kernels.expansion_core
+
+    def overflowed(*args):
+        return (np.inf, *core(*args)[1:])
+
+    monkeypatch.setattr(_kernels, "expansion_core", overflowed)
+    with pytest.raises(NumericalError, match="summation produced a non-finite"):
+        _sum_all(anchor_case, 0.5, SeriesControl())
+
+
 def test_point_next_to_the_origin(anchor_case):
     # 1/z^2 overflows below 1e-154; the series there equals its origin value
     near, origin = evaluate(anchor_case, 1e-200), evaluate(anchor_case, 0.0)
@@ -165,8 +176,9 @@ def test_point_next_to_the_origin(anchor_case):
 
 
 def _sum_alone(case, z, ctl):
-    """z summed by itself, one prefix and one kernel call per direct-sum
-    length, M doubled until its tails settle: what _sum_points groups."""
+    """z summed by the doubling loop written out: one prefix and one kernel
+    call per direct-sum length, M doubled until its tails settle; the
+    reference _sum_all must reproduce to the bit."""
     n0 = termination_index(case.params)
     top = ctl.max_terms - 1
     big_m = min(_M_START if n0 >= _M_START else max(n0, 8), top)
@@ -182,17 +194,17 @@ def _sum_alone(case, z, ctl):
 
 
 def test_one_pass_summation_keeps_the_bits(random_cases, anchor_case):
-    # every point of a _sum_points call gets the bits of its summation alone
+    # every _sum_all call gets the bits of the loop written out
     zs = (-0.9, -0.5, -0.2, 0.1, 0.25, 0.4, 0.6, 0.85)
     ctl = SeriesControl()
     for case in random_cases:
         want = [_sum_alone(case, z, ctl) for z in zs]
-        assert repr(_sum_points(case, zs, ctl)) == repr(want)
+        assert repr([_sum_all(case, z, ctl) for z in zs]) == repr(want)
     # at rel_tol 1e-17 the anchor doubles M at 0.3 and 0.5 but not at 0.1,
-    # and the origin takes the weights: the call regroups at each M
+    # and the origin takes the weights
     ctl = SeriesControl(rel_tol=1e-17, max_terms=300)
     zs = (0.1, 0.5, 0.0, 0.3, -0.2)
-    got = _sum_points(anchor_case, zs, ctl)
+    got = [_sum_all(anchor_case, z, ctl) for z in zs]
     assert [row[5] for row in got] == [0, 2, 0, 1, 2]
     assert repr(got) == repr([_sum_alone(anchor_case, z, ctl) for z in zs])
 

@@ -98,7 +98,7 @@ def test_array_kernel_stops_at_max_terms():
 def test_expansion_sums_over_n_in_order():
     # with W_m = W_m^{<=M} every tail term adds an exact 0, so the core's
     # values are its direct sum, which must be the running sum over n at
-    # each point of the one call
+    # the point of each call
     case = q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0]
     p = case.params
     g = p.gamma + p.epsilon
@@ -106,19 +106,17 @@ def test_expansion_sums_over_n_in_order():
     cs, _, _ = _kernels.expansion_prefix(g, g - p.alpha, g - p.beta, es, 128,
                                          4, termination_index(p))
     w = np.ones(5)
-    zs = (-0.9, 0.35)
-    got = _kernels.expansion_core(p.a, p.q, p.alpha, p.beta, p.gamma,
-                                  p.delta, p.epsilon, es, zs, 128, cs, w, w,
-                                  1e-15, 10000, 3)
-    for i, z in enumerate(zs):
+    for z in (-0.9, 0.35):
+        got = _kernels.expansion_core(p.a, p.q, p.alpha, p.beta, p.gamma,
+                                      p.delta, p.epsilon, es, z, 128, cs, w, w,
+                                      1e-15, 10000, 3)
         want = [0.0, 0.0, 0.0]
         for n, cn in enumerate(cs):
             f = _f21_by_terms(p.alpha, p.beta, g + n, z, 1e-15, 10000, 3)
             for k in range(3):
                 want[k] += cn * f[k]
-        assert [got[k][i] for k in range(3)] == want
-    assert got[7] == (len(cs), len(cs))
-    assert got[3] == 2 * len(cs)
+        assert list(got[:3]) == want
+        assert got[3] == len(cs)
 
 
 def _partial_weights_by_rows(g, cs, mcap):

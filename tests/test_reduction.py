@@ -13,7 +13,7 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    q_candidates_N1, q_candidates_N2, recurrence_residual, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
-from heunx.reduction import (GENERAL_TOL, _accept, _build_params,
+from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _build_params,
                              _cubic_q_coeffs, _drop, _pencil, _polish,
                              _quadratic_q_coeffs)
 
@@ -132,6 +132,20 @@ def test_perturbed_q_fails_verification():
     assert report.failed == failed
     with pytest.raises(PreconditionError, match=re.escape(f"({', '.join(failed)})")):
         ReductionCase.build(p, case.e_list)
+
+
+def test_infinite_identity_value_fails_verification(monkeypatch):
+    # an inf summand makes the bound inf too, which inf <= inf would pass
+    case = q_candidates_N2(*N2_DRAW)[0]
+    terms = _kernels.identity_terms
+
+    def inf_at_probe(*args):
+        return (np.inf, 0.0, 0.0) if args[-1] == _PROBE_POINT else terms(*args)
+
+    monkeypatch.setattr(_kernels, "identity_terms", inf_at_probe)
+    report = verify_reduction(case.params, case.e_list)
+    assert report.identity_values[-1] == np.inf
+    assert report.failed == ("identity values",)
 
 
 def test_N2_roots_satisfy_cubic_and_e_relations():
