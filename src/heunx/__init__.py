@@ -22,17 +22,14 @@ from .params import (HeunParams, IssueCode, ValidatedHeunParams,
                      ValidationIssue, collect_issues, is_nonpos_int,
                      load_params_file, params_from_dict, params_to_dict,
                      require_valid)
-from .recurrence import (CoefficientSource, CoefficientStream,
-                         recurrence_residual, residual_rows, stream_to_csv,
-                         stream_to_json, termination_index,
+from .recurrence import (CoefficientSource, CoefficientStream, residual_rows,
+                         stream_to_csv, stream_to_json, termination_index,
                          three_term_coefficients, two_term_coefficients)
 from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
-                        degree_claim_defect, identity_lhs, identity_scale,
-                        leading_difference, q_candidates_N0, q_candidates_N1,
-                        q_candidates_N2, solve, solve_reduction_general,
-                        verify_reduction)
+                        q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                        solve, solve_reduction_general, verify_reduction)
 from .special import (EvalResult, EvalStatus, SeriesControl, gauss_2f1,
-                      gauss_2f1_deriv, pochhammer)
+                      gauss_2f1_deriv)
 
 __version__ = "0.1.0"
 
@@ -40,18 +37,16 @@ __all__ = [
     "CoefficientSource", "CoefficientStream", "ConstraintReport",
     "DivisionByZeroError", "DomainError", "EvalResult", "EvalStatus",
     "Evaluation", "FrobeniusSeries", "HeunParams", "HeunxError", "IssueCode",
-    "NonConvergenceError",
-    "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
-    "SeriesControl", "SingularPointError", "ValidatedHeunParams",
-    "ValidationError", "ValidationIssue", "case_to_dict", "collect_issues",
-    "cross_check", "degree_claim_defect", "evaluate", "evaluate_points",
-    "evaluation_table", "forced_residual", "forcing_constant",
-    "homogeneous_residual", "frobenius_coefficients", "gauss_2f1",
-    "gauss_2f1_deriv", "identity_lhs", "identity_scale",
-    "is_nonpos_int", "leading_difference", "load_params_file",
-    "params_from_dict", "params_to_dict", "pochhammer", "q_candidates_N0",
-    "q_candidates_N1", "q_candidates_N2", "recurrence_residual",
-    "require_valid", "residual_rows", "solve", "solve_reduction_general",
-    "stream_to_csv", "stream_to_json", "termination_index",
-    "three_term_coefficients", "two_term_coefficients", "verify_reduction",
+    "NonConvergenceError", "NumericalError", "PoleError", "PreconditionError",
+    "ReductionCase", "SeriesControl", "SingularPointError",
+    "ValidatedHeunParams", "ValidationError", "ValidationIssue",
+    "case_to_dict", "collect_issues", "cross_check", "evaluate",
+    "evaluate_points", "evaluation_table", "forced_residual",
+    "forcing_constant", "homogeneous_residual", "frobenius_coefficients",
+    "gauss_2f1", "gauss_2f1_deriv", "is_nonpos_int", "load_params_file",
+    "params_from_dict", "params_to_dict", "q_candidates_N0", "q_candidates_N1",
+    "q_candidates_N2", "require_valid", "residual_rows", "solve",
+    "solve_reduction_general", "stream_to_csv", "stream_to_json",
+    "termination_index", "three_term_coefficients", "two_term_coefficients",
+    "verify_reduction",
 ]

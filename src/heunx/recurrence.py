@@ -133,14 +133,6 @@ def residual_rows(stream: CoefficientStream) -> np.ndarray:
             np.asarray(stream.values, dtype=np.float64))
 
 
-def recurrence_residual(stream: CoefficientStream) -> float:
-    """max_n |R_n c_n + Q_{n-1}c_{n-1} + P_{n-2}c_{n-2}| over the term scale."""
-    if len(stream.values) < 3:
-        raise PreconditionError("residual needs at least three stream entries")
-    rows = residual_rows(stream)
-    return float(np.max(rows[2:]))
-
-
 def stream_columns(stream: CoefficientStream):
     """The table columns c_n, ratio c_n/c_{n-1} and residual_n as float
     arrays; ratio and residual are nan where undefined (n = 0, zero

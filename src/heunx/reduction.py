@@ -7,7 +7,10 @@ ansatz against the recurrence is itself a polynomial in the index n of
 degree N+1, so vanishing at N+2 collocation points certifies the reduction
 without any symbolic algebra. The leading coefficient of that polynomial
 is 2+N-delta independently of q and the e_k, which gives a second, free
-cross-check.
+cross-check: verify_reduction reports it as a_top and gates its gap at
+A_TOP_TOL. That the n^(N+2) coefficient vanishes (the degree claim) is a
+fact of the algebra, not a check of a case, so only the tests take that
+difference (acceptance criterion 3).
 
 The identity is bilinear in q and in the coefficients of
 P(n) = prod_k (e_k + n), so solve_reduction_general takes every q-root from
@@ -49,29 +52,6 @@ GENERAL_TOL = VERIFY_TOL * 1e-2
 _PROBE_POINT = 0.3074202960516803  # off-grid, non-integer collocation point
 
 
-def _identity_terms(p: HeunParams, e_list, n):
-    es = np.asarray([float(e) for e in e_list], dtype=np.float64)
-    return _kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
-                                   p.delta, p.epsilon, es, n)
-
-
-def identity_lhs(p: HeunParams, e_list, n):
-    """Residual polynomial of the factored-ratio ansatz at n, a real number
-    or an array of them.
-
-    Zero at n = 1..N+2 (equivalently: identically) exactly when (q, e_list)
-    realizes a two-term reduction of the recurrence for p.
-    """
-    t1, t2, t3 = _identity_terms(p, e_list, n)
-    return t1 + t2 + t3
-
-
-def identity_scale(p: HeunParams, e_list, n):
-    """Sum of the magnitudes of the three summands; the natural local scale."""
-    t1, t2, t3 = _identity_terms(p, e_list, n)
-    return abs(t1) + abs(t2) + abs(t3)
-
-
 def _forward_difference(values, order: int) -> float:
     """Delta^order values[0] / order!: the n^order coefficient of a
     polynomial sampled at n = 0..order."""
@@ -79,23 +59,6 @@ def _forward_difference(values, order: int) -> float:
     for k in range(order + 1):
         acc += (-1.0) ** (order - k) * math.comb(order, k) * values[k]
     return float(acc / math.factorial(order))
-
-
-def leading_difference(p: HeunParams, e_list, order: int) -> float:
-    """Forward-difference estimate of the n^order coefficient of identity_lhs.
-
-    Exact for polynomials of degree <= order when sampled at n = 0..order.
-    """
-    return _forward_difference(identity_lhs(p, e_list, np.arange(order + 1.0)), order)
-
-
-def degree_claim_defect(p: HeunParams, e_list) -> tuple:
-    """(|Delta^{N+2} identity_lhs(0)|, node scale): the n^{N+2} coefficient
-    vanishes identically, so the first entry is float noise for valid params."""
-    order = len(e_list) + 2
-    t1, t2, t3 = _identity_terms(p, e_list, np.arange(order + 1.0))
-    defect = abs(_forward_difference(t1 + t2 + t3, order)) * math.factorial(order)
-    return defect, float(np.max(abs(t1) + abs(t2) + abs(t3)))
 
 
 @dataclass(frozen=True)
@@ -409,7 +372,8 @@ def _pencil(p: HeunParams, n_case: int):
     centred on the nodes. B, the Vandermonde matrix of P(n-1), is nonsingular."""
     nodes = np.arange(1.0, n_case + 2.0)
     # the factors in front of P(n), P(n-1) (at q = 0) and P(n-2)
-    factors = _identity_terms(p, (), nodes)
+    factors = _kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
+                                      p.epsilon, np.empty(0), nodes)
     t = nodes - (n_case + 2) / 2.0
     blocks = [np.vander(t - k, n_case + 1, increasing=True) for k in range(3)]
     return sum(factors[k][:, None] * blocks[k] for k in range(3)), blocks[1]

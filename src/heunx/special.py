@@ -4,12 +4,15 @@ Series evaluation lives in the unit disk; one scalar loop
 (_kernels._f21_series) sums the value and its first two z-derivatives term
 by term. The parameter-shift identity d/dz 2F1(a,b;c;z) =
 (ab/c) 2F1(a+1,b+1;c+1;z) is the tests' oracle for the derivatives.
-Rising factorials of integer order are finite Pochhammer products, not
-quotients of Gamma values, so none overflows or hits a pole for orders up
-to 1e4. Quotients of Gamma values of non-integer order are
+Rising factorials of integer order are finite Pochhammer products
+(_kernels.poch, which the tail weights use and acceptance criterion 7
+checks), not quotients of Gamma values, so none overflows or hits a pole
+for orders up to 1e4. Quotients of Gamma values of non-integer order are
 formed elsewhere: evaluator._gamma_ratio (the form's K and the forcing
 constant C, by math.gamma or by lgamma where a factor leaves the floats)
-and _kernels.gauss_2f1_at_one (by lgamma).
+and _kernels.gauss_2f1_at_one (by lgamma). The reduction identity, its
+leading coefficient A_top and the stream defect are computed only by
+reduction.verify_reduction.
 """
 
 from __future__ import annotations
@@ -48,13 +51,6 @@ class EvalResult:
     terms_used: int
     tail_estimate: float
     status: EvalStatus
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x(x+1)...(x+n-1); 1 for n = 0."""
-    if n < 0:
-        raise PreconditionError("pochhammer order must be non-negative")
-    return _kernels.poch(float(x), int(n))
 
 
 def _check_series_args(c: float, z: float) -> None:

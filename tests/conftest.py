@@ -2,6 +2,7 @@
 summary hook that prints one pass/fail line per criterion after the run."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from heunx import (DivisionByZeroError, PreconditionError, SeriesControl,
 from heunx import _kernels
 from heunx.evaluator import _sum_all
 from heunx.params import INT_SNAP
+from heunx.reduction import _forward_difference
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "N=0 anchor: q=4, c_1=0.5, c_2=0.3 from both routes within 1e-13, < 0.1 s",
@@ -77,6 +79,27 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
     if abs(n + g) < 1e-12:
         raise DivisionByZeroError(_kernels._VANISHES.format(n))
     return -a / (n + g) * (n + ep) * f1 * f2
+
+
+def identity_at(p, es, n):
+    """(value, scale) of the reduction identity at n, a real number or an
+    array of them: the sum of its three summands (_kernels.identity_terms)
+    and the sum of their magnitudes. verify_reduction takes the same at its
+    nodes; this reaches any n."""
+    t1, t2, t3 = _kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
+                                         p.delta, p.epsilon,
+                                         np.asarray(es, dtype=np.float64), n)
+    return t1 + t2 + t3, abs(t1) + abs(t2) + abs(t3)
+
+
+def degree_claim_defect(p, es):
+    """(|Delta^{N+2} identity(0)|, largest node scale) over n = 0..N+2: the
+    n^{N+2} coefficient vanishes identically, so the first entry is float
+    noise for any params."""
+    order = len(es) + 2
+    value, scale = identity_at(p, es, np.arange(order + 1.0))
+    defect = abs(_forward_difference(value, order)) * math.factorial(order)
+    return defect, float(np.max(scale))
 
 
 def summation_gaps(case, evs):

@@ -11,7 +11,7 @@ from conftest import coeff_p
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    params_to_dict, q_candidates_N0, q_candidates_N2,
-                   recurrence_residual, residual_rows, solve_reduction_general,
+                   residual_rows, solve_reduction_general,
                    stream_to_csv, termination_index, three_term_coefficients,
                    two_term_coefficients)
 from heunx._kernels import _relation_rows, coeff_q, coeff_r
@@ -104,8 +104,8 @@ def test_two_term_rejects_three_term_source():
 
 
 def test_recurrence_residual_small_for_generated_streams():
-    assert recurrence_residual(three_term_coefficients(ANCHOR, 50)) < 1e-13
-    assert recurrence_residual(two_term_coefficients(ANCHOR, (), 50)) < 1e-12
+    assert residual_rows(three_term_coefficients(ANCHOR, 50))[2:].max() < 1e-13
+    assert residual_rows(two_term_coefficients(ANCHOR, (), 50))[2:].max() < 1e-12
 
 
 def test_recurrence_residual_detects_perturbation():
@@ -113,12 +113,7 @@ def test_recurrence_residual_detects_perturbation():
     values = np.array(stream.values, copy=True)
     values[3] *= 1.0 + 1e-3
     bad = CoefficientStream(values, stream.source, stream.params)
-    assert recurrence_residual(bad) > 1e-5
-
-
-def test_recurrence_residual_needs_three_entries():
-    with pytest.raises(PreconditionError):
-        recurrence_residual(three_term_coefficients(ANCHOR, 1))
+    assert residual_rows(bad)[2:].max() > 1e-5
 
 
 def test_residual_rows_shape_and_padding():
@@ -138,7 +133,7 @@ def test_backward_direction_region():
     direct = three_term_coefficients(case.params, 50).values
     factored = two_term_coefficients(case.params, (), 50).values
     assert direct == pytest.approx(factored, rel=1e-11)
-    assert recurrence_residual(three_term_coefficients(case.params, 50)) < 1e-11
+    assert residual_rows(three_term_coefficients(case.params, 50))[2:].max() < 1e-11
 
 
 def test_terminating_stream_has_exact_zeros():

@@ -6,16 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from conftest import degree_claim_defect, identity_at
 from heunx import (HeunParams, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
-                   degree_claim_defect, identity_lhs, identity_scale,
-                   leading_difference, params_to_dict, q_candidates_N0,
-                   q_candidates_N1, q_candidates_N2, recurrence_residual, solve, solve_reduction_general,
+                   params_to_dict, q_candidates_N0, q_candidates_N1,
+                   q_candidates_N2, residual_rows, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
 from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _build_params,
-                             _cubic_q_coeffs, _drop, _pencil, _polish,
-                             _quadratic_q_coeffs)
+                             _cubic_q_coeffs, _drop, _forward_difference, _pencil,
+                             _polish, _quadratic_q_coeffs)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
@@ -35,7 +35,7 @@ N2_COMPLEX = (0.750572799628002, 2.383282805817453, 1.6541141414711609,
 
 
 def scaled(p, es, n):
-    return max(identity_scale(p, es, n), 1.0)
+    return max(identity_at(p, es, n)[1], 1.0)
 
 
 def _with_notes(solver, *args):
@@ -46,12 +46,12 @@ def _with_notes(solver, *args):
 def test_identity_vanishes_for_anchor_everywhere():
     # the reduction identity holds for all n, integer or not
     for n in (1.0, 2.0, 3.0, 7.3):
-        assert abs(identity_lhs(ANCHOR, (), n)) <= 1e-12 * scaled(ANCHOR, (), n)
+        assert abs(identity_at(ANCHOR, (), n)[0]) <= 1e-12 * scaled(ANCHOR, (), n)
 
 
 def test_identity_detects_wrong_q():
     p = HeunParams(**{**params_to_dict(ANCHOR), "q": 5.0})
-    assert abs(identity_lhs(p, (), 1.0)) > 1e-3
+    assert abs(verify_reduction(p, ()).identity_values[0]) > 1e-3
 
 
 def test_delta_for_reduction():
@@ -203,7 +203,7 @@ def test_leading_coefficient_tracks_delta():
 
 def test_report_is_the_array_identity(random_cases):
     # verify_reduction evaluates the identity node by node over Python
-    # floats; one identity_lhs call over the node array gives the same bits,
+    # floats; one identity_terms call over the node array gives the same bits,
     # on the certified point and with q moved off it
     for case in random_cases:
         p, es = case.params, case.e_list
@@ -211,8 +211,9 @@ def test_report_is_the_array_identity(random_cases):
         for report, params in ((case.report, p), (verify_reduction(moved, es), moved)):
             nodes = np.array(report.collocation_points)
             assert report.identity_values == tuple(
-                identity_lhs(params, es, nodes).tolist())
-            assert report.a_top == leading_difference(params, es, case.N + 1)
+                identity_at(params, es, nodes)[0].tolist())
+            head = identity_at(params, es, np.arange(case.N + 2.0))[0]
+            assert report.a_top == _forward_difference(head, case.N + 1)
 
 
 def test_leading_coefficient_closed_form_property():
@@ -226,8 +227,8 @@ def test_leading_coefficient_closed_form_property():
         p = HeunParams(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma,
                        delta=delta, epsilon=epsilon)
         es = tuple(rng.uniform(0.2, 3.0, size=n_case))
-        a_top = leading_difference(p, es, n_case + 1)
-        scale = max(max(identity_scale(p, es, float(k))
+        a_top = verify_reduction(p, es).a_top
+        scale = max(max(identity_at(p, es, float(k))[1]
                         for k in range(n_case + 2)), 1.0)
         assert abs(a_top - (2.0 + n_case - delta)) <= 1e-7 * scale
 
@@ -310,7 +311,7 @@ PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
 
 
 def _fifty_row_defect(case):
-    return recurrence_residual(two_term_coefficients(case.params, case.e_list, 50))
+    return residual_rows(two_term_coefficients(case.params, case.e_list, 50))[2:].max()
 
 
 @pytest.mark.parametrize("n_case", range(9))
