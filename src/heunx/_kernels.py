@@ -19,6 +19,12 @@ row by row for the reduction certificate's 50 rows, mapping a NaN row
 (which np.max propagates and Python's max drops) and a division by zero
 to inf. tests/test_kernels.py holds the scalar loops as references, and
 tests/conftest.py the scalar P_n they take.
+
+_f21_series is also the tests' one entry point for a single 2F1 and its
+derivatives. Rising factorials of integer order are finite products (poch,
+which the tail weights use and acceptance criterion 7 checks), not
+quotients of Gamma values, so none overflows or hits a pole for orders up
+to 1e4.
 """
 
 import math
@@ -38,6 +44,10 @@ NEAR_ORIGIN = 1e-150
 # successive small terms that stop an inner 2F1 series: the non-monotone
 # terms of negative parameters make a single small term an unsafe signal
 CONSECUTIVE_SMALL = 3
+# forward recursion keeps full precision while the contaminating solution
+# mode |a/(a-1)|^n stays bounded; past this ratio the three-term stream
+# switches to backward recursion normalized at c_0
+RHO_SWITCH = 1.1
 NEWTON_TOL = 1e-12  # newton_general's convergence bound and step cap
 POLISH_STEPS = 6
 
@@ -120,13 +130,12 @@ def _f21_series(a, b, c, z, rel_tol, max_terms, consec):
 
 
 def f21_with_derivs(a, b, c, z, rel_tol, max_terms, consec):
-    """_f21_series at every element of c and z broadcast together, as flat
-    arrays in row-major order; `terms` is the Python int total of the
-    per-element term counts."""
-    a, b = float(a), float(b)
-    grid = np.array(np.broadcast_arrays(c, z), dtype=np.float64).reshape(2, -1)
-    rows = [_f21_series(a, b, ci, zi, rel_tol, max_terms, consec)
-            for ci, zi in zip(*grid.tolist())]
+    """_f21_series at each element of the 1-d array c and the one point z,
+    as arrays over c; `terms` is the Python int total of the per-element
+    term counts."""
+    a, b, z = float(a), float(b), float(z)
+    rows = [_f21_series(a, b, ci, z, rel_tol, max_terms, consec)
+            for ci in np.asarray(c, dtype=np.float64).tolist()]
     f, f1, f2, _, last = np.array(rows, dtype=np.float64).reshape(-1, 5).T
     return f, f1, f2, sum(r[3] for r in rows), last
 
@@ -263,11 +272,11 @@ _VANISHES = "n+epsilon+gamma vanishes at n = {!r}"
 _FAILED = "three-term stream generation failed"
 
 
-def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
+def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0):
     """Coefficients from the three-term relation with c_0 = 1, c_1 = -Q_0/R_1.
 
     Forward recursion is stable only while the parasitic solution mode
-    |a/(a-1)|^n does not dominate; past rho_switch the stream is built by
+    |a/(a-1)|^n does not dominate; past RHO_SWITCH the stream is built by
     backward recursion (seeded at the termination index when one exists)
     and normalized to c_0 = 1. The relation at n = 1 is re-checked at the
     end as a convergence certificate.
@@ -278,7 +287,7 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
         return c
     rho = abs(a / (a - 1.0))
 
-    if rho <= rho_switch:
+    if rho <= RHO_SWITCH:
         # entries from n0 on are exactly zero
         _forward_fill(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
         return _certify_init(a, q, al, be, ga, de, ep, c)

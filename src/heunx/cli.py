@@ -17,8 +17,9 @@ import sys
 from .errors import (DivisionByZeroError, DomainError, NonConvergenceError,
                      NumericalError, PoleError, PreconditionError,
                      SingularPointError, ValidationError)
-from .evaluator import (certified_points, check_disk, check_interior,
-                        evaluate_points, evaluation_table, forced_residual,
+from .evaluator import (EvalStatus, SeriesControl, certified_points,
+                        check_disk, check_interior, evaluate_points,
+                        evaluation_table, forced_residual,
                         homogeneous_residual)
 from .oracle import cross_check
 from .params import (check_order, load_params_file, params_to_dict,
@@ -28,7 +29,6 @@ from .recurrence import (CoefficientSource, json_float, stream_to_csv,
                          two_term_coefficients)
 from .reduction import (A_TOP_TOL, STREAM_ROWS, VERIFY_TOL, ReductionCase,
                         case_to_dict, solve, verify_reduction)
-from .special import EvalStatus, SeriesControl
 
 EXIT_OK = 0
 EXIT_INVALID = 2

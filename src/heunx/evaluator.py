@@ -10,7 +10,9 @@ and u', u'' follow from dv/dz = v^2: the form is the series resummed in
 closed form. A call builds the B_k once and runs one Horner pass over all of
 its points. The tail-resummed summation of the series (`_sum_all`) is the
 tests' term-by-term route the form is checked against, one point at a time:
-one prefix and one f21_with_derivs call per direct-sum length.
+one prefix and one f21_with_derivs call per direct-sum length. SeriesControl
+(rel_tol, max_terms) and EvalStatus, the policy and the per-order verdict
+of both routes, are defined here.
 
 Against a two-term stream the operator telescopes term by term, so the sum
 solves z(z-1)(z-a) Heun[u] = -C, C = Gamma(g) / (Gamma(g-alpha) Gamma(g-beta)
@@ -24,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NumericalError, SingularPointError
+from .errors import (DomainError, NumericalError, PreconditionError,
+                     SingularPointError)
 from .recurrence import NO_TERMINATION, termination_index
 from .reduction import ReductionCase
-from .special import EvalResult, EvalStatus, SeriesControl
 
 MAX_ABS_Z = 0.95        # guard margin inside the unit disk of the term functions
 SINGULAR_GUARD = 1e-8
@@ -44,6 +47,25 @@ _M_START = 128          # direct-sum length to start from; tail terms fall like 
 _U = 2.0 ** -53         # unit roundoff
 # math.gamma is within 8.3 u of 40-digit mpmath on 100,000 points of [-170, 170]
 _GAMMA_ERR = 10.0 * _U
+
+
+@dataclass(frozen=True)
+class SeriesControl:
+    """Termination policy for all series summation in the package."""
+
+    rel_tol: float = 1e-14
+    max_terms: int = 10000
+
+    def __post_init__(self):
+        if not 0 < self.rel_tol < math.inf:
+            raise PreconditionError("rel_tol must be positive and finite")
+        if self.max_terms < 1:
+            raise PreconditionError("max_terms must be at least 1")
+
+
+class EvalStatus(str, Enum):
+    CONVERGED = "Converged"
+    MAX_TERMS_REACHED = "MaxTermsReached"
 
 
 def check_disk(z: float) -> None:
@@ -76,10 +98,6 @@ class Evaluation:
     terms_used: int
     tails: tuple
     status: tuple
-
-    def result(self, order: int) -> EvalResult:
-        return EvalResult((self.u, self.du, self.ddu)[order], self.terms_used,
-                          self.tails[order], self.status[order])
 
 
 def _gamma_n(n: int) -> float:

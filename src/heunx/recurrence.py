@@ -26,11 +26,6 @@ from . import _kernels
 from .errors import NumericalError, PoleError, PreconditionError
 from .params import HeunParams, check_order, is_nonpos_int
 
-# forward recursion keeps full precision while the contaminating solution
-# mode |a/(a-1)|^n stays bounded; past this ratio the stream switches to
-# backward recursion normalized at c_0
-RHO_SWITCH = 1.1
-
 NO_TERMINATION = 10**9
 TWO_TERM_AGREE_TOL = 1e-13
 
@@ -83,7 +78,7 @@ def three_term_coefficients(p: HeunParams, n_max: int) -> CoefficientStream:
     n0 = termination_index(p)
     values = _kernels.three_term_stream(
         p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
-        int(n_max), n0, RHO_SWITCH)
+        int(n_max), n0)
     _finite_or_raise(values, "three-term stream")
     return CoefficientStream(values, CoefficientSource.THREE_TERM, p)
 

@@ -81,6 +81,14 @@ def coeff_p(n, a, q, al, be, ga, de, ep):
     return -a / (n + g) * (n + ep) * f1 * f2
 
 
+def f21(a, b, c, z, max_terms=SeriesControl().max_terms):
+    """(f, f', f'', terms, last) of 2F1(a, b; c; z) from the one series
+    kernel, at SeriesControl's default rel_tol and _kernels' stopping rule."""
+    return _kernels._f21_series(float(a), float(b), float(c), float(z),
+                                SeriesControl().rel_tol, max_terms,
+                                _kernels.CONSECUTIVE_SMALL)
+
+
 def identity_at(p, es, n):
     """(value, scale) of the reduction identity at n, a real number or an
     array of them: the sum of its three summands (_kernels.identity_terms)

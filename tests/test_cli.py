@@ -701,6 +701,14 @@ def test_readme_coeffs_table(write_params, capsys):
     assert capsys.readouterr().out == table
 
 
+def test_readme_python_example():
+    # the README's one Python block runs as written: a removed name fails it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})
+
+
 def test_readme_eval_table(write_params, capsys):
     # the README's eval example is what the command prints
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

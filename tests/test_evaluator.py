@@ -6,12 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import summation_gaps
+from conftest import f21, summation_gaps
 from heunx import (DomainError, EvalStatus, NonConvergenceError,
                    NumericalError, SeriesControl, SingularPointError,
-                   _kernels, evaluate, evaluation_table,
-                   forced_residual, forcing_constant, gauss_2f1,
-                   gauss_2f1_deriv, homogeneous_residual, q_candidates_N0,
+                   _kernels, evaluate, evaluation_table, forced_residual,
+                   forcing_constant, homogeneous_residual, q_candidates_N0,
                    q_candidates_N2, solve_reduction_general)
 from heunx.evaluator import (_M_START, _MCAP, _U, _sum_all,
                              certified_points, check_interior,
@@ -39,10 +38,10 @@ def test_anchor_values(anchor_case):
 
 def test_result_convergence_invariant(anchor_case):
     ctl = SeriesControl()
-    out = evaluate(anchor_case, 0.25, ctl).result(0)
-    assert out.status is EvalStatus.CONVERGED
-    assert out.tail_estimate <= ctl.rel_tol * abs(out.value)
-    assert out.terms_used > 0
+    ev = evaluate(anchor_case, 0.25, ctl)
+    assert ev.status[0] is EvalStatus.CONVERGED
+    assert ev.tails[0] <= ctl.rel_tol * abs(ev.u)
+    assert ev.terms_used > 0
 
 
 def test_domain_guard(anchor_case):
@@ -54,10 +53,10 @@ def test_single_term_case_matches_gauss(single_term_case):
     p = single_term_case.params
     g = p.gamma + p.epsilon
     for z in (0.0, 0.2, 0.45, -0.3):
-        want = gauss_2f1(p.alpha, p.beta, g, z).value
+        want = f21(p.alpha, p.beta, g, z)[0]
         got = evaluate(single_term_case, z).u
         assert got == pytest.approx(want, rel=1e-12)
-    dwant = gauss_2f1_deriv(p.alpha, p.beta, g, 0.3, 1)
+    dwant = f21(p.alpha, p.beta, g, 0.3)[1]
     dgot = evaluate(single_term_case, 0.3).du
     assert dgot == pytest.approx(dwant, rel=1e-12)
 

@@ -8,11 +8,11 @@ import pytest
 
 from conftest import coeff_p
 from heunx import (DivisionByZeroError, HeunParams, NonConvergenceError,
-                   NumericalError, SeriesControl, _kernels, gauss_2f1, gauss_2f1_deriv,
-                   q_candidates_N0, q_candidates_N1, q_candidates_N2,
-                   solve_reduction_general)
+                   NumericalError, _kernels, q_candidates_N0, q_candidates_N1,
+                   q_candidates_N2, solve_reduction_general)
+from heunx._kernels import RHO_SWITCH
 from heunx.params import is_nonpos_int, params_to_dict
-from heunx.recurrence import NO_TERMINATION, RHO_SWITCH, termination_index
+from heunx.recurrence import NO_TERMINATION, termination_index
 
 
 def _f21_by_terms(a, b, c, z, rel_tol, max_terms, consec):
@@ -59,36 +59,27 @@ KERNEL_Z = (-0.95, -0.9, -0.5, -1e-3, 0.0, 1e-200, 0.3, 0.75, 0.95)
 @pytest.mark.parametrize("consec", [1, 3])
 def test_array_kernel_matches_scalar_loop(a, b, consec):
     # same arithmetic per element in the same order, so equal to the bit;
-    # a = -3 terminates; every (c, z) pair runs in one call, whose results
-    # come in row-major order
-    c, z = np.meshgrid(KERNEL_C, KERNEL_Z, indexing="ij")
-    got = _kernels.f21_with_derivs(a, b, c, z, 1e-15, 10000, consec)
-    want = [_f21_by_terms(a, b, ci, zi, 1e-15, 10000, consec)
-            for ci, zi in zip(c.ravel(), z.ravel())]
-    for slot in (0, 1, 2, 4):
-        assert np.array_equal(got[slot], [w[slot] for w in want])
-    # slot 3 totals the per-element term counts as a Python int
-    assert type(got[3]) is int and got[3] == sum(w[3] for w in want)
-    for ci, zi, w in zip(c.ravel(), z.ravel(), want):
-        assert _kernels.f21_with_derivs(a, b, ci, zi, 1e-15, 10000,
-                                        consec)[3] == w[3]
-    if consec != _kernels.CONSECUTIVE_SMALL:
-        return
-    # the public entry points sum one series each, with the same bits
-    ctl = SeriesControl(rel_tol=1e-15, max_terms=10000)
-    for i, (ci, zi) in enumerate(zip(c.ravel(), z.ravel())):
-        r = gauss_2f1(a, b, ci, zi, ctl)
-        assert (r.value, r.terms_used, r.tail_estimate) == (
-            got[0][i], want[i][3], got[4][i])
-        for order in (1, 2):
-            assert gauss_2f1_deriv(a, b, ci, zi, order, ctl) == got[order][i]
+    # a = -3 terminates; every c at one z runs in one call, whose results
+    # come in the order of c
+    for z in KERNEL_Z:
+        got = _kernels.f21_with_derivs(a, b, KERNEL_C, z, 1e-15, 10000, consec)
+        want = [_f21_by_terms(a, b, c, z, 1e-15, 10000, consec)
+                for c in KERNEL_C]
+        for slot in (0, 1, 2, 4):
+            assert np.array_equal(got[slot], [w[slot] for w in want])
+        # slot 3 totals the per-element term counts as a Python int
+        assert type(got[3]) is int and got[3] == sum(w[3] for w in want)
+        for c, w in zip(KERNEL_C, want):
+            assert _kernels.f21_with_derivs(a, b, [c], z, 1e-15, 10000,
+                                            consec)[3] == w[3]
 
 
 def test_array_kernel_stops_at_max_terms():
     # a series that stops after m terms reports m + 1 and needs max_terms >= m
     a, b, c, z = 2.5, 1.7, 3.0, -0.95
     used = _f21_by_terms(a, b, c, z, 1e-15, 10000, 3)[3]
-    assert _kernels.f21_with_derivs(a, b, c, z, 1e-15, used - 1, 3)[3] == used
+    got = _kernels.f21_with_derivs(a, b, [c], z, 1e-15, used - 1, 3)
+    assert got[3] == used
     with pytest.raises(NonConvergenceError, match="did not settle"):
         _kernels.f21_with_derivs(a, b, [c, 2.0 * c], z, 1e-15, used - 2, 3)
     with pytest.raises(NonConvergenceError, match="did not settle"):
@@ -266,7 +257,7 @@ def _backward_by_rows(a, q, al, be, ga, de, ep, work, start, stop):
                     + _kernels.coeff_q(j + 1.0, a, q, al, be, ga, de, ep) * work[j + 1]) / pj
 
 
-def _three_term_by_rows(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
+def _three_term_by_rows(a, q, al, be, ga, de, ep, nmax, n0):
     """three_term_stream with every fill and copy a loop over scalars: the
     reference the array fills must reproduce to the bit."""
     c = np.zeros(nmax + 1)
@@ -274,7 +265,7 @@ def _three_term_by_rows(a, q, al, be, ga, de, ep, nmax, n0, rho_switch):
     if nmax == 0:
         return c
     rho = abs(a / (a - 1.0))
-    if rho <= rho_switch:
+    if rho <= RHO_SWITCH:
         _forward_by_rows(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
         return _kernels._certify_init(a, q, al, be, ga, de, ep, c)
     buf = min(max(int(math.ceil(52.0 / math.log(rho))), 40), 2000)
@@ -325,7 +316,7 @@ def _same_outcome(args):
 
 def _stream_args(p, nmax):
     return (p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, nmax,
-            termination_index(p), RHO_SWITCH)
+            termination_index(p))
 
 
 def _n3_terminating():
@@ -386,7 +377,7 @@ def test_fill_errors_match_scalar_loops(a, ga, ep, text):
     al, be, q = 0.3, 1.45, 2.0
     de = 1.0 + al + be - ga - ep
     for nmax in (5, 50):
-        args = (a, q, al, be, ga, de, ep, nmax, NO_TERMINATION, RHO_SWITCH)
+        args = (a, q, al, be, ga, de, ep, nmax, NO_TERMINATION)
         assert _same_outcome(args) == (DivisionByZeroError, text)
 
 
