@@ -15,16 +15,16 @@ from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      NonConvergenceError, NumericalError, PoleError,
                      PreconditionError, SingularPointError, ValidationError)
 from .evaluator import (EvalStatus, Evaluation, SeriesControl, evaluate,
-                        evaluate_points, evaluation_table, forced_residual,
-                        forcing_constant, homogeneous_residual)
+                        evaluate_points, forced_residual, forcing_constant,
+                        homogeneous_residual)
 from .oracle import FrobeniusSeries, cross_check, frobenius_coefficients
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
                      ValidationIssue, collect_issues, is_nonpos_int,
                      load_params_file, params_from_dict, params_to_dict,
                      require_valid)
 from .recurrence import (CoefficientSource, CoefficientStream, residual_rows,
-                         stream_to_csv, stream_to_json, termination_index,
-                         three_term_coefficients, two_term_coefficients)
+                         termination_index, three_term_coefficients,
+                         two_term_coefficients)
 from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
                         q_candidates_N0, q_candidates_N1, q_candidates_N2,
                         solve, solve_reduction_general, verify_reduction)
@@ -39,11 +39,10 @@ __all__ = [
     "ReductionCase", "SeriesControl", "SingularPointError",
     "ValidatedHeunParams", "ValidationError", "ValidationIssue",
     "case_to_dict", "collect_issues", "cross_check", "evaluate",
-    "evaluate_points", "evaluation_table", "forced_residual",
-    "forcing_constant", "homogeneous_residual", "frobenius_coefficients",
+    "evaluate_points", "forced_residual", "forcing_constant",
+    "homogeneous_residual", "frobenius_coefficients",
     "is_nonpos_int", "load_params_file", "params_from_dict", "params_to_dict",
     "q_candidates_N0", "q_candidates_N1", "q_candidates_N2", "require_valid",
-    "residual_rows", "solve", "solve_reduction_general", "stream_to_csv",
-    "stream_to_json", "termination_index", "three_term_coefficients",
-    "two_term_coefficients", "verify_reduction",
+    "residual_rows", "solve", "solve_reduction_general", "termination_index",
+    "three_term_coefficients", "two_term_coefficients", "verify_reduction",
 ]

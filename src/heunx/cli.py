@@ -4,6 +4,13 @@ Exit codes: 0 success, 2 invalid input, 3 no solution or failed
 verification, 4 internal numerical failure. Output is byte-deterministic
 for a fixed input file and argument list: JSON is emitted with sorted keys,
 floats carry full repr precision, and a float that is not finite is null.
+
+Every table (`reduce --format csv`, `coeffs`, `eval`, `residual`) goes out
+through _write_table in one `%` pass: the row template, repeated once per
+row, takes every cell from one row-major list. For JSON that gives the
+bytes of json.dumps(..., sort_keys=True, indent=2), whose stdlib encoder
+walks a dict per row in pure Python whenever indent is set. CSV prints a
+non-finite float as its repr (nan).
 """
 
 from __future__ import annotations
@@ -14,19 +21,19 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from .errors import (DivisionByZeroError, DomainError, NonConvergenceError,
                      NumericalError, PoleError, PreconditionError,
                      SingularPointError, ValidationError)
 from .evaluator import (EvalStatus, SeriesControl, certified_points,
                         check_disk, check_interior, evaluate_points,
-                        evaluation_table, forced_residual,
-                        homogeneous_residual)
+                        forced_residual, homogeneous_residual)
 from .oracle import cross_check
 from .params import (check_order, load_params_file, params_to_dict,
                      require_valid)
-from .recurrence import (CoefficientSource, json_float, stream_to_csv,
-                         stream_to_json, three_term_coefficients,
-                         two_term_coefficients)
+from .recurrence import (CoefficientSource, stream_columns,
+                         three_term_coefficients, two_term_coefficients)
 from .reduction import (A_TOP_TOL, STREAM_ROWS, VERIFY_TOL, ReductionCase,
                         case_to_dict, solve, verify_reduction)
 
@@ -58,6 +65,34 @@ def _null_non_finite(obj):
 def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(_null_non_finite(obj), sort_keys=True, indent=2,
                                 allow_nan=False) + "\n")
+
+
+def _write_table(fmt: str, cols: dict, **extra) -> None:
+    """Print cols, column name -> a float array or a list of ints or strings.
+    CSV keeps the given column order. JSON prints the bytes of
+    json.dumps({"rows": [{name: cell, ...}, ...], **extra}, sort_keys=True,
+    indent=2) + "\n", with null for a non-finite float; CSV has no place
+    for extra. A JSON table has at least one row."""
+    names = sorted(cols) if fmt == "json" else list(cols)
+    size = len(cols[names[0]])
+    table = np.column_stack([cols[k] if isinstance(cols[k], np.ndarray)
+                             else np.zeros(size) for k in names])
+    flat = table.ravel().tolist()   # "%s" of a float is its repr
+    for j, k in enumerate(names):   # ints print as 3, not 3.0
+        if not isinstance(cols[k], np.ndarray):
+            flat[j::len(names)] = cols[k]
+    if fmt == "csv":
+        text = ",".join(names) + "\n" + (",".join(["%s"] * len(names)) + "\n") * size
+    else:
+        for i in np.flatnonzero(~np.isfinite(table)).tolist():
+            flat[i] = "null"
+        row = "    {\n" + ",\n".join(
+            '      "%s": %s' % (k, '"%s"' if isinstance(cols[k][0], str) else "%s")
+            for k in names) + "\n    }"
+        rows = '"rows": [\n' + ",\n".join([row] * size) + "\n  ]"
+        doc = json.dumps({"rows": None, **extra}, sort_keys=True, indent=2)
+        text = doc.replace('"rows": null', rows, 1) + "\n"
+    sys.stdout.write(text % tuple(flat))
 
 
 def _parse_floats(text: str) -> list:
@@ -104,12 +139,11 @@ def cmd_reduce(ns) -> int:
     cases, notes = solve(p0.a, p0.alpha, p0.beta, p0.gamma, n_case)
 
     if ns.format == "csv":
-        lines = ["N,q_root_index,q,e,passed"]
-        for case in cases:
-            e_txt = ";".join(repr(e) for e in case.e_list)
-            lines.append(f"{case.N},{case.q_root_index},{case.params.q!r},"
-                         f"{e_txt},{case.report.passed}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write_table("csv", {"N": [c.N for c in cases],
+                             "q_root_index": [c.q_root_index for c in cases],
+                             "q": np.array([c.params.q for c in cases]),
+                             "e": [";".join(map(repr, c.e_list)) for c in cases],
+                             "passed": [c.report.passed for c in cases]})
     else:
         payload = {
             "cases": [case_to_dict(c) for c in cases],
@@ -132,8 +166,9 @@ def cmd_coeffs(ns) -> int:
         stream = three_term_coefficients(p, ns.n_max)
     else:
         stream = two_term_coefficients(p, es, ns.n_max, source=source)
-    writer = stream_to_json if ns.format == "json" else stream_to_csv
-    sys.stdout.write(writer(stream))
+    c, ratio, resid = stream_columns(stream)
+    _write_table(ns.format, {"n": range(len(c)), "c_n": c, "ratio": ratio,
+                             "residual": resid}, source=stream.source.value)
     return EXIT_OK
 
 
@@ -143,46 +178,29 @@ def _build_case(ns) -> ReductionCase:
     return ReductionCase.build(p, es)
 
 
-def _joint_status(status) -> str:
-    """One status for a row of u, u' and u'': Converged when all three are."""
-    if all(s == EvalStatus.CONVERGED for s in status):
-        return EvalStatus.CONVERGED.value
-    return EvalStatus.MAX_TERMS_REACHED.value
-
-
 def cmd_eval(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=False)
     ctl = SeriesControl(rel_tol=ns.rel_tol)   # checked for CSV too; only JSON reads it
-    if ns.format == "json":
-        # the bytes of json.dumps({"rows": [...], "tolerances": {...}},
-        # sort_keys=True, indent=2) + "\n" from one row template: with an
-        # indent the stdlib json runs its pure-Python encoder, not the C one
-        row = ('    {\n      "ddu": %r,\n      "du": %r,\n      "residual": %s,\n'
-               '      "status": "%s",\n      "terms_used": %d,\n      "u": %r,\n'
-               '      "z": %r\n    }')
-        rows = ",\n".join(
-            row % (ev.ddu, ev.du, json_float(homogeneous_residual(case, ev)),
-                   _joint_status(ev.status), ev.terms_used, ev.u, ev.z)
-            for ev in evaluate_points(case, zs, ctl))
-        sys.stdout.write('{\n  "rows": [\n' + rows + '\n  ],\n  "tolerances": {\n'
-                         '    "rel_tol": ' + json.dumps(ctl.rel_tol) + "\n  }\n}\n")
-    else:
-        sys.stdout.write(evaluation_table(case, zs))
+    evs = evaluate_points(case, zs, ctl)
+    cols = dict(zip(("z", "u", "du", "ddu", "residual"), np.array(
+        [(ev.z, ev.u, ev.du, ev.ddu, homogeneous_residual(case, ev)) for ev in evs]).T))
+    cols["terms_used"] = [ev.terms_used for ev in evs]
+    if ns.format == "json":   # a row is Converged when u, u' and u'' all are
+        done, short = EvalStatus.CONVERGED.value, EvalStatus.MAX_TERMS_REACHED
+        cols["status"] = [short.value if short in ev.status else done for ev in evs]
+    _write_table(ns.format, cols, tolerances={"rel_tol": ctl.rel_tol})
     return EXIT_OK
 
 
 def cmd_residual(ns) -> int:
     case = _build_case(ns)
     zs = _z_points(ns, case.params.a, interior=True)
-    rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
-            for ev in evaluate_points(case, zs)]
-    if ns.format == "json":
-        _print_json({"rows": [{"z": z, "residual": r, "forced_residual": f}
-                              for z, r, f in rows]})
-    else:
-        sys.stdout.write("z,residual,forced_residual\n" + "".join(
-            f"{z!r},{r!r},{f!r}\n" for z, r, f in rows))
+    evs = evaluate_points(case, zs)
+    _write_table(ns.format, {
+        "z": np.array([ev.z for ev in evs]),
+        "residual": np.array([homogeneous_residual(case, ev) for ev in evs]),
+        "forced_residual": np.array([forced_residual(case, ev) for ev in evs])})
     return EXIT_OK
 
 

@@ -322,12 +322,3 @@ def certified_points(case: ReductionCase, zs) -> tuple[list[Evaluation], float]:
     form = _form(case)
     return evaluate_points(case, zs, form=form), form_certificate(case, form[0])
 
-
-def evaluation_table(case: ReductionCase, z_values) -> str:
-    """CSV with columns z, u, u', u'', residual, terms_used: the residual is
-    the homogeneous one, nan at a singular point; floats go out as repr."""
-    lines = ["z,u,du,ddu,residual,terms_used"]
-    for ev in evaluate_points(case, z_values):
-        lines.append(f"{ev.z!r},{ev.u!r},{ev.du!r},{ev.ddu!r},"
-                     f"{homogeneous_residual(case, ev)!r},{ev.terms_used}")
-    return "\n".join(lines) + "\n"

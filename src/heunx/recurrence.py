@@ -6,17 +6,10 @@ reduction branch, and the equivalent closed form assembled from Pochhammer
 products. Route agreement is the working certificate that a reduction
 really holds, so the two-term generator always computes both of its forms
 and checks them against each other.
-
-A `coeffs` table is one `%` pass: the row template, repeated once per row,
-takes n and the float columns of stream_columns from one row-major list.
-For JSON that gives the bytes of json.dumps(..., indent=2), whose stdlib
-encoder walks a dict per row in pure Python whenever indent is set.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,33 +132,3 @@ def stream_columns(stream: CoefficientStream):
     resid[:2] = np.nan
     return vals, np.r_[np.nan, ratio], resid
 
-
-def json_float(x: float) -> str:
-    """A float as a row template writes it into JSON: repr, null if not finite."""
-    return repr(x) if math.isfinite(x) else "null"
-
-
-def stream_to_csv(stream: CoefficientStream) -> str:
-    """CSV with columns n, c_n, ratio, residual from stream_columns. Floats
-    are emitted with repr so output is byte-deterministic."""
-    c, ratio, resid = stream_columns(stream)
-    flat = np.column_stack([np.zeros(len(c)), c, ratio, resid]).ravel().tolist()
-    flat[0::4] = range(len(c))
-    return "n,c_n,ratio,residual\n" + ("%d,%r,%r,%r\n" * len(c)) % tuple(flat)
-
-
-def stream_to_json(stream: CoefficientStream) -> str:
-    """The bytes of json.dumps({"source": ..., "rows": [{"n", "c_n",
-    "ratio", "residual"}, ...]}, sort_keys=True, indent=2) + "\\n", with
-    null for every non-finite value."""
-    row = ('    {\n      "c_n": %s,\n      "n": %d,\n      "ratio": %s,\n'
-           '      "residual": %s\n    }')
-    c, ratio, resid = stream_columns(stream)
-    table = np.column_stack([c, np.zeros(len(c)), ratio, resid])
-    flat = table.ravel().tolist()
-    flat[1::4] = range(len(c))
-    for i in np.flatnonzero(~np.isfinite(table)).tolist():
-        flat[i] = "null"
-    rows = ",\n".join([row] * len(c)) % tuple(flat)
-    return ('{\n  "rows": [\n' + rows + '\n  ],\n  "source": '
-            + json.dumps(stream.source.value) + "\n}\n")

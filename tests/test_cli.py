@@ -17,10 +17,10 @@ import heunx.cli
 import heunx.evaluator
 import heunx.reduction
 from heunx import (DivisionByZeroError, EvalStatus, ReductionCase,
-                   SeriesControl, evaluate, homogeneous_residual,
-                   load_params_file, params_to_dict, q_candidates_N0,
-                   q_candidates_N2, residual_rows, solve_reduction_general,
-                   stream_to_csv, stream_to_json, three_term_coefficients,
+                   SeriesControl, evaluate, forced_residual,
+                   homogeneous_residual, load_params_file, params_to_dict,
+                   q_candidates_N0, q_candidates_N2, residual_rows,
+                   solve_reduction_general, three_term_coefficients,
                    two_term_coefficients)
 
 CLI = [sys.executable, "-m", "heunx.cli"]
@@ -177,6 +177,20 @@ def test_coeffs_anchor_table(write_params):
     assert values == pytest.approx([1.0, 0.5, 0.3, 0.2, 1.0 / 7.0], rel=1e-12)
 
 
+def test_coeffs_csv_shape(write_params, capsys):
+    argv = ["coeffs", "--params", write_params(ANCHOR_FULL), "--source",
+            "three-term", "--n-max", "4"]
+    assert heunx.cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "n,c_n,ratio,residual"
+    assert len(lines) == 6
+    first = lines[1].split(",")
+    assert first[0] == "0" and first[1] == "1.0"
+    assert first[2] == "nan" and first[3] == "nan"
+    row2 = lines[3].split(",")
+    assert float(row2[2]) == pytest.approx(0.6, rel=1e-13)
+
+
 def test_coeffs_with_e_near_zero(write_params):
     # an N = 2 case with e_2 = -1.35e-4: the two coefficient routes must
     # still agree within 1e-13
@@ -221,6 +235,21 @@ def test_eval_anchor(write_params):
     lines = out.stdout.strip().split("\n")
     assert lines[0] == "z,u,du,ddu,residual,terms_used"
     assert float(lines[1].split(",")[1]) == pytest.approx(4.0, rel=1e-11)
+
+
+def test_eval_csv_shape(write_params, capsys):
+    argv = ["eval", "--params", write_params(ANCHOR_FULL), "--e", "",
+            "--z", "0,0.25"]
+    assert heunx.cli.main(argv) == 0
+    text = capsys.readouterr().out
+    lines = text.strip().split("\n")
+    assert lines[0] == "z,u,du,ddu,residual,terms_used"
+    assert len(lines) == 3
+    row0 = lines[1].split(",")
+    assert row0[0] == "0.0" and float(row0[1]) == pytest.approx(3.0, rel=1e-12)
+    assert row0[4] == "nan"  # z = 0 is a singular point of the equation
+    assert heunx.cli.main(argv) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_eval_json_format(write_params):
@@ -609,8 +638,7 @@ def test_table_writers_match_row_code(name, write_params, capsys):
     case = _table_cases()[name]
     path = write_params(params_to_dict(case.params))
     e_arg = "--e=" + ",".join(repr(e) for e in case.e_list)
-    writers = {"csv": (stream_to_csv, _csv_by_rows),
-               "json": (stream_to_json, _json_by_rows)}
+    writers = {"csv": _csv_by_rows, "json": _json_by_rows}
     for source, flag in heunx.cli._SOURCES.items():
         for n_max in (0, 1, 2, 60, 5000):   # 5000: the benchmark's tables
             try:
@@ -624,7 +652,7 @@ def test_table_writers_match_row_code(name, write_params, capsys):
                 assert (name, source, n_max) in (("N3-terminating", "three-term", 1),
                                                  ("N3-terminating", "three-term", 2))
                 stream = None
-            for fmt, (writer, by_rows) in writers.items():
+            for fmt, by_rows in writers.items():
                 argv = ["coeffs", "--params", path, "--n-max", str(n_max),
                         "--source", source, "--format", fmt]
                 code = heunx.cli.main(argv + ([] if source == "three-term"
@@ -633,11 +661,9 @@ def test_table_writers_match_row_code(name, write_params, capsys):
                 if stream is None:
                     assert (code, out) == (4, "")
                     continue
-                want = by_rows(stream)
-                assert writer(stream) == want
-                assert (code, out) == (0, want)
-            if name == "N3-terminating" and n_max == 60:
-                assert stream_to_json(stream).count('"ratio": null') == 57
+                assert (code, out) == (0, by_rows(stream))
+                if name == "N3-terminating" and n_max == 60 and fmt == "json":
+                    assert out.count('"ratio": null') == 57
 
 
 def _eval_csv_by_rows(case, zs):
@@ -664,6 +690,20 @@ def _eval_json_by_rows(case, zs, rel_tol):
                       sort_keys=True, indent=2) + "\n"
 
 
+def _residual_by_rows(case, zs, fmt):
+    """residual's table as one evaluate call per point and one f-string or
+    row dict per row."""
+    rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
+            for ev in (evaluate(case, z) for z in zs)]
+    if fmt == "csv":
+        return "z,residual,forced_residual\n" + "".join(
+            f"{z!r},{r!r},{f!r}\n" for z, r, f in rows)
+    return json.dumps({"rows": [{"z": z, "residual": _jsonable(r),
+                                 "forced_residual": _jsonable(f)}
+                                for z, r, f in rows]},
+                      sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("params, e", [(ANCHOR_FULL, ""), (N2_FULL, N2_E),
                                        (TERMINATING_FULL, "")],
                          ids=["anchor", "N2", "terminating"])
@@ -683,6 +723,15 @@ def test_eval_writers_match_row_code(write_params, capsys, params, e):
             code = heunx.cli.main(argv + ["--rel-tol", repr(rel_tol), "--format", "json"])
             outs.append(capsys.readouterr().out)
             assert (code, outs[-1]) == (0, _eval_json_by_rows(case, zs, rel_tol))
+        # residual takes the non-singular points: a = 2 in all three cases,
+        # so z = 0 (and linspace's -1.1e-16) is the one singular point here
+        interior = [z for z in zs if abs(z) > heunx.evaluator.SINGULAR_GUARD]
+        for fmt in ("csv", "json") if interior else ():
+            code = heunx.cli.main(["residual", "--params", path, "--e=" + e,
+                                   "--z=" + ",".join(map(repr, interior)),
+                                   "--format", fmt])
+            assert (code, capsys.readouterr().out) == (
+                0, _residual_by_rows(case, interior, fmt))
     # z = 0 is singular: a null residual; 1e-16 is below the tails
     assert all('"residual": null' in out for out in outs)
     assert any('"MaxTermsReached"' in out for out in outs)

@@ -9,9 +9,9 @@ import pytest
 from conftest import f21, summation_gaps
 from heunx import (DomainError, EvalStatus, NonConvergenceError,
                    NumericalError, SeriesControl, SingularPointError,
-                   _kernels, evaluate, evaluation_table, forced_residual,
-                   forcing_constant, homogeneous_residual, q_candidates_N0,
-                   q_candidates_N2, solve_reduction_general)
+                   _kernels, evaluate, forced_residual, forcing_constant,
+                   homogeneous_residual, q_candidates_N0, q_candidates_N2,
+                   solve_reduction_general)
 from heunx.evaluator import (_M_START, _MCAP, _U, _sum_all,
                              certified_points, check_interior,
                              evaluate_points, form_certificate)
@@ -313,17 +313,6 @@ def test_forced_series_oracle_matches_sum(anchor_case):
             want = want * z + coeff
         got = evaluate(anchor_case, z).u
         assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_evaluation_table_shape(anchor_case):
-    text = evaluation_table(anchor_case, [0.0, 0.25])
-    lines = text.strip().split("\n")
-    assert lines[0] == "z,u,du,ddu,residual,terms_used"
-    assert len(lines) == 3
-    row0 = lines[1].split(",")
-    assert row0[0] == "0.0" and float(row0[1]) == pytest.approx(3.0, rel=1e-12)
-    assert row0[4] == "nan"  # z = 0 is a singular point of the equation
-    assert evaluation_table(anchor_case, [0.0, 0.25]) == text
 
 
 def test_cancelling_point_is_not_converged():

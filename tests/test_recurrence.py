@@ -11,9 +11,8 @@ from conftest import coeff_p
 from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    params_to_dict, q_candidates_N0, q_candidates_N2,
-                   residual_rows, solve_reduction_general,
-                   stream_to_csv, termination_index, three_term_coefficients,
-                   two_term_coefficients)
+                   residual_rows, solve_reduction_general, termination_index,
+                   three_term_coefficients, two_term_coefficients)
 from heunx._kernels import _relation_rows, coeff_q, coeff_r
 from heunx.recurrence import NO_TERMINATION
 
@@ -163,18 +162,6 @@ def test_terminating_backward_stream_splits_at_interior_P_zero():
 
 def test_no_termination_for_anchor():
     assert termination_index(ANCHOR) == NO_TERMINATION
-
-
-def test_stream_csv_shape():
-    text = stream_to_csv(three_term_coefficients(ANCHOR, 4))
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,c_n,ratio,residual"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "1.0"
-    assert first[2] == "nan" and first[3] == "nan"
-    row2 = lines[3].split(",")
-    assert float(row2[2]) == pytest.approx(0.6, rel=1e-13)
 
 
 def _ratio_stream_by_rows(g, x1, x2, es, nmax, n0):
