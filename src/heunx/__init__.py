@@ -14,7 +14,7 @@ the tail-resummed summation). Everything runs in plain numpy.
 from .errors import (DivisionByZeroError, DomainError, HeunxError,
                      NonConvergenceError, NumericalError, PoleError,
                      PreconditionError, SingularPointError, ValidationError)
-from .evaluator import (EvalStatus, Evaluation, SeriesControl, evaluate,
+from .evaluator import (EvalStatus, Evaluation, SeriesControl,
                         evaluate_points, forced_residual, forcing_constant,
                         homogeneous_residual)
 from .oracle import FrobeniusSeries, cross_check, frobenius_coefficients
@@ -22,9 +22,8 @@ from .params import (HeunParams, IssueCode, ValidatedHeunParams,
                      ValidationIssue, collect_issues, is_nonpos_int,
                      load_params_file, params_from_dict, params_to_dict,
                      require_valid)
-from .recurrence import (CoefficientSource, CoefficientStream, residual_rows,
-                         termination_index, three_term_coefficients,
-                         two_term_coefficients)
+from .recurrence import (CoefficientSource, residual_rows, termination_index,
+                         three_term_coefficients, two_term_coefficients)
 from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
                         q_candidates_N0, q_candidates_N1, q_candidates_N2,
                         solve, solve_reduction_general, verify_reduction)
@@ -32,14 +31,13 @@ from .reduction import (ConstraintReport, ReductionCase, case_to_dict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientSource", "CoefficientStream", "ConstraintReport",
-    "DivisionByZeroError", "DomainError", "EvalStatus", "Evaluation",
-    "FrobeniusSeries", "HeunParams", "HeunxError", "IssueCode",
-    "NonConvergenceError", "NumericalError", "PoleError", "PreconditionError",
-    "ReductionCase", "SeriesControl", "SingularPointError",
-    "ValidatedHeunParams", "ValidationError", "ValidationIssue",
-    "case_to_dict", "collect_issues", "cross_check", "evaluate",
-    "evaluate_points", "forced_residual", "forcing_constant",
+    "CoefficientSource", "ConstraintReport", "DivisionByZeroError",
+    "DomainError", "EvalStatus", "Evaluation", "FrobeniusSeries",
+    "HeunParams", "HeunxError", "IssueCode", "NonConvergenceError",
+    "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
+    "SeriesControl", "SingularPointError", "ValidatedHeunParams",
+    "ValidationError", "ValidationIssue", "case_to_dict", "collect_issues",
+    "cross_check", "evaluate_points", "forced_residual", "forcing_constant",
     "homogeneous_residual", "frobenius_coefficients",
     "is_nonpos_int", "load_params_file", "params_from_dict", "params_to_dict",
     "q_candidates_N0", "q_candidates_N1", "q_candidates_N2", "require_valid",

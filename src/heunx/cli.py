@@ -163,19 +163,17 @@ def cmd_coeffs(ns) -> int:
     if source == CoefficientSource.THREE_TERM:
         if es:
             raise PreconditionError("--e does not apply to the three-term source")
-        stream = three_term_coefficients(p, ns.n_max)
+        values = three_term_coefficients(p, ns.n_max)
     else:
-        stream = two_term_coefficients(p, es, ns.n_max, source=source)
-    c, ratio, resid = stream_columns(stream)
+        values = two_term_coefficients(p, es, ns.n_max, source=source)
+    c, ratio, resid = stream_columns(p, values)
     _write_table(ns.format, {"n": range(len(c)), "c_n": c, "ratio": ratio,
-                             "residual": resid}, source=stream.source.value)
+                             "residual": resid}, source=source.value)
     return EXIT_OK
 
 
 def _build_case(ns) -> ReductionCase:
-    p = load_params_file(ns.params)
-    es = _parse_floats(ns.e)
-    return ReductionCase.build(p, es)
+    return ReductionCase(load_params_file(ns.params), _parse_floats(ns.e))
 
 
 def cmd_eval(ns) -> int:
@@ -224,7 +222,7 @@ def cmd_verify(ns) -> int:
     }
 
     if report.passed:
-        case = ReductionCase.build(p, es, report=report)
+        case = ReductionCase(p, es, report=report)
         # one form pass for the points, the origin (its u normalises
         # cross_check) and the form's z-free certificate
         (origin, *evs), certificate = certified_points(case, (0.0, *zs))

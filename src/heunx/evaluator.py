@@ -202,12 +202,6 @@ def evaluate_points(case: ReductionCase, zs, ctl: SeriesControl | None = None,
             in zip(zs, values.T.tolist(), tails.T.tolist(), status)]
 
 
-def evaluate(case: ReductionCase, z: float,
-             ctl: SeriesControl | None = None) -> Evaluation:
-    """evaluate_points at the one point z."""
-    return evaluate_points(case, (z,), ctl)[0]
-
-
 def _sum_all(case: ReductionCase, z: float, ctl: SeriesControl):
     """(u, u', u'', terms_used, tails, doublings) at z, summed to length M
     with the tail resummed (expansion_core): one prefix and one kernel call

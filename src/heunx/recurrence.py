@@ -5,12 +5,14 @@ iterated two-term ratio available once the accessory parameter sits on a
 reduction branch, and the equivalent closed form assembled from Pochhammer
 products. Route agreement is the working certificate that a reduction
 really holds, so the two-term generator always computes both of its forms
-and checks them against each other.
+and checks them against each other. Each generator returns the array
+c_0..c_{n_max}; the caller holds the params and the CoefficientSource it
+asked for, and residual_rows and stream_columns take the params beside the
+array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,16 +29,6 @@ class CoefficientSource(str, Enum):
     THREE_TERM = "ThreeTerm"
     TWO_TERM_RATIO = "TwoTermRatio"
     GAMMA_CLOSED_FORM = "GammaClosedForm"
-
-
-@dataclass(frozen=True)
-class CoefficientStream:
-    values: np.ndarray
-    source: CoefficientSource
-    params: HeunParams
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def termination_index(p: HeunParams) -> int:
@@ -60,7 +52,7 @@ def _finite_or_raise(values: np.ndarray, label: str) -> None:
         raise NumericalError(f"{label} produced a non-finite entry at n = {bad}")
 
 
-def three_term_coefficients(p: HeunParams, n_max: int) -> CoefficientStream:
+def three_term_coefficients(p: HeunParams, n_max: int) -> np.ndarray:
     """c_0 = 1, c_1 = -Q_0/R_1, then R_n c_n + Q_{n-1}c_{n-1} + P_{n-2}c_{n-2} = 0.
 
     Direction (forward vs backward-normalized) is chosen from |a/(a-1)|;
@@ -73,12 +65,12 @@ def three_term_coefficients(p: HeunParams, n_max: int) -> CoefficientStream:
         p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
         int(n_max), n0)
     _finite_or_raise(values, "three-term stream")
-    return CoefficientStream(values, CoefficientSource.THREE_TERM, p)
+    return values
 
 
 def two_term_coefficients(p: HeunParams, e_list, n_max: int,
                           source: CoefficientSource = CoefficientSource.TWO_TERM_RATIO
-                          ) -> CoefficientStream:
+                          ) -> np.ndarray:
     """Coefficients from the factored two-term ratio of an accepted reduction.
 
     Both the iterated ratio and the Pochhammer closed form are computed and
@@ -108,27 +100,25 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
     if worst > TWO_TERM_AGREE_TOL:
         raise NumericalError(
             f"ratio and closed-form streams disagree ({worst:.3e} relative)")
-    values = closed if source == CoefficientSource.GAMMA_CLOSED_FORM else ratio
-    return CoefficientStream(values, source, p)
+    return closed if source == CoefficientSource.GAMMA_CLOSED_FORM else ratio
 
 
-def residual_rows(stream: CoefficientStream) -> np.ndarray:
-    """Scale-free recurrence defect per index; entries 0 and 1 are 0."""
-    p = stream.params
+def residual_rows(p: HeunParams, values) -> np.ndarray:
+    """Scale-free recurrence defect of the stream values under p per index;
+    entries 0 and 1 are 0."""
     with np.errstate(over="ignore", invalid="ignore"):   # big rows are taken again
         return _kernels.recurrence_residual_rows(
             p.a, p.q, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
-            np.asarray(stream.values, dtype=np.float64))
+            np.asarray(values, dtype=np.float64))
 
 
-def stream_columns(stream: CoefficientStream):
-    """The table columns c_n, ratio c_n/c_{n-1} and residual_n as float
-    arrays; ratio and residual are nan where undefined (n = 0, zero
-    predecessor, n < 2)."""
-    vals = stream.values
+def stream_columns(p: HeunParams, vals: np.ndarray):
+    """The table columns c_n, ratio c_n/c_{n-1} and residual_n of the stream
+    vals under p as float arrays; ratio and residual are nan where undefined
+    (n = 0, zero predecessor, n < 2)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(vals[:-1] == 0.0, np.nan, vals[1:] / vals[:-1])
-    resid = residual_rows(stream)
+    resid = residual_rows(p, vals)
     resid[:2] = np.nan
     return vals, np.r_[np.nan, ratio], resid
 

@@ -128,39 +128,35 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
 class ReductionCase:
     """An accepted (q, e_1..e_N) point together with its certificate report.
 
-    Construction runs verify_reduction, or takes the report of a run the
+    Construction validates params (require_valid), stores e_list as a tuple
+    of floats and runs verify_reduction, or takes the report of a run the
     caller already made (which must be verify_reduction(params, e_list));
     an instance existing is the certificate that its parameters really
-    collapse the recurrence.
+    collapse the recurrence. N is len(e_list).
     """
 
-    N: int
     params: ValidatedHeunParams
     e_list: tuple
-    q_root_index: int
+    q_root_index: int = 0
     report: ConstraintReport = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        p = self.params
-        check_order(p, self.N)
-        if len(self.e_list) != self.N:
-            raise PreconditionError("e_list length must equal N")
-        for e in self.e_list:
+        p = require_valid(self.params)
+        es = tuple(float(e) for e in self.e_list)
+        check_order(p, len(es))
+        for e in es:
             if is_nonpos_int(e):
                 raise PreconditionError(f"e = {e!r} is a non-positive integer")
-        report = self.report or verify_reduction(p, self.e_list)
+        report = self.report or verify_reduction(p, es)
         if not report.passed:
             raise PreconditionError("verification failed for the proposed "
                                     f"reduction ({', '.join(report.failed)})")
-        object.__setattr__(self, "report", report)
+        for name, value in (("params", p), ("e_list", es), ("report", report)):
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def build(cls, params: HeunParams, e_list, q_root_index: int = 0,
-              report: ConstraintReport = None) -> "ReductionCase":
-        p = require_valid(params)
-        es = tuple(float(e) for e in e_list)
-        return cls(N=len(es), params=p, e_list=es, q_root_index=q_root_index,
-                   report=report)
+    @property
+    def N(self) -> int:
+        return len(self.e_list)
 
 
 def _drop(notes: list, q, why: str) -> None:
@@ -178,7 +174,7 @@ def _accept(params: HeunParams, es: tuple, idx: int, tol: float,
         return []
     report = verify_reduction(params, es)
     if report.passed and report.stream_defect <= tol:
-        return [ReductionCase.build(params, es, idx, report=report)]
+        return [ReductionCase(params, es, idx, report=report)]
     _drop(notes, params.q, f"ill-conditioned in double ({STREAM_ROWS}-row three-term "
                            f"defect {report.stream_defect:.2e} > {tol:.0e})")
     return []

@@ -19,7 +19,7 @@ import pytest
 from conftest import degree_claim_defect, f21, identity_at
 from heunx import (CoefficientSource, PreconditionError,
                    ValidatedHeunParams, ValidationError, cross_check,
-                   evaluate, forced_residual, homogeneous_residual,
+                   evaluate_points, forced_residual, homogeneous_residual,
                    params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, solve_reduction_general, termination_index,
                    three_term_coefficients, two_term_coefficients)
@@ -37,9 +37,9 @@ def test_criterion_1_anchor_reduction():
 
     start = time.perf_counter()
     case, = q_candidates_N0(2.0, 3.0, 2.0, 1.0)
-    direct = three_term_coefficients(case.params, 2).values
+    direct = three_term_coefficients(case.params, 2)
     closed = two_term_coefficients(case.params, (), 2,
-                                   CoefficientSource.GAMMA_CLOSED_FORM).values
+                                   CoefficientSource.GAMMA_CLOSED_FORM)
     elapsed = time.perf_counter() - start
 
     assert case.params.q == pytest.approx(4.0, abs=1e-13)
@@ -55,8 +55,8 @@ def test_criterion_2_stream_equivalence(random_cases):
     assert len(random_cases) == 100
     start = time.perf_counter()
     for case in random_cases:
-        direct = three_term_coefficients(case.params, 50).values
-        factored = two_term_coefficients(case.params, case.e_list, 50).values
+        direct = three_term_coefficients(case.params, 50)
+        factored = two_term_coefficients(case.params, case.e_list, 50)
         gap = np.abs(direct - factored)
         # relative to the stream scale: q is a float, so its rounding alone
         # perturbs decayed entries by ~1e-16 of the head entry, which makes
@@ -87,7 +87,7 @@ def _wide_cases(random_cases, count):
 def test_criterion_4_homogeneous_residual(random_cases):
     for case in _wide_cases(random_cases, 10):
         for z in Z_GRID:
-            assert homogeneous_residual(case, evaluate(case, z)) < 1e-7
+            assert homogeneous_residual(case, evaluate_points(case, [z])[0]) < 1e-7
 
 
 @pytest.mark.acceptance(4)
@@ -95,8 +95,8 @@ def test_criterion_4_homogeneous_residual(random_cases):
                    "differs from the forced solution by an O(1) particular part")
 def test_criterion_4_oracle_cross_check(random_cases):
     for case in _wide_cases(random_cases, 10):
-        assert cross_check(case, [evaluate(case, z) for z in Z_GRID],
-                           evaluate(case, 0.0).u) < 1e-7
+        origin, *evs = evaluate_points(case, [0.0, *Z_GRID])
+        assert cross_check(case, evs, origin.u) < 1e-7
 
 
 @pytest.mark.acceptance(4)
@@ -105,13 +105,13 @@ def test_criterion_4_forcing_certificate_and_sensitivity(random_cases):
     sample.append(q_candidates_N0(2.0, 1.0, 2.4, 0.8)[0])   # terminating
     for case in sample:
         for z in Z_GRID:
-            assert forced_residual(case, evaluate(case, z)) < 1e-9
+            assert forced_residual(case, evaluate_points(case, [z])[0]) < 1e-9
         p = case.params
         bumped = ValidatedHeunParams(**{**params_to_dict(p), "q": p.q + 1e-2})
         off = types.SimpleNamespace(params=bumped, e_list=case.e_list)
-        assert max(homogeneous_residual(off, evaluate(off, z)) for z in Z_GRID) > 1e-4
-        assert cross_check(off, [evaluate(off, z) for z in Z_GRID],
-                           evaluate(off, 0.0).u) > 1e-4
+        origin, *evs = evaluate_points(off, [0.0, *Z_GRID])
+        assert max(homogeneous_residual(off, ev) for ev in evs) > 1e-4
+        assert cross_check(off, evs, origin.u) > 1e-4
 
 
 def _valid_closed_form(builder, a, alpha, beta, gamma):
@@ -186,7 +186,7 @@ def test_criterion_6_rational_degeneration():
         found = termination_index(case.params)
         assert found == n0 and found <= 500
         for z in Z_GRID:
-            assert homogeneous_residual(case, evaluate(case, z)) < 1e-10
+            assert homogeneous_residual(case, evaluate_points(case, [z])[0]) < 1e-10
 
 
 @pytest.mark.acceptance(7)

@@ -17,7 +17,7 @@ import heunx.cli
 import heunx.evaluator
 import heunx.reduction
 from heunx import (DivisionByZeroError, EvalStatus, ReductionCase,
-                   SeriesControl, evaluate, forced_residual,
+                   SeriesControl, evaluate_points, forced_residual,
                    homogeneous_residual, load_params_file, params_to_dict,
                    q_candidates_N0, q_candidates_N2, residual_rows,
                    solve_reduction_general, three_term_coefficients,
@@ -595,11 +595,10 @@ def _jsonable(x):
     return x
 
 
-def _table_rows(stream):
+def _table_rows(p, vals):
     """(n, c_n, ratio, residual) per index as Python floats, one row at a
     time: the code the column writers replaced."""
-    rows = residual_rows(stream)
-    vals = stream.values
+    rows = residual_rows(p, vals)
     for n in range(len(vals)):
         if n == 0 or vals[n - 1] == 0.0:
             ratio = float("nan")
@@ -609,18 +608,18 @@ def _table_rows(stream):
         yield n, float(vals[n]), ratio, resid
 
 
-def _csv_by_rows(stream):
+def _csv_by_rows(p, vals, source):
     lines = ["n,c_n,ratio,residual"]
     lines += [f"{n},{c!r},{ratio!r},{resid!r}"
-              for n, c, ratio, resid in _table_rows(stream)]
+              for n, c, ratio, resid in _table_rows(p, vals)]
     return "\n".join(lines) + "\n"
 
 
-def _json_by_rows(stream):
+def _json_by_rows(p, vals, source):
     rows = [{"n": n, "c_n": _jsonable(c), "ratio": _jsonable(ratio),
              "residual": _jsonable(resid)}
-            for n, c, ratio, resid in _table_rows(stream)]
-    return json.dumps({"source": stream.source.value, "rows": rows},
+            for n, c, ratio, resid in _table_rows(p, vals)]
+    return json.dumps({"source": source.value, "rows": rows},
                       sort_keys=True, indent=2) + "\n"
 
 
@@ -661,7 +660,7 @@ def test_table_writers_match_row_code(name, write_params, capsys):
                 if stream is None:
                     assert (code, out) == (4, "")
                     continue
-                assert (code, out) == (0, by_rows(stream))
+                assert (code, out) == (0, by_rows(case.params, stream, flag))
                 if name == "N3-terminating" and n_max == 60 and fmt == "json":
                     assert out.count('"ratio": null') == 57
 
@@ -670,7 +669,7 @@ def _eval_csv_by_rows(case, zs):
     """eval's CSV as one evaluate call and one f-string per row."""
     lines = ["z,u,du,ddu,residual,terms_used"]
     for z in zs:
-        ev = evaluate(case, z)
+        ev = evaluate_points(case, [z])[0]
         lines.append(f"{ev.z!r},{ev.u!r},{ev.du!r},{ev.ddu!r},"
                      f"{homogeneous_residual(case, ev)!r},{ev.terms_used}")
     return "\n".join(lines) + "\n"
@@ -685,7 +684,7 @@ def _eval_json_by_rows(case, zs, rel_tol):
              "terms_used": ev.terms_used,
              "status": ("Converged" if all(s is EvalStatus.CONVERGED for s in ev.status)
                         else "MaxTermsReached")}
-            for ev in (evaluate(case, z, ctl) for z in zs)]
+            for ev in (evaluate_points(case, [z], ctl)[0] for z in zs)]
     return json.dumps({"rows": rows, "tolerances": {"rel_tol": ctl.rel_tol}},
                       sort_keys=True, indent=2) + "\n"
 
@@ -694,7 +693,7 @@ def _residual_by_rows(case, zs, fmt):
     """residual's table as one evaluate call per point and one f-string or
     row dict per row."""
     rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
-            for ev in (evaluate(case, z) for z in zs)]
+            for ev in (evaluate_points(case, [z])[0] for z in zs)]
     if fmt == "csv":
         return "z,residual,forced_residual\n" + "".join(
             f"{z!r},{r!r},{f!r}\n" for z, r, f in rows)
@@ -709,8 +708,8 @@ def _residual_by_rows(case, zs, fmt):
                          ids=["anchor", "N2", "terminating"])
 def test_eval_writers_match_row_code(write_params, capsys, params, e):
     path = write_params(params)
-    case = ReductionCase.build(load_params_file(path),
-                               [float(x) for x in e.split(",") if x])
+    case = ReductionCase(load_params_file(path),
+                         [float(x) for x in e.split(",") if x])
     grids = ([0.0], [0.0, 0.5, -0.9, 0.95],
              np.linspace(-0.9, 0.9, 41).tolist() + [0.0, -0.95])
     outs = []

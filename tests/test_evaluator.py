@@ -9,7 +9,7 @@ import pytest
 from conftest import f21, summation_gaps
 from heunx import (DomainError, EvalStatus, NonConvergenceError,
                    NumericalError, SeriesControl, SingularPointError,
-                   _kernels, evaluate, forced_residual, forcing_constant,
+                   _kernels, evaluate_points, forced_residual, forcing_constant,
                    homogeneous_residual, q_candidates_N0, q_candidates_N2,
                    solve_reduction_general)
 from heunx.evaluator import (_M_START, _MCAP, _U, _sum_all,
@@ -32,13 +32,13 @@ def rational_case():
 
 def test_anchor_values(anchor_case):
     # c_n = 6/((n+2)(n+3)) telescopes to 3 at the origin
-    assert evaluate(anchor_case, 0.0).u == pytest.approx(3.0, rel=1e-13)
-    assert evaluate(anchor_case, 0.25).u == pytest.approx(4.0, rel=1e-11)
+    assert evaluate_points(anchor_case, [0.0])[0].u == pytest.approx(3.0, rel=1e-13)
+    assert evaluate_points(anchor_case, [0.25])[0].u == pytest.approx(4.0, rel=1e-11)
 
 
 def test_result_convergence_invariant(anchor_case):
     ctl = SeriesControl()
-    ev = evaluate(anchor_case, 0.25, ctl)
+    ev = evaluate_points(anchor_case, [0.25], ctl)[0]
     assert ev.status[0] is EvalStatus.CONVERGED
     assert ev.tails[0] <= ctl.rel_tol * abs(ev.u)
     assert ev.terms_used > 0
@@ -46,7 +46,7 @@ def test_result_convergence_invariant(anchor_case):
 
 def test_domain_guard(anchor_case):
     with pytest.raises(DomainError):
-        evaluate(anchor_case, 0.96)
+        evaluate_points(anchor_case, [0.96])[0]
 
 
 def test_single_term_case_matches_gauss(single_term_case):
@@ -54,25 +54,25 @@ def test_single_term_case_matches_gauss(single_term_case):
     g = p.gamma + p.epsilon
     for z in (0.0, 0.2, 0.45, -0.3):
         want = f21(p.alpha, p.beta, g, z)[0]
-        got = evaluate(single_term_case, z).u
+        got = evaluate_points(single_term_case, [z])[0].u
         assert got == pytest.approx(want, rel=1e-12)
     dwant = f21(p.alpha, p.beta, g, 0.3)[1]
-    dgot = evaluate(single_term_case, 0.3).du
+    dgot = evaluate_points(single_term_case, [0.3])[0].du
     assert dgot == pytest.approx(dwant, rel=1e-12)
 
 
 def test_rational_case_sums_to_geometric(rational_case):
     for z in (0.3, -0.4):
-        got = evaluate(rational_case, z).u
-        scale = evaluate(rational_case, 0.0).u
+        got = evaluate_points(rational_case, [z])[0].u
+        scale = evaluate_points(rational_case, [0.0])[0].u
         assert got / scale == pytest.approx(1.0 / (1.0 - z), rel=1e-12)
 
 
 def test_derivatives_match_finite_differences(anchor_case):
     z, h = 0.3, 1e-5
-    u = lambda x: evaluate(anchor_case, x).u
-    du = evaluate(anchor_case, z).du
-    ddu = evaluate(anchor_case, z).ddu
+    u = lambda x: evaluate_points(anchor_case, [x])[0].u
+    du = evaluate_points(anchor_case, [z])[0].du
+    ddu = evaluate_points(anchor_case, [z])[0].ddu
     fd1 = (u(z + h) - u(z - h)) / (2.0 * h)
     fd2 = (u(z + h) - 2.0 * u(z) + u(z - h)) / (h * h)
     assert du == pytest.approx(fd1, rel=1e-6)
@@ -80,8 +80,8 @@ def test_derivatives_match_finite_differences(anchor_case):
 
 
 def test_truncated_control_matches_default(anchor_case):
-    tight = evaluate(anchor_case, 0.4, SeriesControl())
-    loose = evaluate(anchor_case, 0.4, SeriesControl(rel_tol=1e-10))
+    tight = evaluate_points(anchor_case, [0.4], SeriesControl())[0]
+    loose = evaluate_points(anchor_case, [0.4], SeriesControl(rel_tol=1e-10))[0]
     assert loose.u == pytest.approx(tight.u, rel=1e-13)
 
 
@@ -167,7 +167,7 @@ def test_non_finite_sum_raises(anchor_case, monkeypatch):
 
 def test_point_next_to_the_origin(anchor_case):
     # 1/z^2 overflows below 1e-154; the series there equals its origin value
-    near, origin = evaluate(anchor_case, 1e-200), evaluate(anchor_case, 0.0)
+    near, origin = evaluate_points(anchor_case, [1e-200, 0.0])
     assert (near.u, near.du, near.ddu) == (origin.u, origin.du, origin.ddu)
     assert near.status == (EvalStatus.CONVERGED,) * 3
     ctl = SeriesControl()
@@ -224,8 +224,8 @@ def test_detect_truncation(anchor_case, single_term_case):
 def test_terminating_cases_solve_the_equation(rational_case):
     # a zero forcing constant leaves the genuine homogeneous solution
     assert forcing_constant(rational_case) == 0.0
-    for z in (0.25, 0.4, -0.35):
-        assert homogeneous_residual(rational_case, evaluate(rational_case, z)) < 1e-10
+    for ev in evaluate_points(rational_case, [0.25, 0.4, -0.35]):
+        assert homogeneous_residual(rational_case, ev) < 1e-10
 
 
 def test_forcing_constant_anchor(anchor_case):
@@ -237,7 +237,7 @@ def test_forcing_defect_certifies_every_case(anchor_case, single_term_case,
                                              rational_case):
     for case in (anchor_case, single_term_case, rational_case):
         for z in (0.1, 0.25, 0.4):
-            assert forced_residual(case, evaluate(case, z)) < 1e-10
+            assert forced_residual(case, evaluate_points(case, [z])[0]) < 1e-10
 
 
 def test_form_certificate_holds_on_form_cases(form_cases):
@@ -279,7 +279,8 @@ def test_certified_points_share_one_form(form_cases):
 @pytest.mark.xfail(strict=True, reason="the generic two-term sum solves the "
                    "constant-forced equation, not the homogeneous one")
 def test_generic_case_homogeneous_residual(anchor_case):
-    assert homogeneous_residual(anchor_case, evaluate(anchor_case, 0.25)) < 1e-7
+    ev, = evaluate_points(anchor_case, [0.25])
+    assert homogeneous_residual(anchor_case, ev) < 1e-7
 
 
 def forced_power_series(p, u0, c, n_max):
@@ -304,14 +305,14 @@ def forced_power_series(p, u0, c, n_max):
 
 def test_forced_series_oracle_matches_sum(anchor_case):
     p = anchor_case.params
-    u0 = evaluate(anchor_case, 0.0).u
+    u0 = evaluate_points(anchor_case, [0.0])[0].u
     c = forcing_constant(anchor_case)
     w = forced_power_series(p, u0, c, 120)
     for z in (0.1, 0.25, -0.2):
         want = 0.0
         for coeff in reversed(w):
             want = want * z + coeff
-        got = evaluate(anchor_case, z).u
+        got = evaluate_points(anchor_case, [z])[0].u
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -321,7 +322,7 @@ def test_cancelling_point_is_not_converged():
     cases = solve_reduction_general(-2.2157617138542234, 1.9988239570986703,
                                     -2.879264292524635, 0.3413028641900162, 4)
     case = next(c for c in cases if c.q_root_index == 0)
-    ev = evaluate(case, -0.95)
+    ev = evaluate_points(case, [-0.95])[0]
     assert ev.status[2] is EvalStatus.MAX_TERMS_REACHED
     assert ev.tails[2] < 1e-8 * abs(ev.ddu)
     assert summation_gaps(case, [ev])[0] > 1e-4

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import solve_draw, summation_gaps
 from heunx import (DomainError, EvalStatus, NumericalError, ReductionCase,
-                   SeriesControl, evaluate, evaluate_points)
+                   SeriesControl, evaluate_points)
 from heunx._kernels import VALUE_FLOOR
 from heunx.evaluator import Evaluation, _form, _gamma_n, check_disk
 
@@ -57,7 +57,7 @@ def test_form_matches_mpmath(form_cases):
     assert {c.N for c in form_cases} == set(range(7))
     for case in form_cases:
         for z in Z_POINTS:
-            assert max(_errors(case, z, evaluate(case, z))) <= 1e-9
+            assert max(_errors(case, z, evaluate_points(case, [z])[0])) <= 1e-9
 
 
 def test_form_matches_the_direct_sum(form_cases):
@@ -68,7 +68,7 @@ def test_form_matches_the_direct_sum(form_cases):
     for n_case in range(7):
         case = next(c for c in form_cases if c.N == n_case)
         want = direct_series(case, z)
-        ev = evaluate(case, z)
+        ev = evaluate_points(case, [z])[0]
         assert max(float(abs((mp.mpf(x) - w) / w))
                    for x, w in zip((ev.u, ev.du, ev.ddu), want)) <= 1e-9
         assert max(float(abs((x - w) / w))
@@ -80,7 +80,7 @@ def test_converged_status_is_true(form_cases, rel_tol):
     ctl = SeriesControl(rel_tol=rel_tol)
     for case in form_cases:
         for z in Z_POINTS:
-            ev = evaluate(case, z, ctl)
+            ev = evaluate_points(case, [z], ctl)[0]
             for status, err in zip(ev.status, _errors(case, z, ev)):
                 assert status is EvalStatus.MAX_TERMS_REACHED or err <= rel_tol
 
@@ -92,13 +92,13 @@ def test_form_matches_summation(form_cases):
     for case in form_cases:
         if case.N <= 2:
             for z in (-0.5, -0.2, 0.25, 0.5):
-                assert summation_gaps(case, [evaluate(case, z)])[0] <= 1e-9
+                assert summation_gaps(case, [evaluate_points(case, [z])[0]])[0] <= 1e-9
 
 
 def _assert_honest(case, zs, rel_tols):
     for rel_tol in rel_tols:
         for z in zs:
-            ev = evaluate(case, z, SeriesControl(rel_tol=rel_tol))
+            ev = evaluate_points(case, [z], SeriesControl(rel_tol=rel_tol))[0]
             for status, err in zip(ev.status, _errors(case, z, ev)):
                 assert err <= 1e-9
                 assert status is EvalStatus.MAX_TERMS_REACHED or err <= rel_tol
@@ -118,10 +118,10 @@ def test_relation_residual_is_in_the_bound():
     # 1.8e-12 off N+1; the series then leaves the form by a few 1e-12
     case = solve_draw((2.0, 2.5, 1.7, 0.6), 2)[0]
     p = case.params
-    off = ReductionCase.build(dataclasses.replace(
+    off = ReductionCase(dataclasses.replace(
         p, delta=p.delta + 9e-13, epsilon=p.epsilon - 9e-13), case.e_list)
     zs = (-0.95, -0.5, 0.3, 0.9)
-    assert max(max(_errors(off, z, evaluate(off, z))) for z in zs) > 1e-12
+    assert max(max(_errors(off, z, evaluate_points(off, [z])[0])) for z in zs) > 1e-12
     _assert_honest(off, zs, (1e-14, 1e-12, 1e-11, 1e-10))
 
 
@@ -163,13 +163,13 @@ def test_points_match_the_one_point_loop(form_cases, rel_tol):
         for zs in GRIDS:
             want = [repr(_evaluate_reference(case, z, ctl)) for z in zs]
             assert [repr(ev) for ev in evaluate_points(case, zs, ctl)] == want
-            assert [repr(evaluate(case, z, ctl)) for z in zs] == want
+            assert [repr(evaluate_points(case, [z], ctl)[0]) for z in zs] == want
 
 
 def test_points_out_of_disk_raise_as_one_point(form_cases):
     case = form_cases[0]
     with pytest.raises(DomainError) as one:
-        evaluate(case, -0.97)
+        evaluate_points(case, [-0.97])[0]
     for zs in ((-0.97,), (0.3, -0.97, 0.99), (0.95, 0.0, -0.97)):
         with pytest.raises(DomainError) as many:
             evaluate_points(case, zs)

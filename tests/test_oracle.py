@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heunx import (DomainError, HeunParams, PoleError, cross_check, evaluate,
+from heunx import (DomainError, HeunParams, PoleError, cross_check,
                    evaluate_points, frobenius_coefficients, q_candidates_N0,
                    q_candidates_N1)
 from heunx.oracle import CROSS_CHECK_TERMS, SAFE_RADIUS_FACTOR
@@ -102,30 +102,29 @@ def test_cross_check_rejects_z_on_the_safe_radius(anchor_case):
 
 
 def test_cross_check_trivial_at_origin(anchor_case):
-    origin = evaluate(anchor_case, 0.0)
+    origin, = evaluate_points(anchor_case, [0.0])
     assert cross_check(anchor_case, [origin], origin.u) == 0.0
 
 
 def test_cross_check_terminating_case():
     # a terminating stream is a genuine solution; the two expansions agree
     case = q_candidates_N0(2.0, 1.0, 2.4, 0.8)[0]
-    assert cross_check(case, [evaluate(case, z) for z in (0.1, 0.25, 0.4)],
-                       evaluate(case, 0.0).u) < 1e-7
+    origin, *evs = evaluate_points(case, [0.0, 0.1, 0.25, 0.4])
+    assert cross_check(case, evs, origin.u) < 1e-7
 
 
 def test_cross_check_generic_gap_is_real(anchor_case):
     # the generic two-term sum and the homogeneous series differ by a
     # particular-solution part of order one
-    assert cross_check(anchor_case, [evaluate(anchor_case, 0.25)],
-                       evaluate(anchor_case, 0.0).u) > 0.1
+    origin, *evs = evaluate_points(anchor_case, [0.0, 0.25])
+    assert cross_check(anchor_case, evs, origin.u) > 0.1
 
 
 @pytest.mark.xfail(strict=True, reason="the generic two-term sum solves the "
                    "constant-forced equation, not the homogeneous one")
 def test_generic_case_matches_homogeneous_series(anchor_case):
-    assert cross_check(anchor_case, [evaluate(anchor_case, z)
-                                      for z in (0.1, 0.25, 0.4)],
-                       evaluate(anchor_case, 0.0).u) < 1e-7
+    origin, *evs = evaluate_points(anchor_case, [0.0, 0.1, 0.25, 0.4])
+    assert cross_check(anchor_case, evs, origin.u) < 1e-7
 
 
 def test_array_pass_matches_scalar_horner(random_cases):

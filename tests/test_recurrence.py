@@ -8,7 +8,7 @@ import pytest
 import heunx._kernels
 import heunx.cli
 from conftest import coeff_p
-from heunx import (CoefficientSource, CoefficientStream, DivisionByZeroError,
+from heunx import (CoefficientSource, DivisionByZeroError,
                    HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
                    params_to_dict, q_candidates_N0, q_candidates_N2,
                    residual_rows, solve_reduction_general, termination_index,
@@ -53,15 +53,12 @@ def test_three_term_stream_vanishing_denominator():
 
 
 def test_three_term_anchor_stream():
-    stream = three_term_coefficients(ANCHOR, 5)
     want = [1.0, 0.5, 0.3, 0.2, 1.0 / 7.0, 3.0 / 28.0]
-    assert stream.values == pytest.approx(want, rel=1e-13)
-    assert stream.source is CoefficientSource.THREE_TERM
+    assert three_term_coefficients(ANCHOR, 5) == pytest.approx(want, rel=1e-13)
 
 
 def test_three_term_zero_length():
-    stream = three_term_coefficients(ANCHOR, 0)
-    assert list(stream.values) == [1.0]
+    assert list(three_term_coefficients(ANCHOR, 0)) == [1.0]
 
 
 def test_three_term_rejects_negative_length():
@@ -73,12 +70,12 @@ def test_two_term_routes_agree_deep():
     ratio = two_term_coefficients(ANCHOR, (), 200)
     closed = two_term_coefficients(ANCHOR, (), 200,
                                    CoefficientSource.GAMMA_CLOSED_FORM)
-    assert ratio.values == pytest.approx(closed.values, rel=1e-12)
+    assert ratio == pytest.approx(closed, rel=1e-12)
 
 
 def test_two_term_matches_three_term():
-    direct = three_term_coefficients(ANCHOR, 50).values
-    factored = two_term_coefficients(ANCHOR, (), 50).values
+    direct = three_term_coefficients(ANCHOR, 50)
+    factored = two_term_coefficients(ANCHOR, (), 50)
     assert factored == pytest.approx(direct, rel=1e-12)
 
 
@@ -103,36 +100,34 @@ def test_two_term_rejects_three_term_source():
 
 
 def test_recurrence_residual_small_for_generated_streams():
-    assert residual_rows(three_term_coefficients(ANCHOR, 50))[2:].max() < 1e-13
-    assert residual_rows(two_term_coefficients(ANCHOR, (), 50))[2:].max() < 1e-12
+    assert residual_rows(ANCHOR, three_term_coefficients(ANCHOR, 50))[2:].max() < 1e-13
+    assert residual_rows(ANCHOR, two_term_coefficients(ANCHOR, (), 50))[2:].max() < 1e-12
 
 
 def test_recurrence_residual_detects_perturbation():
-    stream = three_term_coefficients(ANCHOR, 10)
-    values = np.array(stream.values, copy=True)
+    values = three_term_coefficients(ANCHOR, 10)
     values[3] *= 1.0 + 1e-3
-    bad = CoefficientStream(values, stream.source, stream.params)
-    assert residual_rows(bad)[2:].max() > 1e-5
+    assert residual_rows(ANCHOR, values)[2:].max() > 1e-5
 
 
 def test_residual_rows_shape_and_padding():
-    rows = residual_rows(three_term_coefficients(ANCHOR, 6))
+    rows = residual_rows(ANCHOR, three_term_coefficients(ANCHOR, 6))
     assert rows.shape == (7,)
     assert rows[0] == 0.0 and rows[1] == 0.0
 
 
 def test_anchor_stream_decays():
-    values = three_term_coefficients(ANCHOR, 50).values
+    values = three_term_coefficients(ANCHOR, 50)
     assert abs(values[50]) < abs(values[5])
 
 
 def test_backward_direction_region():
     # a = 1.2 puts the parasitic ratio at 6, forcing the normalized backward run
     case = q_candidates_N0(1.2, 2.2, 1.3, 0.7)[0]
-    direct = three_term_coefficients(case.params, 50).values
-    factored = two_term_coefficients(case.params, (), 50).values
+    direct = three_term_coefficients(case.params, 50)
+    factored = two_term_coefficients(case.params, (), 50)
     assert direct == pytest.approx(factored, rel=1e-11)
-    assert residual_rows(three_term_coefficients(case.params, 50))[2:].max() < 1e-11
+    assert residual_rows(case.params, direct)[2:].max() < 1e-11
 
 
 def test_terminating_stream_has_exact_zeros():
@@ -141,10 +136,10 @@ def test_terminating_stream_has_exact_zeros():
     assert cases
     p = cases[0].params
     assert termination_index(p) == 2
-    for stream in (three_term_coefficients(p, 10),
+    for values in (three_term_coefficients(p, 10),
                    two_term_coefficients(p, cases[0].e_list, 10)):
-        assert all(v == 0.0 for v in stream.values[2:])
-        assert stream.values[1] != 0.0
+        assert all(v == 0.0 for v in values[2:])
+        assert values[1] != 0.0
 
 
 def test_terminating_backward_stream_splits_at_interior_P_zero():
@@ -154,8 +149,8 @@ def test_terminating_backward_stream_splits_at_interior_P_zero():
     case, = [c for c in cases if abs(c.params.q - 8.802775637731992) < 1e-9]
     p = case.params
     assert (termination_index(p), p.epsilon) == (4, -1.0)
-    direct = three_term_coefficients(p, 50).values
-    factored = two_term_coefficients(p, case.e_list, 50).values
+    direct = three_term_coefficients(p, 50)
+    factored = two_term_coefficients(p, case.e_list, 50)
     assert np.max(np.abs(direct - factored)) <= 1e-12 * np.max(np.abs(factored))
     assert all(v == 0.0 for v in direct[4:])
 
@@ -199,7 +194,7 @@ def test_residual_rows_past_the_float_range(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     rows = np.array([float(line.split(",")[3]) for line in lines])
     p = HeunParams(**full)
-    values = three_term_coefficients(p, 8079).values.tolist()
+    values = three_term_coefficients(p, 8079).tolist()
     plain = _residual_rows_by_rows(p, values)
     scaled = _residual_rows_by_rows(p, [c * 2.0 ** -64 for c in values])
     assert code == 0 and len(rows) == 8080

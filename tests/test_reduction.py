@@ -131,7 +131,7 @@ def test_perturbed_q_fails_verification():
     failed = ("identity values", "50-row defect 6.14e-04")
     assert report.failed == failed
     with pytest.raises(PreconditionError, match=re.escape(f"({', '.join(failed)})")):
-        ReductionCase.build(p, case.e_list)
+        ReductionCase(p, case.e_list)
 
 
 def test_infinite_identity_value_fails_verification(monkeypatch):
@@ -248,13 +248,13 @@ def test_case_build_rejects_wrong_delta():
     p = HeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                    delta=2.5, epsilon=2.5)
     with pytest.raises(PreconditionError, match="delta"):
-        ReductionCase.build(p, ())
+        ReductionCase(p, ())
 
 
 def test_case_build_rejects_failed_collocation():
     p = HeunParams(**{**params_to_dict(ANCHOR), "q": 5.0})
     with pytest.raises(PreconditionError, match="verification"):
-        ReductionCase.build(p, ())
+        ReductionCase(p, ())
 
 
 def test_case_to_dict_shape():
@@ -311,7 +311,8 @@ PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
 
 
 def _fifty_row_defect(case):
-    return residual_rows(two_term_coefficients(case.params, case.e_list, 50))[2:].max()
+    p = case.params
+    return residual_rows(p, two_term_coefficients(p, case.e_list, 50))[2:].max()
 
 
 @pytest.mark.parametrize("n_case", range(9))

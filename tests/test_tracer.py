@@ -68,7 +68,7 @@ def test_tracer_reads_verify_and_three_term_coeffs(tmp_path, capsys):
     spans = tracer.Tracer()
     path = tmp_path / "n2.json"
     path.write_text(json.dumps(N2_FULL))
-    case = ReductionCase.build(params_from_dict(N2_FULL), N2_E.split(","))
+    case = ReductionCase(params_from_dict(N2_FULL), N2_E.split(","))
     spans.install()
     try:
         # generic case: the homogeneous checks fail, every check runs; verify
