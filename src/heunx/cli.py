@@ -172,12 +172,8 @@ def cmd_coeffs(ns) -> int:
     return EXIT_OK
 
 
-def _build_case(ns) -> ReductionCase:
-    return ReductionCase(load_params_file(ns.params), _parse_floats(ns.e))
-
-
 def cmd_eval(ns) -> int:
-    case = _build_case(ns)
+    case = ReductionCase(load_params_file(ns.params), _parse_floats(ns.e))
     zs = _z_points(ns, case.params.a, interior=False)
     ctl = SeriesControl(rel_tol=ns.rel_tol)   # checked for CSV too; only JSON reads it
     evs = evaluate_points(case, zs, ctl)
@@ -192,7 +188,7 @@ def cmd_eval(ns) -> int:
 
 
 def cmd_residual(ns) -> int:
-    case = _build_case(ns)
+    case = ReductionCase(load_params_file(ns.params), _parse_floats(ns.e))
     zs = _z_points(ns, case.params.a, interior=True)
     evs = evaluate_points(case, zs)
     _write_table(ns.format, {

@@ -7,8 +7,8 @@ series: with v = 1/(1-z), K = Gamma(g) / (Gamma(alpha) Gamma(beta)) and d_i
 the falling-factorial coefficients of prod_k (1 + n/e_k),
 u = sum_{k=1..N+1} B_k v^k with B_{N+1-i} = K d_i (g-alpha)_i (g-beta)_i (N-i)!,
 and u', u'' follow from dv/dz = v^2: the form is the series resummed in
-closed form. A call builds the B_k once and runs one Horner pass over all of
-its points. The tail-resummed summation of the series (`_sum_all`) is the
+closed form. evaluate_points builds the B_k once per call, one point or many,
+and runs one Horner pass over all of its points. The tail-resummed summation of the series (`_sum_all`) is the
 tests' term-by-term route the form is checked against, one point at a time:
 one prefix and one f21_with_derivs call per direct-sum length. SeriesControl
 (rel_tol, max_terms) and EvalStatus, the policy and the per-order verdict
@@ -277,6 +277,7 @@ def forced_residual(case: ReductionCase, ev: Evaluation) -> float:
     return float(num / den)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # den is checked below
 def form_certificate(case: ReductionCase, b=None) -> float:
     """The z-free check of the closed form against forcing_constant: with
     t = 1 - z, u = sum_k B_k t^-k, and t^(N+3) times forced_residual's
@@ -284,8 +285,8 @@ def form_certificate(case: ReductionCase, b=None) -> float:
     coefficient must vanish. Returns the largest coefficient over the largest
     sum of the magnitudes of the terms that form one coefficient. A ratio per
     coefficient would read noise in a terminating case, whose top coefficient
-    holds only B_1 and C, both 0 up to rounding. b: the B_k of _form(case),
-    when the caller already holds them."""
+    holds only B_1 and C, both 0 up to rounding. NaN where a magnitude leaves
+    the floats. b: the B_k of _form(case), when the caller holds them."""
     if b is None:
         b = _form(case)[0]
     p = case.params
@@ -307,6 +308,8 @@ def form_certificate(case: ReductionCase, b=None) -> float:
         poly[-1] += f(c)
         polys.append(poly)
     num, den = polys
+    if not np.isfinite(den).all():
+        return math.nan
     return float(np.max(np.abs(num)) / np.maximum(np.max(den), _kernels.TINY))
 
 

@@ -82,5 +82,6 @@ def cross_check(case: ReductionCase, evaluations, u0: float) -> float:
     series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
     uf = _series_values(series, [ev.z for ev in evaluations])
     u = np.array([ev.u for ev in evaluations], dtype=np.float64)
-    dev = np.abs(u - u0 * uf) / (np.abs(u) + 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(u - u0 * uf) / (np.abs(u) + 1e-300)
     return float(np.max(dev, initial=0.0))

@@ -39,6 +39,8 @@ class ValidationIssue:
 def is_nonpos_int(x: float) -> bool:
     """Integer-proximity rule: x counts as a non-positive integer when it is
     within INT_SNAP of one. Keeps pole rejection deterministic for float inputs."""
+    if not math.isfinite(x):   # no integer, and round() raises on it
+        return False
     r = round(x)
     return abs(x - r) < INT_SNAP and r <= 0
 

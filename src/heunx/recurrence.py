@@ -5,10 +5,8 @@ iterated two-term ratio available once the accessory parameter sits on a
 reduction branch, and the equivalent closed form assembled from Pochhammer
 products. Route agreement is the working certificate that a reduction
 really holds, so the two-term generator always computes both of its forms
-and checks them against each other. Each generator returns the array
-c_0..c_{n_max}; the caller holds the params and the CoefficientSource it
-asked for, and residual_rows and stream_columns take the params beside the
-array.
+and checks them against each other. Each returns the array c_0..c_{n_max};
+residual_rows and stream_columns take the params beside it.
 """
 
 from __future__ import annotations
@@ -90,8 +88,9 @@ def two_term_coefficients(p: HeunParams, e_list, n_max: int,
     x1 = g - p.alpha
     x2 = g - p.beta
     n0 = termination_index(p)
-    ratio = _kernels.two_term_ratio_stream(g, x1, x2, es, int(n_max), n0)
-    closed = _kernels.closed_form_stream(g, x1, x2, es, int(n_max), n0)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite entry raises below
+        ratio = _kernels.two_term_ratio_stream(g, x1, x2, es, int(n_max), n0)
+        closed = _kernels.closed_form_stream(g, x1, x2, es, int(n_max), n0)
     _finite_or_raise(ratio, "two-term ratio stream")
     _finite_or_raise(closed, "closed-form stream")
     gap = np.abs(ratio - closed)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 from .params import (HeunParams, ValidatedHeunParams, check_order,
                      is_nonpos_int, require_valid)
 from .recurrence import termination_index
@@ -168,15 +168,19 @@ def _accept(params: HeunParams, es: tuple, idx: int, tol: float,
             notes: list) -> list:
     """[the case at (params, es)] when no e_k is a non-positive integer and
     the certificate passes with a 50-row defect of at most tol; else [] and
-    one _drop note with the reason."""
+    one _drop note with the reason: the defect when it exceeds tol, else
+    the checks the certificate failed."""
     if any(is_nonpos_int(e) for e in es):
         _drop(notes, params.q, "an e_k is a non-positive integer")
         return []
     report = verify_reduction(params, es)
     if report.passed and report.stream_defect <= tol:
         return [ReductionCase(params, es, idx, report=report)]
-    _drop(notes, params.q, f"ill-conditioned in double ({STREAM_ROWS}-row three-term "
-                           f"defect {report.stream_defect:.2e} > {tol:.0e})")
+    if report.stream_defect > tol:
+        _drop(notes, params.q, f"ill-conditioned in double ({STREAM_ROWS}-row three-term "
+                               f"defect {report.stream_defect:.2e} > {tol:.0e})")
+    else:
+        _drop(notes, params.q, f"the certificate failed ({', '.join(report.failed)})")
     return []
 
 
@@ -239,6 +243,18 @@ def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float,
                    [] if notes is None else notes)
 
 
+def _finite_q_coeffs(coeffs_of, a, alpha, beta, gamma, n_case: int) -> tuple:
+    """coeffs_of(a, alpha, beta, gamma), the order-n_case q-polynomial, or
+    NumericalError when a coefficient leaves the floats."""
+    try:
+        coeffs = coeffs_of(a, alpha, beta, gamma)
+        if all(map(math.isfinite, coeffs)):
+            return coeffs
+    except OverflowError:   # where * gives inf, a float ** raises
+        pass
+    raise NumericalError(f"the order-{n_case} q-polynomial leaves the floats")
+
+
 def _quadratic_q_coeffs(a, alpha, beta, gamma):
     """Monic quadratic satisfied by q at order 1 (coefficients highest first)."""
     b1 = -(4.0 + a - 3.0 * alpha - 3.0 * beta + 2.0 * alpha * beta + 3.0 * a * gamma)
@@ -278,7 +294,7 @@ def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float,
     (_accept, _drop); a draw with no case gives an empty list.
     """
     notes = [] if notes is None else notes
-    coeffs = _quadratic_q_coeffs(a, alpha, beta, gamma)
+    coeffs = _finite_q_coeffs(_quadratic_q_coeffs, a, alpha, beta, gamma, 1)
     cases = []
     for idx, q0 in enumerate(_real_quadratic_roots(coeffs, notes)):
         q = _polish(coeffs, q0)
@@ -320,7 +336,8 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
     ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
 
     Requires alpha != 3, beta != 3 and a != 1 (the ratio relation divides
-    by (a-1)(alpha-3)(beta-3)). Each of the three q-roots is a case or one
+    by (a-1)(alpha-3)(beta-3)). The draw is validated first, as _pencil
+    does for the eigen solver. Each of the three q-roots is a case or one
     note appended to notes (_accept, _drop): a degenerate relation (K = 1)
     is one more reason the closed form cannot certify.
     """
@@ -328,8 +345,9 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
     if abs(a - 1.0) < 1e-12:
         raise PreconditionError("order-2 closed form requires a != 1")
+    _build_params(a, 0.0, alpha, beta, gamma, 2)   # the draw, before np.roots
     notes = [] if notes is None else notes
-    coeffs = _cubic_q_coeffs(a, alpha, beta, gamma)
+    coeffs = _finite_q_coeffs(_cubic_q_coeffs, a, alpha, beta, gamma, 2)
     raw = np.roots(coeffs)
     real = np.abs(raw.imag) <= 1e-9 * (1.0 + np.abs(raw.real))
     cases, dedup = [], []
@@ -375,6 +393,7 @@ def _pencil(p: HeunParams, n_case: int):
     return sum(factors[k][:, None] * blocks[k] for k in range(3)), blocks[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # checked pencil, certified roots
 def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
                             n_case: int, notes: list | None = None) -> list:
     """Every order-N reduction, from one generalized eigenproblem.
@@ -392,6 +411,8 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
         raise PreconditionError("reduction order N must be non-negative")
     notes = [] if notes is None else notes
     big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
+    if not (np.isfinite(big_a).all() and np.isfinite(big_b).all()):
+        raise NumericalError(f"the order-{n_case} pencil leaves the floats")
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
     cases = []
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))

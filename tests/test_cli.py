@@ -666,7 +666,8 @@ def test_table_writers_match_row_code(name, write_params, capsys):
 
 
 def _eval_csv_by_rows(case, zs):
-    """eval's CSV as one evaluate call and one f-string per row."""
+    """eval's CSV as one one-point evaluate_points call and one f-string
+    per row."""
     lines = ["z,u,du,ddu,residual,terms_used"]
     for z in zs:
         ev = evaluate_points(case, [z])[0]
@@ -690,8 +691,8 @@ def _eval_json_by_rows(case, zs, rel_tol):
 
 
 def _residual_by_rows(case, zs, fmt):
-    """residual's table as one evaluate call per point and one f-string or
-    row dict per row."""
+    """residual's table as one one-point evaluate_points call per point and
+    one f-string or row dict per row."""
     rows = [(ev.z, homogeneous_residual(case, ev), forced_residual(case, ev))
             for ev in (evaluate_points(case, [z])[0] for z in zs)]
     if fmt == "csv":
@@ -766,3 +767,102 @@ def test_readme_eval_table(write_params, capsys):
     path = write_params(json.loads(params))
     assert heunx.cli.main(["eval", "--params", path, "--e", "", "--z", "0,0.25"]) == 0
     assert capsys.readouterr().out == table
+
+
+def _reduce_in_process(write_params, capsys, draw, n):
+    code = heunx.cli.main(["reduce", "--params", write_params(draw), "--n", str(n)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("draw, n, error", [
+    # a ** 3 of the order-2 cubic overflows
+    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 0.6}, 2,
+     "the order-2 q-polynomial leaves the floats"),
+    # the draw is invalid, as N = 0, 1 and 3 report, and np.roots saw infs
+    ({"a": 2.0, "alpha": 2.5, "beta": -1e150, "gamma": 0.6, "epsilon": -1e150}, 2,
+     "invalid parameters: beta = -1e+150 is a non-positive integer (gamma-factor "
+     "pole); gamma+epsilon = -1e+150 is a non-positive integer (gamma-factor pole)"),
+    ({"a": 2.0, "alpha": 1e150, "beta": 1e150, "gamma": 0.6, "epsilon": 2e150}, 1,
+     "the order-1 q-polynomial leaves the floats"),
+    ({"a": 2.0, "alpha": 1e150, "beta": 1e150, "gamma": 0.6, "epsilon": 2e150}, 2,
+     "the order-2 q-polynomial leaves the floats"),
+    # the eigen solver's pencil overflows
+    ({"a": 5.419043634070373e+159, "alpha": 1358.9524590020148,
+      "beta": 1.3895290940212287e+160, "gamma": 1.0648833986111952e+160,
+      "epsilon": 3.2464569541003345e+159}, 3,
+     "the order-3 pencil leaves the floats"),
+], ids=["cubic-overflow", "invalid-n2", "quadratic-inf", "cubic-inf", "pencil-inf"])
+def test_reduce_extreme_draw_exits_with_one_error_line(write_params, capsys,
+                                                       draw, n, error):
+    # each raised OverflowError, LinAlgError or ValueError past main
+    assert _reduce_in_process(write_params, capsys, draw, n) == (
+        4 if "floats" in error else 2, "", f"error: {error}\n")
+
+
+def test_reduce_extreme_draw_notes_every_root(write_params, capsys):
+    # Newton's steps overflow on every root of this draw; each root is
+    # noted, and no RuntimeWarning is printed
+    draw = {"a": -7.384171420038464e+299, "alpha": -0.38938299220363426,
+            "beta": 1.8389241980134265, "gamma": 1.9101006520103025,
+            "epsilon": -4.46055944620051}
+    code, out, err = _reduce_in_process(write_params, capsys, draw, 3)
+    assert (code, err) == (3, "")
+    assert len(json.loads(out)["notes"]) == 4
+    cases, notes = heunx.solve(draw["a"], draw["alpha"], draw["beta"], draw["gamma"], 3)
+    assert (cases, len(notes)) == ([], 4)
+
+
+@pytest.mark.parametrize("draw, n, notes", [
+    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 2.6}, 0,
+     ["root q = 6e+149 dropped: the certificate failed (A_top gap 6.36e+134)"]),
+    # the second note's defect does exceed its bound: its text stays
+    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 1.6}, 1,
+     ["root q = 1.2e+150 dropped: the certificate failed (A_top gap 6.51e+283)",
+      "root q = 1.5999999999999997e+150 dropped: ill-conditioned in double "
+      "(50-row three-term defect 8.16e-02 > 1e-09)"]),
+])
+def test_drop_note_names_the_failed_check(write_params, capsys, draw, n, notes):
+    # the defects were 1.97e-16 and 3.77e-16, which the note put above 1e-09
+    code, out, err = _reduce_in_process(write_params, capsys, draw, n)
+    assert (code, err, json.loads(out)["notes"]) == (3, "", notes)
+
+
+# cases that `reduce` returns on large draws, as it prints q and e
+LARGE_N1 = ({"a": -0.9566693580893778, "q": -226883.97845637737,
+             "alpha": 328.0528716763497, "beta": -690.8956670883008,
+             "gamma": 67.99432771135253, "delta": 3.0,
+             "epsilon": -432.8371231233036}, "530.5088755215111")
+LARGE_ORACLE = {"a": -0.9078540252447835, "q": 162783.39391460922,
+                "alpha": 967.4580786058814, "beta": 169.8544758656285,
+                "gamma": 448.72675910580733, "delta": 2.0,
+                "epsilon": 687.5857953657026}
+LARGE_FORM = {"a": 1.0948166389096408, "q": 256575.55324692285,
+              "alpha": 517.5071321827925, "beta": 495.8908623520524,
+              "gamma": 877.6749967484598, "delta": 2.0,
+              "epsilon": 134.72299778638512}
+
+
+@pytest.mark.parametrize("source", ["closed", "ratio"])
+def test_coeffs_overflow_prints_no_warning(write_params, capsys, source):
+    # np.cumprod and the closed form's product overflowed with a warning
+    params, e = LARGE_N1
+    argv = ["coeffs", "--params", write_params(params), "--e=" + e,
+            "--n-max", "300", "--source", source]
+    assert heunx.cli.main(argv) == 4
+    assert capsys.readouterr() == (
+        "", "error: two-term ratio stream produced a non-finite entry at n = 291\n")
+
+
+@pytest.mark.parametrize("params, certificate", [(LARGE_ORACLE, 1.4732869160610312e-13),
+                                                 (LARGE_FORM, None)],
+                         ids=["oracle-overflow", "form-overflow"])
+def test_verify_overflow_prints_no_warning(write_params, capsys, params, certificate):
+    # cross_check's u0 * uf overflowed with a warning, and so did the form
+    # certificate's magnitudes, which then read a perfect 0.0
+    assert heunx.cli.main(["verify", "--params", write_params(params), "--e="]) == 3
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert err == ""
+    assert checks["cross_check"]["value"] is None
+    assert checks["form_certificate"]["value"] == certificate
