@@ -46,7 +46,7 @@ def test_result_convergence_invariant(anchor_case):
 
 def test_domain_guard(anchor_case):
     with pytest.raises(DomainError):
-        evaluate_points(anchor_case, [0.96])[0]
+        evaluate_points(anchor_case, [0.96])
 
 
 def test_single_term_case_matches_gauss(single_term_case):

@@ -92,7 +92,7 @@ def test_form_matches_summation(form_cases):
     for case in form_cases:
         if case.N <= 2:
             for z in (-0.5, -0.2, 0.25, 0.5):
-                assert summation_gaps(case, [evaluate_points(case, [z])[0]])[0] <= 1e-9
+                assert summation_gaps(case, evaluate_points(case, [z]))[0] <= 1e-9
 
 
 def _assert_honest(case, zs, rel_tols):
@@ -169,7 +169,7 @@ def test_points_match_the_one_point_loop(form_cases, rel_tol):
 def test_points_out_of_disk_raise_as_one_point(form_cases):
     case = form_cases[0]
     with pytest.raises(DomainError) as one:
-        evaluate_points(case, [-0.97])[0]
+        evaluate_points(case, [-0.97])
     for zs in ((-0.97,), (0.3, -0.97, 0.99), (0.95, 0.0, -0.97)):
         with pytest.raises(DomainError) as many:
             evaluate_points(case, zs)
