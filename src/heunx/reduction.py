@@ -16,10 +16,12 @@ The identity is bilinear in q and in the coefficients of
 P(n) = prod_k (e_k + n), so solve_reduction_general takes every q-root from
 one eigen solve. Roots of larger N are ill-conditioned in double, so the
 certificate also checks the three-term relation on the first 50 coefficients.
-The closed forms of N <= 2 and the eigen solver hand every real root to one
-acceptance routine, _accept, so each of the N+1 roots comes back as a case
-or as one "root q = ... dropped: <reason>" note. solve picks the solver for
-an order and returns both lists.
+Every solver first validates its draw once (_draw), before any root is
+sought: no invariant reads q, so an invalid draw raises ValidationError at
+every N, and each root's params are the draw with its q. The closed forms of
+N <= 2 and the eigen solver hand every real root to one acceptance routine,
+_accept, so each of the N+1 roots comes back as a case or as one
+"root q = ... dropped: <reason>" note. solve picks the solver for an order.
 
 verify_reduction runs once per accepted root and once per case a command
 builds, on a handful of nodes and 50 rows, where a numpy call costs more
@@ -32,7 +34,7 @@ floats, with np.polyval's bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -217,10 +219,12 @@ def _polish(coeffs, x: float) -> float:
     return float(x - val / der)
 
 
-def _build_params(a, q, alpha, beta, gamma, n_case) -> ValidatedHeunParams:
+def _draw(a, alpha, beta, gamma, n_case) -> ValidatedHeunParams:
+    """The order-N draw at q = 0: delta = N+2 and epsilon from the exponent
+    sum, validated. No invariant reads q, so replace(draw, q=q) is valid."""
     de = float(n_case + 2)
     ep = 1.0 + alpha + beta - gamma - de
-    return require_valid(HeunParams(a=a, q=q, alpha=alpha, beta=beta,
+    return require_valid(HeunParams(a=a, q=0.0, alpha=alpha, beta=beta,
                                     gamma=gamma, delta=de, epsilon=ep))
 
 
@@ -238,8 +242,9 @@ def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
     """The order-0 reduction as a verified case (exactly one, unless it
     fails the certificate and leaves a note in notes)."""
+    draw = _draw(a, alpha, beta, gamma, 0)
     q = a * gamma + (alpha - 1.0) * (beta - 1.0)
-    return _accept(_build_params(a, q, alpha, beta, gamma, 0), (), 0, VERIFY_TOL,
+    return _accept(replace(draw, q=q), (), 0, VERIFY_TOL,
                    [] if notes is None else notes)
 
 
@@ -293,14 +298,14 @@ def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float,
     Each of the two q-roots is a case or one note appended to notes
     (_accept, _drop); a draw with no case gives an empty list.
     """
+    draw = _draw(a, alpha, beta, gamma, 1)
     notes = [] if notes is None else notes
     coeffs = _finite_q_coeffs(_quadratic_q_coeffs, a, alpha, beta, gamma, 1)
     cases = []
     for idx, q0 in enumerate(_real_quadratic_roots(coeffs, notes)):
         q = _polish(coeffs, q0)
         e1 = _e_sum_rule(a, alpha, beta, gamma, 1, q)
-        cases += _accept(_build_params(a, q, alpha, beta, gamma, 1), (e1,), idx,
-                         VERIFY_TOL, notes)
+        cases += _accept(replace(draw, q=q), (e1,), idx, VERIFY_TOL, notes)
     return cases
 
 
@@ -335,17 +340,15 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
     """Order-2 reductions: cubic in q, e_1, e_2 from their sum and the
     ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
 
-    Requires alpha != 3, beta != 3 and a != 1 (the ratio relation divides
-    by (a-1)(alpha-3)(beta-3)). The draw is validated first, as _pencil
-    does for the eigen solver. Each of the three q-roots is a case or one
-    note appended to notes (_accept, _drop): a degenerate relation (K = 1)
-    is one more reason the closed form cannot certify.
+    Requires alpha != 3 and beta != 3: the ratio relation divides by
+    (a-1)(alpha-3)(beta-3), and a valid draw has a != 1. Each of the three
+    q-roots is a case or one note appended to notes (_accept, _drop): a
+    degenerate relation (K = 1) is one more reason the closed form cannot
+    certify.
     """
     if n2_ratio_divides_by_zero(alpha, beta):
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
-    if abs(a - 1.0) < 1e-12:
-        raise PreconditionError("order-2 closed form requires a != 1")
-    _build_params(a, 0.0, alpha, beta, gamma, 2)   # the draw, before np.roots
+    draw = _draw(a, alpha, beta, gamma, 2)
     notes = [] if notes is None else notes
     coeffs = _finite_q_coeffs(_cubic_q_coeffs, a, alpha, beta, gamma, 2)
     raw = np.roots(coeffs)
@@ -375,8 +378,7 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
             continue
         sq = math.sqrt(disc)
         es = ((s - sq) / 2.0, (s + sq) / 2.0)
-        cases += _accept(_build_params(a, q, alpha, beta, gamma, 2), es, idx,
-                         VERIFY_TOL, notes)
+        cases += _accept(replace(draw, q=q), es, idx, VERIFY_TOL, notes)
     return cases
 
 
@@ -409,8 +411,9 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     """
     if n_case < 0:
         raise PreconditionError("reduction order N must be non-negative")
+    draw = _draw(a, alpha, beta, gamma, n_case)
     notes = [] if notes is None else notes
-    big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
+    big_a, big_b = _pencil(draw, n_case)
     if not (np.isfinite(big_a).all() and np.isfinite(big_b).all()):
         raise NumericalError(f"the order-{n_case} pencil leaves the floats")
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
@@ -433,8 +436,7 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
             continue
         q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, -roots.real)
         q, es = float(q), tuple(sorted(float(e) for e in es))
-        cases += _accept(_build_params(a, q, alpha, beta, gamma, n_case), es, idx,
-                         GENERAL_TOL, notes)
+        cases += _accept(replace(draw, q=q), es, idx, GENERAL_TOL, notes)
     return cases
 
 

@@ -112,6 +112,24 @@ def test_reduce_no_real_root_exits_3(write_params):
     assert all("q is complex" in note for note in payload["notes"])
 
 
+@pytest.mark.parametrize("draw", [
+    # both order-1 q-roots complex
+    (-1.4695858455634698, -1.0, -0.02738947744835407, -0.303053611267571),
+    # the order-1 q-polynomial leaves the floats
+    (1e200, -1.0, 0.5, 0.3),
+])
+def test_reduce_n1_validates_the_draw_first(write_params, capsys, draw):
+    # alpha = -1 is invalid for every q: exit 2 before any root is sought
+    a, alpha, beta, gamma = draw
+    path = write_params({"a": a, "alpha": alpha, "beta": beta, "gamma": gamma,
+                         "epsilon": alpha + beta - gamma - 2.0})
+    assert heunx.cli.main(["reduce", "--params", path, "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: invalid parameters: alpha = -1.0 is a non-positive "
+                   "integer (gamma-factor pole)\n")
+
+
 @pytest.mark.parametrize("draw, code, notes", [
     # alpha = 3: the eigen solver certifies one case
     ({"a": -1.5, "alpha": 3.0, "beta": 0.4, "gamma": 1.3, "epsilon": -0.9}, 0, 2),

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ import pytest
 from conftest import degree_claim_defect, identity_at
 from heunx import (HeunParams, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
-                   params_to_dict, q_candidates_N0, q_candidates_N1,
+                   collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
-from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _build_params,
-                             _cubic_q_coeffs, _drop, _forward_difference, _pencil,
-                             _polish, _quadratic_q_coeffs)
+from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _cubic_q_coeffs,
+                             _draw, _drop, _forward_difference, _pencil, _polish,
+                             _quadratic_q_coeffs)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
@@ -168,13 +169,14 @@ def test_N2_roots_satisfy_cubic_and_e_relations():
 
 
 @pytest.mark.parametrize("args", [
-    (2.0, 3.0, 1.7, 0.6),   # alpha = 3
-    (2.0, 2.5, 3.0, 0.6),   # beta = 3
-    (1.0, 2.5, 1.7, 0.6),   # a = 1
+    ((2.0, 3.0, 1.7, 0.6), PreconditionError),   # alpha = 3
+    ((2.0, 2.5, 3.0, 0.6), PreconditionError),   # beta = 3
+    ((1.0, 2.5, 1.7, 0.6), ValidationError),     # a = 1: the draw is invalid
 ])
 def test_N2_closed_form_preconditions(args):
-    with pytest.raises(PreconditionError):
-        q_candidates_N2(*args)
+    draw, error = args
+    with pytest.raises(error):
+        q_candidates_N2(*draw)
 
 
 def test_verify_report_anchor():
@@ -305,6 +307,43 @@ def test_general_solver_rejects_invalid_draw():
         solve_reduction_general(2.0, 0.5, 1.5, 0.7, 1)
 
 
+def _guard_draw(rng):
+    """(a, alpha, beta, gamma) in [-3, 3], with one of: a on 0 or 1, alpha
+    or beta on a non-positive integer, or alpha+beta on an integer, which
+    puts gamma+epsilon = alpha+beta-N-1 on a non-positive integer at every
+    N >= alpha+beta-1."""
+    a, alpha, beta, gamma = (rng.uniform(-3.0, 3.0) for _ in range(4))
+    kind = rng.randrange(5)
+    if kind == 0:
+        a = float(rng.randrange(2))
+    elif kind == 1:
+        alpha = float(-rng.randrange(4))
+    elif kind == 2:
+        beta = float(-rng.randrange(4))
+    elif kind == 3:
+        beta = rng.randrange(-2, 5) - alpha
+    return a, alpha, beta, gamma
+
+
+def test_every_order_validates_its_draw():
+    # validity is a property of the order-N draw, not of q: solve raises
+    # ValidationError exactly where the draw has an issue, whatever its
+    # q-roots, and otherwise accounts for every root
+    rng = random.Random(31)
+    for _ in range(200):
+        a, alpha, beta, gamma = draw = _guard_draw(rng)
+        for n_case in range(5):
+            de = n_case + 2.0
+            p = HeunParams(a=a, q=0.0, alpha=alpha, beta=beta, gamma=gamma, delta=de,
+                           epsilon=1.0 + alpha + beta - gamma - de)
+            if collect_issues(p):
+                with pytest.raises(ValidationError):
+                    solve(*draw, n_case)
+            else:
+                cases, notes = solve(*draw, n_case)
+                assert len(cases) + len(notes) == n_case + 1, (draw, n_case)
+
+
 # the reduce-sweep benchmark's panel draw at seed 1
 PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
               1.5176724071367766)
@@ -365,7 +404,8 @@ def test_general_solver_on_the_panel_draw():
 def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
     """solve_reduction_general with one np.roots call per real q-root: the
     reference the batched companion eigvals must reproduce to the bit."""
-    big_a, big_b = _pencil(_build_params(a, 0.0, alpha, beta, gamma, n_case), n_case)
+    draw = _draw(a, alpha, beta, gamma, n_case)
+    big_a, big_b = _pencil(draw, n_case)
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
     cases = []
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
@@ -383,8 +423,7 @@ def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
             continue
         q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, -roots.real)
         q, es = float(q), tuple(sorted(float(e) for e in es))
-        cases += _accept(_build_params(a, q, alpha, beta, gamma, n_case), es, idx,
-                         GENERAL_TOL, notes)
+        cases += _accept(replace(draw, q=q), es, idx, GENERAL_TOL, notes)
     return cases
 
 
