@@ -288,8 +288,11 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0):
     rho = abs(a / (a - 1.0))
 
     if rho <= RHO_SWITCH:
-        # entries from n0 on are exactly zero
+        # entries from n0 on are exactly zero only where the relation at n0
+        # holds with c_n0 = 0, as it does when q is on a reduction
         _forward_fill(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
+        if n0 <= nmax and _relation_fails(a, q, al, be, ga, de, ep, c, n0):
+            _forward_fill(a, q, al, be, ga, de, ep, c, nmax)
         return _certify_init(a, q, al, be, ga, de, ep, c)
 
     # backward (minimal-solution) recursion, seeded at the termination index
@@ -363,10 +366,16 @@ def _backward_fill(a, q, al, be, ga, de, ep, work, start, stop):
     work[stop + 1:start + 1] = out[:1:-1]
 
 
+def _relation_fails(a, q, al, be, ga, de, ep, c, n):
+    """Whether R_n c_n + Q_{n-1} c_{n-1} + P_{n-2} c_{n-2} (no P term at
+    n = 1) exceeds 1e-7 of its terms' magnitudes."""
+    r, qn, p, _ = _relation_rows(np.array([float(n)]), a, q, al, be, ga, de, ep)
+    t = (r[0] * c[n], qn[0] * c[n - 1], p[0] * c[n - 2] if n > 1 else 0.0)
+    return abs(t[0] + t[1] + t[2]) > 1e-7 * (abs(t[0]) + abs(t[1]) + abs(t[2]) + TINY)
+
+
 def _certify_init(a, q, al, be, ga, de, ep, c):
-    t1 = coeff_r(1.0, a, ga, ep) * c[1]
-    t2 = coeff_q(0.0, a, q, al, be, ga, de, ep) * c[0]
-    if abs(t1 + t2) > 1e-7 * (abs(t1) + abs(t2) + TINY):
+    if _relation_fails(a, q, al, be, ga, de, ep, c, 1):
         raise NonConvergenceError("backward recursion failed the n = 1 certificate")
     return c
 

@@ -1,7 +1,8 @@
 """Two-term reduction of the three-term recurrence.
 
-Pinning delta = N+2 and placing the accessory parameter q on a root of a
-degree-(N+1) polynomial condition lets the coefficient ratio c_n/c_{n-1}
+Pinning delta = N+2 and placing the accessory parameter q on a root of the
+degree-(N+1) condition det(qI - T), for an explicit tridiagonal T built from
+the ODE (tests/tridiagonal.py), lets the coefficient ratio c_n/c_{n-1}
 factor through N auxiliary shifts e_1..e_N. The residual of the factored
 ansatz against the recurrence is itself a polynomial in the index n of
 degree N+1, so vanishing at N+2 collocation points certifies the reduction
@@ -12,10 +13,11 @@ A_TOP_TOL. That the n^(N+2) coefficient vanishes (the degree claim) is a
 fact of the algebra, not a check of a case, so only the tests take that
 difference (acceptance criterion 3).
 
-The identity is bilinear in q and in the coefficients of
-P(n) = prod_k (e_k + n), so solve_reduction_general takes every q-root from
-one eigen solve. Roots of larger N are ill-conditioned in double, so the
-certificate also checks the three-term relation on the first 50 coefficients.
+The closed forms of N <= 2 expand det(qI - T) (_q_polynomial). The
+identity is bilinear in q and in the coefficients of P(n) = prod_k (e_k + n),
+so solve_reduction_general takes every q-root from one eigen solve. Roots
+of larger N are ill-conditioned in double, so the certificate also checks
+the three-term relation on the first 50 coefficients.
 Every solver first validates its draw once (_draw), before any root is
 sought: no invariant reads q, so an invalid draw raises ValidationError at
 every N, and each root's params are the draw with its q. The closed forms of
@@ -248,32 +250,37 @@ def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float,
                    [] if notes is None else notes)
 
 
-def _finite_q_coeffs(coeffs_of, a, alpha, beta, gamma, n_case: int) -> tuple:
-    """coeffs_of(a, alpha, beta, gamma), the order-n_case q-polynomial, or
-    NumericalError when a coefficient leaves the floats."""
-    try:
-        coeffs = coeffs_of(a, alpha, beta, gamma)
-        if all(map(math.isfinite, coeffs)):
-            return coeffs
-    except OverflowError:   # where * gives inf, a float ** raises
-        pass
-    raise NumericalError(f"the order-{n_case} q-polynomial leaves the floats")
-
-
-def _quadratic_q_coeffs(a, alpha, beta, gamma):
-    """Monic quadratic satisfied by q at order 1 (coefficients highest first)."""
-    b1 = -(4.0 + a - 3.0 * alpha - 3.0 * beta + 2.0 * alpha * beta + 3.0 * a * gamma)
-    b0 = ((alpha - 2.0) * (alpha - 1.0) * (beta - 2.0) * (beta - 1.0)
-          + a * (4.0 + 2.0 * a - 4.0 * alpha - 4.0 * beta + 3.0 * alpha * beta) * gamma
-          + 2.0 * a * a * gamma * gamma)
-    return (1.0, b1, b0)
+def _q_polynomial(draw: HeunParams, n_case: int) -> list:
+    """The order-N q-condition det(qI - T), monic, coefficients highest
+    first, over Python floats from the draw's tridiagonal T (derived in
+    tests/tridiagonal.py) by D_m = (q - T[m, m]) D_{m-1} - T[m-1, m] T[m, m-1]
+    D_{m-2}; NumericalError when a coefficient leaves the floats."""
+    a, al, be, ga, de, ep = (draw.a, draw.alpha, draw.beta, draw.gamma,
+                             draw.delta, draw.epsilon)
+    prev, cur = [], [1.0]
+    for m in range(1, n_case + 2):
+        diag = ((2.0 - a) * m * (m + 1)
+                - m * (ga * (1.0 - a) + de * (2.0 - a) + ep) + al * be)
+        off = -(m - al) * (m - be) * ((m - 1) * (1.0 - a) * (de - m))
+        nxt = cur + [0.0]
+        for k, c in enumerate(cur):
+            nxt[k + 1] -= diag * c
+        for k, c in enumerate(prev):
+            nxt[k + 2] -= off * c
+        prev, cur = cur, nxt
+    if not all(map(math.isfinite, cur)):
+        raise NumericalError(f"the order-{n_case} q-polynomial leaves the floats")
+    return cur
 
 
 def _real_quadratic_roots(coeffs, notes: list) -> list:
     """Ascending real roots of a monic quadratic, computed cancellation-free.
-    A complex pair, or the upper root of a near-repeat, gets _drop notes."""
+    A complex pair, or the upper root of a near-repeat, gets _drop notes;
+    a discriminant past the floats raises NumericalError."""
     _, b, c = map(float, coeffs)
     disc = b * b - 4.0 * c
+    if not math.isfinite(disc):
+        raise NumericalError("the order-1 q-discriminant leaves the floats")
     if disc < 0.0:
         for im in (-0.5, 0.5):
             _drop(notes, complex(-b / 2.0, im * math.sqrt(-disc)), "q is complex")
@@ -293,40 +300,21 @@ def _real_quadratic_roots(coeffs, notes: list) -> list:
 
 def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
-    """Order-1 reductions: quadratic in q, then e_1 linear in q.
+    """Order-1 reductions: q on a root of the quadratic det(qI - T)
+    (_q_polynomial), then e_1 linear in q.
 
     Each of the two q-roots is a case or one note appended to notes
     (_accept, _drop); a draw with no case gives an empty list.
     """
     draw = _draw(a, alpha, beta, gamma, 1)
     notes = [] if notes is None else notes
-    coeffs = _finite_q_coeffs(_quadratic_q_coeffs, a, alpha, beta, gamma, 1)
+    coeffs = _q_polynomial(draw, 1)
     cases = []
     for idx, q0 in enumerate(_real_quadratic_roots(coeffs, notes)):
         q = _polish(coeffs, q0)
         e1 = _e_sum_rule(a, alpha, beta, gamma, 1, q)
         cases += _accept(replace(draw, q=q), (e1,), idx, VERIFY_TOL, notes)
     return cases
-
-
-def _cubic_q_coeffs(a, alpha, beta, gamma):
-    """Monic cubic satisfied by q at order 2 (coefficients highest first)."""
-    al, be, ga = alpha, beta, gamma
-    c2 = -(10.0 + 3.0 * al * (be - 2.0) - 6.0 * be + a * (4.0 + 6.0 * ga))
-    c1 = (33.0 - 2.0 * al * (2.0 * be - 5.0) * (3.0 * be - 4.0)
-          + be * (11.0 * be - 40.0) + al * al * (11.0 + 3.0 * (be - 4.0) * be)
-          + a * a * (4.0 + ga * (18.0 + 11.0 * ga))
-          + 2.0 * a * (6.0 - 4.0 * be + 15.0 * ga - 11.0 * be * ga
-                       + al * (2.0 * be + 6.0 * be * ga - 11.0 * ga - 4.0)))
-    g_inner = (18.0 + 6.0 * a * a + 9.0 * (al - 3.0) * al - 27.0 * be
-               + (37.0 - 11.0 * al) * al * be
-               + (9.0 + al * (3.0 * al - 11.0)) * be * be
-               + a * (9.0 - 9.0 * al - 9.0 * be + 5.0 * al * be))
-    c0 = (-(al - 1.0) * (al - 2.0) * (al - 3.0) * (be - 1.0) * (be - 2.0) * (be - 3.0)
-          - 2.0 * a * g_inner * ga
-          + a * a * (18.0 * al + 18.0 * be - 18.0 - 18.0 * a - 11.0 * al * be) * ga * ga
-          - 6.0 * a ** 3 * ga ** 3)
-    return (1.0, c2, c1, c0)
 
 
 def n2_ratio_divides_by_zero(alpha: float, beta: float) -> bool:
@@ -337,8 +325,9 @@ def n2_ratio_divides_by_zero(alpha: float, beta: float) -> bool:
 
 def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
-    """Order-2 reductions: cubic in q, e_1, e_2 from their sum and the
-    ratio relation (e_1+1)(e_2+1)/(e_1 e_2).
+    """Order-2 reductions: q on a root of the cubic det(qI - T)
+    (_q_polynomial), then e_1, e_2 from their sum and the ratio relation
+    (e_1+1)(e_2+1)/(e_1 e_2).
 
     Requires alpha != 3 and beta != 3: the ratio relation divides by
     (a-1)(alpha-3)(beta-3), and a valid draw has a != 1. Each of the three
@@ -350,7 +339,7 @@ def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
         raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
     draw = _draw(a, alpha, beta, gamma, 2)
     notes = [] if notes is None else notes
-    coeffs = _finite_q_coeffs(_cubic_q_coeffs, a, alpha, beta, gamma, 2)
+    coeffs = _q_polynomial(draw, 2)
     raw = np.roots(coeffs)
     real = np.abs(raw.imag) <= 1e-9 * (1.0 + np.abs(raw.real))
     cases, dedup = [], []

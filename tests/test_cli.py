@@ -155,7 +155,7 @@ def test_reduce_n2_takes_alpha_or_beta_3(write_params, draw, code, notes):
 
 @pytest.mark.parametrize("draw, n, rows", [
     ({k: v for k, v in N2_FULL.items() if k not in ("q", "delta")}, "2",
-     ["2,2,5.250000000000018,-1.591607978309986;-0.40839202169003186,True"]),
+     ["2,2,5.249999999999984,-1.5916079783099404;-0.4083920216900435,True"]),
     (NO_ROOT_SEARCH, "1", []),
 ])
 def test_reduce_csv_matches_json(write_params, capsys, draw, n, rows):
@@ -244,6 +244,29 @@ def test_coeffs_three_term_rejects_e(write_params):
     out = run_cli("coeffs", "--params", path, "--source", "three-term",
                   "--e", "0.5")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("delta, epsilon, n, c_n", [
+    # c_2 = 0 left the relation at n = 2 with a defect of 0.939
+    (3.7000000000000006, 0.9, 2, 0.556233633333333),
+    # c_1 = 0 failed the n = 1 certificate, which named a backward recursion
+    (2.7000000000000006, 1.9, 1, 0.42939999999999967),
+], ids=["n0-2", "n0-1"])
+def test_three_term_fills_past_a_termination_the_relation_lacks(write_params, capsys,
+                                                                delta, epsilon, n, c_n):
+    # a forward stream (|a/(a-1)| = 0.75) whose exponents put
+    # termination_index at n, with q on no reduction: nothing terminates
+    params = {"a": -3.0, "q": 1.234, "alpha": 2.5, "beta": 1.7, "gamma": 0.6,
+              "delta": delta, "epsilon": epsilon}
+    argv = ["coeffs", "--params", write_params(params), "--source", "three-term",
+            "--n-max", "6", "--format", "json"]
+    code = heunx.cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert rows[n]["c_n"] == pytest.approx(c_n, rel=1e-13)
+    assert all(r["c_n"] > 0.0 for r in rows)
+    assert all(r["residual"] <= 1e-16 for r in rows[2:]), rows
 
 
 def test_eval_anchor(write_params):
@@ -794,7 +817,7 @@ def _reduce_in_process(write_params, capsys, draw, n):
 
 
 @pytest.mark.parametrize("draw, n, error", [
-    # a ** 3 of the order-2 cubic overflows
+    # the a^3 term of the order-2 q-polynomial overflows
     ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 0.6}, 2,
      "the order-2 q-polynomial leaves the floats"),
     # the draw is invalid, as N = 0, 1 and 3 report, and np.roots saw infs
@@ -805,12 +828,17 @@ def _reduce_in_process(write_params, capsys, draw, n):
      "the order-1 q-polynomial leaves the floats"),
     ({"a": 2.0, "alpha": 1e150, "beta": 1e150, "gamma": 0.6, "epsilon": 2e150}, 2,
      "the order-2 q-polynomial leaves the floats"),
+    # a finite quadratic (its a^2 terms cancel at gamma = -1) whose b^2
+    # overflows: no root q = nan note
+    ({"a": -1e200, "alpha": 1.5, "beta": 4.0, "gamma": -1.0, "epsilon": 4.5}, 1,
+     "the order-1 q-discriminant leaves the floats"),
     # the eigen solver's pencil overflows
     ({"a": 5.419043634070373e+159, "alpha": 1358.9524590020148,
       "beta": 1.3895290940212287e+160, "gamma": 1.0648833986111952e+160,
       "epsilon": 3.2464569541003345e+159}, 3,
      "the order-3 pencil leaves the floats"),
-], ids=["cubic-overflow", "invalid-n2", "quadratic-inf", "cubic-inf", "pencil-inf"])
+], ids=["cubic-overflow", "invalid-n2", "quadratic-inf", "cubic-inf", "discriminant-inf",
+        "pencil-inf"])
 def test_reduce_extreme_draw_exits_with_one_error_line(write_params, capsys,
                                                        draw, n, error):
     # each raised OverflowError, LinAlgError or ValueError past main
@@ -836,8 +864,9 @@ def test_reduce_extreme_draw_notes_every_root(write_params, capsys):
      ["root q = 6e+149 dropped: the certificate failed (A_top gap 6.36e+134)"]),
     # the second note's defect does exceed its bound: its text stays
     ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 1.6}, 1,
-     ["root q = 1.2e+150 dropped: the certificate failed (A_top gap 6.51e+283)",
-      "root q = 1.5999999999999997e+150 dropped: ill-conditioned in double "
+     ["root q = 1.2000000000000002e+150 dropped: the certificate failed "
+      "(A_top gap 4.65e+283)",
+      "root q = 1.5999999999999999e+150 dropped: ill-conditioned in double "
       "(50-row three-term defect 8.16e-02 > 1e-09)"]),
 ])
 def test_drop_note_names_the_failed_check(write_params, capsys, draw, n, notes):

@@ -267,6 +267,8 @@ def _three_term_by_rows(a, q, al, be, ga, de, ep, nmax, n0):
     rho = abs(a / (a - 1.0))
     if rho <= RHO_SWITCH:
         _forward_by_rows(a, q, al, be, ga, de, ep, c, min(nmax, n0 - 1))
+        if n0 <= nmax and _kernels._relation_fails(a, q, al, be, ga, de, ep, c, n0):
+            _forward_by_rows(a, q, al, be, ga, de, ep, c, nmax)
         return _kernels._certify_init(a, q, al, be, ga, de, ep, c)
     buf = min(max(int(math.ceil(52.0 / math.log(rho))), 40), 2000)
     top = n0 - 1 if n0 <= nmax else nmax + buf

@@ -3,10 +3,13 @@
 import random
 import re
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import tridiagonal
 from conftest import degree_claim_defect, identity_at
 from heunx import (HeunParams, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
@@ -14,9 +17,8 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
                    two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
-from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _cubic_q_coeffs,
-                             _draw, _drop, _forward_difference, _pencil, _polish,
-                             _quadratic_q_coeffs)
+from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _draw, _drop,
+                             _forward_difference, _pencil, _polish, _q_polynomial)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
@@ -78,17 +80,31 @@ def test_N0_case_matches_anchor():
     assert case.report.passed
 
 
+def _exact_q_polynomial(draw, n_case):
+    """det(qI - T) of the draw's exact doubles (tests/tridiagonal.py), in
+    Fraction, highest degree first."""
+    return tridiagonal.char_poly(*draw, n_case)[::-1]
+
+
+def _exact_value(coeffs, q):
+    """The exact polynomial at the double q, rounded once to a float."""
+    acc, x = Fraction(0), Fraction(q)
+    for c in coeffs:
+        acc = acc * x + c
+    return float(acc)
+
+
 def test_N1_roots_satisfy_quadratic():
     cases = q_candidates_N1(*N1_DRAW)
     assert len(cases) == 2
-    coeffs = _quadratic_q_coeffs(*N1_DRAW)
+    coeffs = _exact_q_polynomial(N1_DRAW, 1)
     qs = [c.params.q for c in cases]
     assert qs == sorted(qs)
     assert [c.q_root_index for c in cases] == [0, 1]
     for case in cases:
         q = case.params.q
-        resid = abs(np.polyval(coeffs, q))
-        scale = max(1.0, abs(coeffs[1] * q), abs(coeffs[2]))
+        resid = abs(_exact_value(coeffs, q))
+        scale = max(1.0, abs(float(coeffs[1]) * q), abs(float(coeffs[2])))
         assert resid <= 1e-10 * scale
         a, alpha, beta, gamma = N1_DRAW
         e1 = -q + a * (1.0 + gamma) - 1.0 + (alpha - 1.0) * (beta - 1.0)
@@ -107,7 +123,8 @@ def test_polish_matches_polyval_step():
     # the derivative's coefficients are np.polyder's products
     draws = [N1_DRAW, N1_REPEAT, N2_DRAW, N2_COMPLEX] + [_box_draw(s) for s in range(60)]
     for draw in draws:
-        for coeffs in (_quadratic_q_coeffs(*draw), _cubic_q_coeffs(*draw)):
+        for n_case in (1, 2):
+            coeffs = _q_polynomial(_draw(*draw, n_case), n_case)
             for root in np.roots(coeffs).real.tolist():
                 for x in (root, root * (1.0 + 1e-9), root + 1e-3):
                     assert (repr(_polish(coeffs, x))
@@ -154,11 +171,11 @@ def test_N2_roots_satisfy_cubic_and_e_relations():
     cases, notes = _with_notes(q_candidates_N2, *N2_DRAW)
     assert any(DEGENERATE in note for note in notes)
     assert 1 <= len(cases) <= 3
-    coeffs = _cubic_q_coeffs(*N2_DRAW)
+    coeffs = _exact_q_polynomial(N2_DRAW, 2)
     for case in cases:
         q = case.params.q
-        resid = abs(np.polyval(coeffs, q))
-        scale = max(abs(c) * abs(q) ** (3 - i) for i, c in enumerate(coeffs))
+        resid = abs(_exact_value(coeffs, q))
+        scale = max(abs(float(c)) * abs(q) ** (3 - i) for i, c in enumerate(coeffs))
         assert resid <= 1e-9 * max(scale, 1.0)
         e1, e2 = case.e_list
         s = -q + a * (2.0 + gamma) - 3.0 + (alpha - 1.0) * (beta - 1.0)
@@ -166,6 +183,37 @@ def test_N2_roots_satisfy_cubic_and_e_relations():
              / ((a - 1.0) * (alpha - 3.0) * (beta - 3.0)))
         assert e1 + e2 == pytest.approx(s, rel=1e-10, abs=1e-10)
         assert (e1 + 1.0) * (e2 + 1.0) / (e1 * e2) == pytest.approx(k, rel=1e-10)
+
+
+def _cube_draw(seed):
+    """(a, alpha, beta, gamma), each in [-3, 3]."""
+    rng = random.Random(seed)
+    return tuple(rng.uniform(-3.0, 3.0) for _ in range(4))
+
+
+@pytest.mark.parametrize("n_case, bound", [(1, 3e-16), (2, 4.5e-16)])
+def test_closed_form_q_is_near_the_exact_root(n_case, bound):
+    # each returned q against the root q* of the exact det(qI - T) that a
+    # 40-digit findroot reaches from it. The median of |q - q*| / max(|q*|, 1)
+    # over 150 draws from the benchmark's box and 150 from [-3, 3]^4 reads
+    # 1.6e-16 at N = 1 and 3.2e-16 at N = 2; the N = 2 bound rejects the
+    # 5.8e-16 of the cubic expanded by hand in monomials of a, alpha, beta, gamma
+    solver = (q_candidates_N1, q_candidates_N2)[n_case - 1]
+    errors = []
+    with mpmath.workdps(40):
+        for draw in [_box_draw(s) for s in range(150)] + [_cube_draw(s) for s in range(150)]:
+            try:
+                cases = solver(*draw)
+            except HeunxError:
+                continue
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                      for c in _exact_q_polynomial(draw, n_case)]
+            for case in cases:
+                q = case.params.q
+                root = mpmath.findroot(lambda x: mpmath.polyval(coeffs, x), mpmath.mpf(q))
+                errors.append(float(abs(q - root) / max(abs(root), 1)))
+    assert len(errors) >= 300
+    assert np.median(errors) <= bound, np.median(errors)
 
 
 @pytest.mark.parametrize("args", [

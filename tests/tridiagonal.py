@@ -1,5 +1,5 @@
 """The search as a tridiagonal eigenproblem: a test oracle built from the
-ODE, not from the recurrence collocation the solvers use.
+ODE, not from the recurrence collocation of the N >= 3 eigen solver.
 
 With delta = N+2, t = 1 - z and u = sum_{k=1..N+1} B_k t^-k, the
 coefficient of t^-m in w u'' + wp u' + (alpha beta z - q) u + C reads
@@ -14,6 +14,11 @@ coefficient gives C = (1-alpha)(1-beta) B_1. The entries are built in
 floats or, from the exact doubles, in fractions.Fraction; det(qI - T)
 follows from the three-term determinant recurrence, and sturm_count counts
 its distinct real roots exactly.
+
+The N <= 2 closed forms expand the same det(qI - T) in floats
+(reduction._q_polynomial), so for them T is no independent oracle: there
+the independent checks are the reduction certificate and criterion 5, the
+eigen solver reproducing every closed-form case.
 """
 
 import math
