@@ -13,11 +13,12 @@ A_TOP_TOL. That the n^(N+2) coefficient vanishes (the degree claim) is a
 fact of the algebra, not a check of a case, so only the tests take that
 difference (acceptance criterion 3).
 
-The closed forms of N <= 2 expand det(qI - T) (_q_polynomial). The
+The closed form of N <= 2 (_closed_form) takes q from the roots of
+det(qI - T) and the e_k from the minors of qI - T (_p_polynomial). The
 identity is bilinear in q and in the coefficients of P(n) = prod_k (e_k + n),
-so solve_reduction_general takes every q-root from one eigen solve. Roots
-of larger N are ill-conditioned in double, so the certificate also checks
-the three-term relation on the first 50 coefficients.
+so solve_reduction_general, for larger N, takes every q-root from one eigen
+solve, independently of T. Roots of larger N are ill-conditioned in double,
+so the certificate also checks the three-term relation on 50 coefficients.
 Every solver first validates its draw once (_draw), before any root is
 sought: no invariant reads q, so an invalid draw raises ValidationError at
 every N, and each root's params are the draw with its q. The closed forms of
@@ -230,145 +231,135 @@ def _draw(a, alpha, beta, gamma, n_case) -> ValidatedHeunParams:
                                     gamma=gamma, delta=de, epsilon=ep))
 
 
-def _e_sum_rule(a, alpha, beta, gamma, n_case, q) -> float:
-    """Sum of the e values of an accepted order-N case, linear in q.
+def _tridiagonal(draw: HeunParams, n_case: int) -> tuple:
+    """The draw's T (tests/tridiagonal.py) over Python floats: T[m, m] for
+    m = 1..N+1, at N = 0 a gamma + (alpha-1)(beta-1) to the bit, and
+    T[m, m+1] T[m+1, m] for m = 1..N."""
+    a, al, be, ga = draw.a, draw.alpha, draw.beta, draw.gamma
+    diag = [(al - m) * (be - m) + a * m * ga + m * (m - 1 - n_case) * (1.0 - a)
+            for m in range(1, n_case + 2)]
+    off = [-(m + 1 - al) * (m + 1 - be) * (m * (1.0 - a) * (n_case + 1 - m))
+           for m in range(1, n_case + 1)]
+    return diag, off
 
-    Specializes to the order-0 q pin (empty sum), the order-1 e_1 value and
-    the order-2 sum relation; self-certified order-3 solutions satisfy it too.
-    """
-    return (-q + a * (n_case + gamma) - 0.5 * n_case * (n_case + 1.0)
-            + (alpha - 1.0) * (beta - 1.0))
+
+def _q_polynomial(diag: list, off: list) -> list:
+    """The q-condition det(qI - T), monic, coefficients highest first, over
+    Python floats by D_m = (q - T[m, m]) D_{m-1} - T[m-1, m] T[m, m-1] D_{m-2};
+    NumericalError when a coefficient leaves the floats."""
+    prev, cur = [], [1.0]
+    for m, d in enumerate(diag):
+        nxt = cur + [0.0]
+        for k, c in enumerate(cur):
+            nxt[k + 1] -= d * c
+        for k, c in enumerate(prev):
+            nxt[k + 2] -= off[m - 1] * c
+        prev, cur = cur, nxt
+    if not all(map(math.isfinite, cur)):
+        raise NumericalError(f"the order-{len(off)} q-polynomial leaves the floats")
+    return cur
+
+
+def _roots(coeffs: list, name: str) -> tuple:
+    """(real, complex): the roots of a monic polynomial of degree at most 3,
+    coefficients highest first, the real ones ascending. Up to degree 2 over
+    Python floats, the quadratic cancellation-free; the cubic by np.roots.
+    NumericalError when a quadratic's discriminant leaves the floats."""
+    if len(coeffs) < 3:
+        return [-c for c in coeffs[1:]], []
+    if len(coeffs) == 4:
+        raw = np.roots(coeffs)
+        real = np.abs(raw.imag) <= 1e-9 * (1.0 + np.abs(raw.real))
+        return sorted(raw.real[real].tolist()), raw[~real].tolist()
+    _, b, c = coeffs
+    disc = b * b - 4.0 * c
+    if not math.isfinite(disc):
+        raise NumericalError(f"the {name}-discriminant leaves the floats")
+    if disc < 0.0:
+        half = math.sqrt(-disc) / 2.0
+        return [], [complex(-b / 2.0, -half), complex(-b / 2.0, half)]
+    r1 = (-b - math.copysign(math.sqrt(disc), b)) / 2.0
+    return sorted((r1, c / r1 if r1 != 0.0 else -b - r1)), []
+
+
+def _p_polynomial(diag: list, off: list, q: float) -> list:
+    """P(n) = prod_k (n + e_k) at the q-root q, highest degree first, from
+    the leading principal minors D_m of qI - T: P(n) = sum_m (-1)^m D_m / m!
+    n(n-1)...(n-N+m+1). D_N is the top recurrence's, or the bottom end's
+    T[N, N+1] T[N+1, N] D_{N-1} / (q - T[N+1, N+1]) from D_{N+1}(q) = 0,
+    whichever has the smaller relative first-order rounding bound A_m / |D_m|,
+    A_m the minor of |q| I + |T|."""
+    n_case = len(off)
+    if not n_case:
+        return [1.0]
+    dets, bounds = [1.0, q - diag[0]], [1.0, abs(q) + abs(diag[0])]
+    for m in range(1, n_case):
+        dets.append((q - diag[m]) * dets[m] - off[m - 1] * dets[m - 1])
+        bounds.append((abs(q) + abs(diag[m])) * bounds[m]
+                      + abs(off[m - 1]) * bounds[m - 1])
+    gap, below = q - diag[n_case], dets[n_case - 1]
+    if gap and below:
+        top = bounds[n_case] / abs(dets[n_case]) if dets[n_case] else math.inf
+        bottom = (bounds[n_case - 1] / abs(below)
+                  + (abs(q) + abs(diag[n_case])) / abs(gap))
+        if bottom < top:
+            dets[n_case] = off[n_case - 1] * below / gap
+    # Horner's rule in the falling factorials: p <- p (n - N + m) + (-1)^m D_m / m!
+    p = [1.0]
+    for m in range(1, n_case + 1):
+        p = [x - (n_case - m) * y for x, y in zip(p + [0.0], [0.0] + p)]
+        p[-1] += (-1) ** m * dets[m] / math.factorial(m)
+    return p
+
+
+def _closed_form(a: float, alpha: float, beta: float, gamma: float, n_case: int,
+                 notes: list | None = None) -> list:
+    """Order-N reductions, N <= 2: q on each root of det(qI - T), one within
+    1e-12 of the root below it dropped as a near-repeat, polished by one
+    Newton step; the e_k the negated roots of P (_p_polynomial). Each of the
+    N+1 q-roots is a case or one note appended to notes (_accept, _drop)."""
+    draw = _draw(a, alpha, beta, gamma, n_case)
+    notes = [] if notes is None else notes
+    diag, off = _tridiagonal(draw, n_case)
+    coeffs = _q_polynomial(diag, off)
+    real, pairs = _roots(coeffs, f"order-{n_case} q")
+    for r in pairs:
+        _drop(notes, complex(r), "q is complex")
+    qs = []
+    for r in real:
+        if qs and abs(r - qs[-1]) <= 1e-12 * (1.0 + abs(qs[-1])):
+            _drop(notes, r, f"a near-repeat of root q = {qs[-1]!r}")
+        else:
+            qs.append(r)
+
+    cases = []
+    for idx, q0 in enumerate(qs):
+        q = _polish(coeffs, q0)
+        roots, pairs = _roots(_p_polynomial(diag, off, q), f"order-{n_case} e")
+        if pairs:
+            _drop(notes, q, "the e_k include a complex pair")
+            continue
+        es = tuple(sorted(-r for r in roots))
+        cases += _accept(replace(draw, q=q), es, idx, VERIFY_TOL, notes)
+    return cases
 
 
 def q_candidates_N0(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
-    """The order-0 reduction as a verified case (exactly one, unless it
-    fails the certificate and leaves a note in notes)."""
-    draw = _draw(a, alpha, beta, gamma, 0)
-    q = a * gamma + (alpha - 1.0) * (beta - 1.0)
-    return _accept(replace(draw, q=q), (), 0, VERIFY_TOL,
-                   [] if notes is None else notes)
-
-
-def _q_polynomial(draw: HeunParams, n_case: int) -> list:
-    """The order-N q-condition det(qI - T), monic, coefficients highest
-    first, over Python floats from the draw's tridiagonal T (derived in
-    tests/tridiagonal.py) by D_m = (q - T[m, m]) D_{m-1} - T[m-1, m] T[m, m-1]
-    D_{m-2}; NumericalError when a coefficient leaves the floats."""
-    a, al, be, ga, de, ep = (draw.a, draw.alpha, draw.beta, draw.gamma,
-                             draw.delta, draw.epsilon)
-    prev, cur = [], [1.0]
-    for m in range(1, n_case + 2):
-        diag = ((2.0 - a) * m * (m + 1)
-                - m * (ga * (1.0 - a) + de * (2.0 - a) + ep) + al * be)
-        off = -(m - al) * (m - be) * ((m - 1) * (1.0 - a) * (de - m))
-        nxt = cur + [0.0]
-        for k, c in enumerate(cur):
-            nxt[k + 1] -= diag * c
-        for k, c in enumerate(prev):
-            nxt[k + 2] -= off * c
-        prev, cur = cur, nxt
-    if not all(map(math.isfinite, cur)):
-        raise NumericalError(f"the order-{n_case} q-polynomial leaves the floats")
-    return cur
-
-
-def _real_quadratic_roots(coeffs, notes: list) -> list:
-    """Ascending real roots of a monic quadratic, computed cancellation-free.
-    A complex pair, or the upper root of a near-repeat, gets _drop notes;
-    a discriminant past the floats raises NumericalError."""
-    _, b, c = map(float, coeffs)
-    disc = b * b - 4.0 * c
-    if not math.isfinite(disc):
-        raise NumericalError("the order-1 q-discriminant leaves the floats")
-    if disc < 0.0:
-        for im in (-0.5, 0.5):
-            _drop(notes, complex(-b / 2.0, im * math.sqrt(-disc)), "q is complex")
-        return []
-    s = math.sqrt(disc)
-    if b >= 0.0:
-        r1 = (-b - s) / 2.0
-    else:
-        r1 = (-b + s) / 2.0
-    r2 = c / r1 if r1 != 0.0 else -b - r1
-    roots = sorted((r1, r2))
-    if abs(roots[1] - roots[0]) <= 1e-12 * (1.0 + abs(roots[0])):
-        _drop(notes, roots[1], f"a near-repeat of root q = {roots[0]!r}")
-        return roots[:1]
-    return roots
+    """The order-0 reduction at q = a gamma + (alpha-1)(beta-1) (_closed_form)."""
+    return _closed_form(a, alpha, beta, gamma, 0, notes)
 
 
 def q_candidates_N1(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
-    """Order-1 reductions: q on a root of the quadratic det(qI - T)
-    (_q_polynomial), then e_1 linear in q.
-
-    Each of the two q-roots is a case or one note appended to notes
-    (_accept, _drop); a draw with no case gives an empty list.
-    """
-    draw = _draw(a, alpha, beta, gamma, 1)
-    notes = [] if notes is None else notes
-    coeffs = _q_polynomial(draw, 1)
-    cases = []
-    for idx, q0 in enumerate(_real_quadratic_roots(coeffs, notes)):
-        q = _polish(coeffs, q0)
-        e1 = _e_sum_rule(a, alpha, beta, gamma, 1, q)
-        cases += _accept(replace(draw, q=q), (e1,), idx, VERIFY_TOL, notes)
-    return cases
-
-
-def n2_ratio_divides_by_zero(alpha: float, beta: float) -> bool:
-    """True where the order-2 ratio relation divides by (alpha-3)(beta-3) = 0,
-    so q_candidates_N2 cannot run and solve_reduction_general must."""
-    return abs(alpha - 3.0) < 1e-12 or abs(beta - 3.0) < 1e-12
+    """Order-1 reductions, q on a root of a quadratic (_closed_form)."""
+    return _closed_form(a, alpha, beta, gamma, 1, notes)
 
 
 def q_candidates_N2(a: float, alpha: float, beta: float, gamma: float,
                     notes: list | None = None) -> list:
-    """Order-2 reductions: q on a root of the cubic det(qI - T)
-    (_q_polynomial), then e_1, e_2 from their sum and the ratio relation
-    (e_1+1)(e_2+1)/(e_1 e_2).
-
-    Requires alpha != 3 and beta != 3: the ratio relation divides by
-    (a-1)(alpha-3)(beta-3), and a valid draw has a != 1. Each of the three
-    q-roots is a case or one note appended to notes (_accept, _drop): a
-    degenerate relation (K = 1) is one more reason the closed form cannot
-    certify.
-    """
-    if n2_ratio_divides_by_zero(alpha, beta):
-        raise PreconditionError("order-2 closed form requires alpha != 3 and beta != 3")
-    draw = _draw(a, alpha, beta, gamma, 2)
-    notes = [] if notes is None else notes
-    coeffs = _q_polynomial(draw, 2)
-    raw = np.roots(coeffs)
-    real = np.abs(raw.imag) <= 1e-9 * (1.0 + np.abs(raw.real))
-    cases, dedup = [], []
-    for r in raw[~real]:
-        _drop(notes, complex(r), "q is complex")
-    for r in sorted(float(r.real) for r in raw[real]):
-        if dedup and abs(r - dedup[-1]) <= 1e-10 * (1.0 + abs(r)):
-            _drop(notes, r, f"a near-repeat of root q = {dedup[-1]!r}")
-        else:
-            dedup.append(r)
-
-    for idx, q0 in enumerate(dedup):
-        q = _polish(coeffs, q0)
-        s = _e_sum_rule(a, alpha, beta, gamma, 2, q)
-        k_num = -q + a * (alpha - 3.0) * (beta - 3.0) + 3.0 * a * gamma
-        k_den = (a - 1.0) * (alpha - 3.0) * (beta - 3.0)
-        k = k_num / k_den
-        if abs(k - 1.0) <= 1e-12:
-            _drop(notes, q, "the e-product relation degenerates (K = 1)")
-            continue
-        prod = (s + 1.0) / (k - 1.0)
-        disc = s * s - 4.0 * prod
-        if disc < 0.0:
-            _drop(notes, q, "the e_k include a complex pair")
-            continue
-        sq = math.sqrt(disc)
-        es = ((s - sq) / 2.0, (s + sq) / 2.0)
-        cases += _accept(replace(draw, q=q), es, idx, VERIFY_TOL, notes)
-    return cases
+    """Order-2 reductions, q on a root of a cubic (_closed_form)."""
+    return _closed_form(a, alpha, beta, gamma, 2, notes)
 
 
 def _pencil(p: HeunParams, n_case: int):
@@ -433,13 +424,12 @@ def solve(a: float, alpha: float, beta: float, gamma: float, n_case: int) -> tup
     """(cases, notes): every order-N reduction of the draw and one note per
     q-root that gave none, so len(cases) + len(notes) == N + 1.
 
-    N <= 2 takes its closed form unless the order-2 ratio relation divides
-    by zero; every other order takes solve_reduction_general. The solvers
-    are looked up when called, so a wrapper bound over their names sees the
-    call.
+    N <= 2 takes its closed form, every other order
+    solve_reduction_general. The solvers are looked up when called, so a
+    wrapper bound over their names sees the call.
     """
     notes = []
-    if n_case in (0, 1) or (n_case == 2 and not n2_ratio_divides_by_zero(alpha, beta)):
+    if n_case in (0, 1, 2):
         closed = (q_candidates_N0, q_candidates_N1, q_candidates_N2)[n_case]
         return closed(a, alpha, beta, gamma, notes), notes
     return solve_reduction_general(a, alpha, beta, gamma, n_case, notes), notes

@@ -14,9 +14,8 @@ try:
 except ImportError:
     pass
 
-from heunx import (DivisionByZeroError, PreconditionError, SeriesControl,
-                   ValidationError, q_candidates_N0, q_candidates_N1,
-                   q_candidates_N2, solve)
+from heunx import (DivisionByZeroError, SeriesControl, ValidationError,
+                   q_candidates_N0, q_candidates_N1, q_candidates_N2, solve)
 from heunx import _kernels
 from heunx.evaluator import _sum_all
 from heunx.params import INT_SNAP
@@ -110,6 +109,14 @@ def degree_claim_defect(p, es):
     return defect, float(np.max(scale))
 
 
+def case_gap(left, right):
+    """The largest gap between two cases' q and e_k."""
+    gap = abs(left.params.q - right.params.q)
+    for x, y in zip(left.e_list, right.e_list):
+        gap = max(gap, abs(x - y))
+    return gap
+
+
 def summation_gaps(case, evs):
     """Per ev of evs, the largest relative gap over u, u', u'' of ev to the
     tail-resummed summation at ev.z, one _sum_all call per point at the
@@ -138,7 +145,7 @@ def draw_accepted_cases(total, seed=2024, orders=(0, 1, 2)):
             continue
         try:
             got = builders[n_case](a, al, be, ga)
-        except (ValidationError, PreconditionError):
+        except ValidationError:
             continue
         cases.extend(got)
     return cases[:total]
@@ -149,7 +156,7 @@ def solve_draw(point, n_case):
     finds them; [] where the solver rejects the draw or finds none."""
     try:
         return solve(*point, n_case)[0]
-    except (ValidationError, PreconditionError):
+    except ValidationError:
         return []
 
 

@@ -16,9 +16,8 @@ import types
 import numpy as np
 import pytest
 
-from conftest import degree_claim_defect, f21, identity_at
-from heunx import (CoefficientSource, PreconditionError,
-                   ValidatedHeunParams, ValidationError, cross_check,
+from conftest import case_gap, degree_claim_defect, f21, identity_at
+from heunx import (CoefficientSource, ValidatedHeunParams, ValidationError, cross_check,
                    evaluate_points, forced_residual, homogeneous_residual,
                    params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, solve_reduction_general, termination_index,
@@ -117,15 +116,8 @@ def test_criterion_4_forcing_certificate_and_sensitivity(random_cases):
 def _valid_closed_form(builder, a, alpha, beta, gamma):
     try:
         return builder(a, alpha, beta, gamma)
-    except (ValidationError, PreconditionError):
+    except ValidationError:
         return None
-
-
-def _case_gap(left, right):
-    gap = abs(left.params.q - right.params.q)
-    for x, y in zip(left.e_list, right.e_list):
-        gap = max(gap, abs(x - y))
-    return gap
 
 
 @pytest.mark.acceptance(5)
@@ -147,14 +139,9 @@ def test_criterion_5_general_solver_equivalence():
             general = solve_reduction_general(a, alpha, beta, gamma, n_case)
             # the closed-form solution set is reproduced ...
             for c in closed:
-                assert min((_case_gap(c, g) for g in general), default=np.inf) <= 1e-7
-            # ... and the search never invents anything: order 1 has no
-            # degenerate branch, order 2 may legitimately add the root the
-            # closed form skips (K = 1), always verified on construction
-            if n_case == 1:
-                assert len(general) == len(closed)
-            else:
-                assert len(closed) <= len(general) <= 3
+                assert min((case_gap(c, g) for g in general), default=np.inf) <= 1e-7
+            # ... and the search never invents anything
+            assert len(general) == len(closed)
 
     solved = 0
     while solved < 3:

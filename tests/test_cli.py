@@ -131,14 +131,14 @@ def test_reduce_n1_validates_the_draw_first(write_params, capsys, draw):
 
 
 @pytest.mark.parametrize("draw, code, notes", [
-    # alpha = 3: the eigen solver certifies one case
+    # alpha = 3: the closed form certifies one case
     ({"a": -1.5, "alpha": 3.0, "beta": 0.4, "gamma": 1.3, "epsilon": -0.9}, 0, 2),
     # the README's search draw at N = 2: every root is noted
     (dict(ANCHOR_SEARCH, epsilon=1.0), 3, 3),
 ])
 def test_reduce_n2_takes_alpha_or_beta_3(write_params, draw, code, notes):
-    # the order-2 closed form divides by (alpha-3)(beta-3); these draws go
-    # to the eigen solver, as every N >= 3 does
+    # alpha or beta = 3 once divided by zero in the order-2 closed form and
+    # went to the eigen solver; the minors of T need no such exception
     out = run_cli("reduce", "--params", write_params(draw), "--n", "2")
     assert out.returncode == code
     payload = json.loads(out.stdout)
@@ -155,7 +155,8 @@ def test_reduce_n2_takes_alpha_or_beta_3(write_params, draw, code, notes):
 
 @pytest.mark.parametrize("draw, n, rows", [
     ({k: v for k, v in N2_FULL.items() if k not in ("q", "delta")}, "2",
-     ["2,2,5.249999999999984,-1.5916079783099404;-0.4083920216900435,True"]),
+     ["2,1,4.250000000000003,-0.8162277660168413;-0.18377223398316134,True",
+      "2,2,5.250000000000006,-1.59160797830997;-0.4083920216900363,True"]),
     (NO_ROOT_SEARCH, "1", []),
 ])
 def test_reduce_csv_matches_json(write_params, capsys, draw, n, rows):
@@ -862,12 +863,11 @@ def test_reduce_extreme_draw_notes_every_root(write_params, capsys):
 @pytest.mark.parametrize("draw, n, notes", [
     ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 2.6}, 0,
      ["root q = 6e+149 dropped: the certificate failed (A_top gap 6.36e+134)"]),
-    # the second note's defect does exceed its bound: its text stays
     ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 1.6}, 1,
-     ["root q = 1.2000000000000002e+150 dropped: the certificate failed "
-      "(A_top gap 4.65e+283)",
-      "root q = 1.5999999999999999e+150 dropped: ill-conditioned in double "
-      "(50-row three-term defect 8.16e-02 > 1e-09)"]),
+     ["root q = 1.2000000000000007e+150 dropped: the certificate failed "
+      "(A_top gap 9.29e+282)",
+      "root q = 1.599999999999999e+150 dropped: the certificate failed "
+      "(A_top gap 3.18e+134)"]),
 ])
 def test_drop_note_names_the_failed_check(write_params, capsys, draw, n, notes):
     # the defects were 1.97e-16 and 3.77e-16, which the note put above 1e-09

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tridiagonal
-from conftest import degree_claim_defect, identity_at
+from conftest import case_gap, degree_claim_defect, identity_at
 from heunx import (HeunParams, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
                    collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
@@ -18,7 +18,8 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
 from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _draw, _drop,
-                             _forward_difference, _pencil, _polish, _q_polynomial)
+                             _forward_difference, _pencil, _polish, _q_polynomial,
+                             _tridiagonal)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
@@ -29,9 +30,9 @@ N1_DRAW = (2.0, 0.5, 1.7, 0.6)
 N1_NO_ROOT = (-0.5, 0.2, 0.1, 2.0)
 # order-1 draw whose discriminant is exactly 0: the two roots merge
 N1_REPEAT = (-3.0, -1.75, -1.75, -1.5)
-# order-2 draw where one root hits the degenerate e-product relation (K = 1)
+# order-2 draw with a root at q = T[3, 3] = 4.25, where the bottom end of the
+# minors divides by zero (once the K = 1 root of the e-product relation)
 N2_DRAW = (2.0, 2.5, 1.7, 0.6)
-DEGENERATE = "dropped: the e-product relation degenerates (K = 1)"
 # order-2 draw whose cubic has a complex pair of q-roots
 N2_COMPLEX = (0.750572799628002, 2.383282805817453, 1.6541141414711609,
               -1.6487568600564488)
@@ -61,7 +62,7 @@ def test_delta_for_reduction():
     # every order-N case carries delta = N+2; a negative order is rejected
     draw = (2.0, 2.5, 1.7, 0.6)
     assert [c.params.delta for n in (0, 1, 2) for c in solve(*draw, n)[0]] == [
-        2.0, 3.0, 3.0, 4.0]
+        2.0, 3.0, 3.0, 4.0, 4.0]
     with pytest.raises(PreconditionError):
         solve(*draw, -1)
 
@@ -124,7 +125,7 @@ def test_polish_matches_polyval_step():
     draws = [N1_DRAW, N1_REPEAT, N2_DRAW, N2_COMPLEX] + [_box_draw(s) for s in range(60)]
     for draw in draws:
         for n_case in (1, 2):
-            coeffs = _q_polynomial(_draw(*draw, n_case), n_case)
+            coeffs = _q_polynomial(*_tridiagonal(_draw(*draw, n_case), n_case))
             for root in np.roots(coeffs).real.tolist():
                 for x in (root, root * (1.0 + 1e-9), root + 1e-3):
                     assert (repr(_polish(coeffs, x))
@@ -167,22 +168,23 @@ def test_infinite_identity_value_fails_verification(monkeypatch):
 
 
 def test_N2_roots_satisfy_cubic_and_e_relations():
-    a, alpha, beta, gamma = N2_DRAW
+    # P(n) = (n + e_1)(n + e_2) = n^2 - (1 + D_1) n + D_2 / 2, with D_1 and
+    # D_2 the exact leading principal minors of qI - T at the double q
     cases, notes = _with_notes(q_candidates_N2, *N2_DRAW)
-    assert any(DEGENERATE in note for note in notes)
-    assert 1 <= len(cases) <= 3
+    assert len(cases) == 2
+    assert notes == ["root q = 3.2499999999999942 dropped: the e_k include a complex pair"]
     coeffs = _exact_q_polynomial(N2_DRAW, 2)
+    diag, upper, lower = tridiagonal.entries(*N2_DRAW, 2, Fraction)
     for case in cases:
         q = case.params.q
         resid = abs(_exact_value(coeffs, q))
         scale = max(abs(float(c)) * abs(q) ** (3 - i) for i, c in enumerate(coeffs))
         assert resid <= 1e-9 * max(scale, 1.0)
         e1, e2 = case.e_list
-        s = -q + a * (2.0 + gamma) - 3.0 + (alpha - 1.0) * (beta - 1.0)
-        k = ((-q + a * (alpha - 3.0) * (beta - 3.0) + 3.0 * a * gamma)
-             / ((a - 1.0) * (alpha - 3.0) * (beta - 3.0)))
-        assert e1 + e2 == pytest.approx(s, rel=1e-10, abs=1e-10)
-        assert (e1 + 1.0) * (e2 + 1.0) / (e1 * e2) == pytest.approx(k, rel=1e-10)
+        d1 = Fraction(q) - diag[0]
+        d2 = (Fraction(q) - diag[1]) * d1 - upper[0] * lower[0]
+        assert e1 + e2 == pytest.approx(float(-1 - d1), rel=1e-10, abs=1e-10)
+        assert e1 * e2 == pytest.approx(float(d2 / 2), rel=1e-10)
 
 
 def _cube_draw(seed):
@@ -196,7 +198,7 @@ def test_closed_form_q_is_near_the_exact_root(n_case, bound):
     # each returned q against the root q* of the exact det(qI - T) that a
     # 40-digit findroot reaches from it. The median of |q - q*| / max(|q*|, 1)
     # over 150 draws from the benchmark's box and 150 from [-3, 3]^4 reads
-    # 1.6e-16 at N = 1 and 3.2e-16 at N = 2; the N = 2 bound rejects the
+    # 1.1e-16 at N = 1 and 2.4e-16 at N = 2; the N = 2 bound rejects the
     # 5.8e-16 of the cubic expanded by hand in monomials of a, alpha, beta, gamma
     solver = (q_candidates_N1, q_candidates_N2)[n_case - 1]
     errors = []
@@ -216,15 +218,47 @@ def test_closed_form_q_is_near_the_exact_root(n_case, bound):
     assert np.median(errors) <= bound, np.median(errors)
 
 
+def _matches_general(solver, draw, n_case):
+    """Assert that the closed form returns the eigen solver's cases, within
+    1e-9, and drops each other root for the same reason; its (cases, notes)."""
+    closed, closed_notes = _with_notes(solver, *draw)
+    general, general_notes = _with_notes(solve_reduction_general, *draw, n_case)
+    assert len(closed) == len(general)
+    for c, g in zip(closed, general):
+        assert case_gap(c, g) <= 1e-9
+    assert ([note.split(" dropped: ")[1] for note in closed_notes]
+            == [note.split(" dropped: ")[1] for note in general_notes])
+    return closed, closed_notes
+
+
 @pytest.mark.parametrize("args", [
-    ((2.0, 3.0, 1.7, 0.6), PreconditionError),   # alpha = 3
-    ((2.0, 2.5, 3.0, 0.6), PreconditionError),   # beta = 3
+    ((2.0, 3.0, 1.7, 0.6), None),                # alpha = 3
+    ((2.0, 2.5, 3.0, 0.6), None),                # beta = 3
     ((1.0, 2.5, 1.7, 0.6), ValidationError),     # a = 1: the draw is invalid
 ])
 def test_N2_closed_form_preconditions(args):
+    # alpha or beta = 3 is no precondition: the closed form returns the
+    # eigen solver's cases and drops each other root for the same reason
     draw, error = args
-    with pytest.raises(error):
-        q_candidates_N2(*draw)
+    if error is None:
+        _matches_general(q_candidates_N2, draw, 2)
+    else:
+        with pytest.raises(error):
+            q_candidates_N2(*draw)
+
+
+@pytest.mark.parametrize("solver, draw, n_case, q", [
+    # q = T[2, 2]: the bottom end would divide by zero
+    (q_candidates_N1, (2.0, 2.0, 1.7, 0.6), 1, 2.4),
+    # q = T[1, 1]: D_1 = 0, which the bottom end would divide by
+    (q_candidates_N2, (2.0, 2.0, -2.5, 2.5), 2, 3.5),
+])
+def test_closed_form_where_a_root_is_a_diagonal_entry(solver, draw, n_case, q):
+    # alpha = 2 zeroes T[1, 2] T[2, 1], so a q-root lands exactly on a
+    # diagonal entry of T; the closed form still gives the eigen solver's
+    # cases and drops each other root for the same reason
+    closed, notes = _matches_general(solver, draw, n_case)
+    assert q in [c.params.q for c in closed] + [float(note.split()[3]) for note in notes]
 
 
 def test_verify_report_anchor():
@@ -331,16 +365,11 @@ def test_general_solver_matches_N1_closed_form():
 
 
 def test_general_solver_recovers_degenerate_N2_root():
-    # the closed form skips the K = 1 root; collocation has no such blind spot
-    closed, notes = _with_notes(q_candidates_N2, *N2_DRAW)
-    assert any(DEGENERATE in note for note in notes)
-    general = solve_reduction_general(*N2_DRAW, 2)
-    assert len(general) > len(closed)
-    closed_qs = [c.params.q for c in closed]
-    general_qs = [c.params.q for c in general]
-    for q in closed_qs:
-        assert min(abs(q - g) for g in general_qs) < 1e-9
-    assert all(c.report.passed for c in general)
+    # the root q = T[3, 3] = 4.25, where the bottom end of the minors (once
+    # the K relation) divides by zero, is a case of both solvers
+    closed, _ = _matches_general(q_candidates_N2, N2_DRAW, 2)
+    assert len(closed) == 2
+    assert min(abs(c.params.q - 4.25) for c in closed) < 1e-9
 
 
 def test_general_solver_no_solution():
@@ -413,7 +442,7 @@ def test_general_solver_accounts_for_every_root(n_case):
     for case in cases:
         assert _fifty_row_defect(case) <= GENERAL_TOL
     if n_case == 2:
-        assert min(abs(q - 4.25) for q in qs) < 1e-9   # the K = 1 root
+        assert min(abs(q - 4.25) for q in qs) < 1e-9   # q = T[3, 3]
     if n_case == 4:
         assert min(abs(q - 20.084068) for q in qs) < 1e-5
 

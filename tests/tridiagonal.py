@@ -10,15 +10,19 @@ coefficient of t^-m in w u'' + wp u' + (alpha beta z - q) u + C reads
     T[m+1, m] = m (1-a)(delta-m-1)
 
 so every q-root of the order-N search is an eigenvalue of T, and the t^0
-coefficient gives C = (1-alpha)(1-beta) B_1. The entries are built in
-floats or, from the exact doubles, in fractions.Fraction; det(qI - T)
-follows from the three-term determinant recurrence, and sturm_count counts
-its distinct real roots exactly.
+coefficient gives C = (1-alpha)(1-beta) B_1. The leading principal minors
+D_m(q) of qI - T also give the e_k, as the negated roots of
+P(n) = prod_k (n + e_k) = sum_m (-1)^m D_m(q) / m! n(n-1)...(n-N+m+1).
+The entries are built in floats or, from the exact doubles, in
+fractions.Fraction; det(qI - T) and the D_m follow from the three-term
+determinant recurrence, and sturm_count counts the distinct real roots of
+det(qI - T) exactly.
 
-The N <= 2 closed forms expand the same det(qI - T) in floats
-(reduction._q_polynomial), so for them T is no independent oracle: there
+The N <= 2 closed forms take both q and the e_k from the same T in floats
+(reduction._closed_form), so for them T is no independent oracle: there
 the independent checks are the reduction certificate and criterion 5, the
-eigen solver reproducing every closed-form case.
+eigen solver, which works on the recurrence collocation, reproducing every
+closed-form case.
 """
 
 import math
@@ -64,6 +68,28 @@ def char_poly(a, alpha, beta, gamma, n_case) -> list:
             nxt[k] -= u * l * c
         prev, cur = cur, nxt
     return cur
+
+
+def p_polynomial(a, alpha, beta, gamma, n_case, q) -> list:
+    """P(n) = prod_k (n + e_k) of the order-N case at the double q, in
+    Fraction, lowest degree first:
+
+        P(n) = sum_m (-1)^m D_m(q) / m! n(n-1)...(n-N+m+1)
+
+    with D_m(q) the leading principal minors of qI - T, by the recurrence of
+    char_poly at the exact q."""
+    diag, upper, lower = entries(a, alpha, beta, gamma, n_case, Fraction)
+    q = Fraction(q)
+    dets = [Fraction(1), q - diag[0]]
+    for d, u, l in zip(diag[1:], upper, lower):
+        dets.append((q - d) * dets[-1] - u * l * dets[-2])
+    p, falling = [Fraction(0)] * (n_case + 1), [Fraction(1)]
+    for k in range(n_case + 1):     # falling = n(n-1)...(n-k+1)
+        m = n_case - k
+        for i, c in enumerate(falling):
+            p[i] += (-1) ** m * dets[m] / math.factorial(m) * c
+        falling = _mul_linear(falling, k)
+    return p
 
 
 def _trim(p):
