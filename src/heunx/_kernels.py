@@ -12,13 +12,8 @@ to right. The three-term fills take R_n, Q_n and P_n as arrays over the
 indices their loop visits, raise where the loop would first raise, and run
 the recurrence itself over Python floats, as the loop did. Each inner 2F1
 series is one scalar loop (_f21_series), which f21_with_derivs runs over
-the n of expansion_core's one point. Where the arrays would be small, a
-scalar loop replaces the array kernels and keeps their bits:
-stream_defect runs two_term_ratio_stream and recurrence_residual_rows
-row by row for the reduction certificate's 50 rows, mapping a NaN row
-(which np.max propagates and Python's max drops) and a division by zero
-to inf. tests/test_kernels.py holds the scalar loops as references, and
-tests/conftest.py the scalar P_n they take.
+the n of expansion_core's one point. tests/test_kernels.py holds the
+scalar loops as references, and tests/conftest.py the scalar P_n they take.
 
 _f21_series is also the tests' one entry point for a single 2F1 and its
 derivatives. Rising factorials of integer order are finite products (poch,
@@ -222,51 +217,6 @@ def recurrence_residual_rows(a, q, al, be, ga, de, ep, values):
     return rows
 
 
-def stream_defect(a, q, al, be, ga, de, ep, es, nmax, n0):
-    """max(recurrence_residual_rows(two_term_ratio_stream(...))[2:]) with the
-    ratio stream of (ga+ep, ga+ep-al, ga+ep-be, es) to nmax >= 2, run row by
-    row over Python floats with the bits of those two kernels; inf where
-    that max is NaN or inf, as it is wherever a division by zero would put
-    one into the stream or a row."""
-    g = ga + ep
-    x1, x2 = g - al, g - be
-    c = [1.0]
-    worst = 0.0
-    try:
-        for k in range(1, nmax + 1):
-            n = float(k)
-            if k < n0:
-                ratio = (x1 + (n - 1.0)) * (x2 + (n - 1.0)) / ((g + (n - 1.0)) * n)
-                for e in es:
-                    ratio *= (e + n) / (e + (n - 1.0))
-                c.append(c[-1] * ratio)
-            else:
-                c.append(0.0)
-            if k < 2:
-                continue
-            m = n - 2.0
-            f1, f2 = m + g - al, m + g - be
-            f1 = 0.0 if abs(f1) < INT_SNAP else f1
-            f2 = 0.0 if abs(f2) < INT_SNAP else f2
-            r = coeff_r(n, a, ga, ep)
-            qn = coeff_q(n - 1.0, a, q, al, be, ga, de, ep)
-            p = -a / (m + g) * (m + ep) * f1 * f2
-            t1, t2, t3 = r * c[k], qn * c[k - 1], p * c[k - 2]
-            scale = abs(t1) + abs(t2) + abs(t3)
-            if scale == math.inf:
-                s = 2.0 ** -64
-                t1, t2, t3 = r * (c[k] * s), qn * (c[k - 1] * s), p * (c[k - 2] * s)
-                scale = abs(t1) + abs(t2) + abs(t3)
-            row = abs(t1 + t2 + t3) / (scale + TINY)
-            if row > worst:
-                worst = row
-            elif row != row:
-                return math.inf
-    except ZeroDivisionError:
-        return math.inf
-    return worst
-
-
 _PIVOT = "a recurrence pivot R_n or P_n vanished"
 _VANISHES = "n+epsilon+gamma vanishes at n = {!r}"
 _FAILED = "three-term stream generation failed"
@@ -296,13 +246,14 @@ def three_term_stream(a, q, al, be, ga, de, ep, nmax, n0):
         return _certify_init(a, q, al, be, ga, de, ep, c)
 
     # backward (minimal-solution) recursion, seeded at the termination index
-    # when the stream terminates by nmax, else past nmax by a safety buffer
+    # when the stream terminates by nmax + buf, else at that safety buffer
+    # past nmax
     buf = int(math.ceil(52.0 / math.log(rho)))
     if buf < 40:
         buf = 40
     if buf > 2000:
         buf = 2000
-    top = n0 - 1 if n0 <= nmax else nmax + buf
+    top = min(n0 - 1, nmax + buf)
 
     # an interior P zero (epsilon a non-positive integer) below the seed
     # blocks backward propagation; fill that lower block forward instead
@@ -368,10 +319,15 @@ def _backward_fill(a, q, al, be, ga, de, ep, work, start, stop):
 
 def _relation_fails(a, q, al, be, ga, de, ep, c, n):
     """Whether R_n c_n + Q_{n-1} c_{n-1} + P_{n-2} c_{n-2} (no P term at
-    n = 1) exceeds 1e-7 of its terms' magnitudes."""
+    n = 1) exceeds 1e-7 of its terms' magnitudes. With c_1 = 0 the relation
+    at n = 1 is Q_0 c_0 alone, so there the scale is the summands of Q_0,
+    a(1-delta)epsilon, a alpha beta and q, times |c_0|."""
     r, qn, p, _ = _relation_rows(np.array([float(n)]), a, q, al, be, ga, de, ep)
     t = (r[0] * c[n], qn[0] * c[n - 1], p[0] * c[n - 2] if n > 1 else 0.0)
-    return abs(t[0] + t[1] + t[2]) > 1e-7 * (abs(t[0]) + abs(t[1]) + abs(t[2]) + TINY)
+    scale = abs(t[0]) + abs(t[1]) + abs(t[2])
+    if n == 1 and c[1] == 0.0:
+        scale = (abs(a * (1.0 - de) * ep) + abs(a * al * be) + abs(q)) * abs(c[0])
+    return abs(t[0] + t[1] + t[2]) > 1e-7 * (scale + TINY)
 
 
 def _certify_init(a, q, al, be, ga, de, ep, c):

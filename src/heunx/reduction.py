@@ -27,11 +27,11 @@ _accept, so each of the N+1 roots comes back as a case or as one
 "root q = ... dropped: <reason>" note. solve picks the solver for an order.
 
 verify_reduction runs once per accepted root and once per case a command
-builds, on a handful of nodes and 50 rows, where a numpy call costs more
-than its arithmetic. So it runs over Python floats, with the bits of the
-array kernels: identity_terms once per node, and the stream defect as one
-scalar kernel (_kernels.stream_defect). _polish is Horner's rule over
-floats, with np.polyval's bits.
+builds. On its handful of nodes a numpy call costs more than its
+arithmetic, so it takes identity_terms once per node over Python floats.
+Its 50-row stream defect comes from the array kernels behind the residual
+column of `coeffs` (two_term_ratio_stream, recurrence_residual_rows).
+_polish is Horner's rule over floats, with np.polyval's bits.
 """
 
 from __future__ import annotations
@@ -89,9 +89,11 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     1). The values at n = 0..N+1 give the forward-difference leading
     coefficient a_top, reported with how far it sits from its closed form
     2+N-delta. Also takes the largest scale-free three-term defect of the
-    ratio stream c_0..c_50 (_kernels.stream_defect), the quantity `verify`
-    reports as its recurrence residual; inf when the stream leaves the
-    floats, as it does at a non-positive integer e_k.
+    ratio stream c_0..c_50 (_kernels.two_term_ratio_stream and
+    recurrence_residual_rows, as `coeffs` takes its residual column), the
+    quantity `verify` reports as its recurrence residual; inf when a row is
+    NaN or inf, as it is where the stream leaves the floats or divides by
+    zero at a non-positive integer e_k.
     Passes iff all three hold: every identity value finite and within its
     bound, the gap within A_TOP_TOL and the defect within VERIFY_TOL;
     `failed` names the others.
@@ -111,8 +113,14 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
                     for v, (t1, t2, t3) in zip(lhs[1:], terms[1:]))
     a_top = _forward_difference(lhs, n_case + 1)
     a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
-    defect = _kernels.stream_defect(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
-                                    p.epsilon, es, STREAM_ROWS, termination_index(p))
+    g = p.gamma + p.epsilon
+    with np.errstate(all="ignore"):  # a row past the floats reads as inf below
+        c = _kernels.two_term_ratio_stream(g, g - p.alpha, g - p.beta, es,
+                                           STREAM_ROWS, termination_index(p))
+        rows = _kernels.recurrence_residual_rows(p.a, p.q, p.alpha, p.beta, p.gamma,
+                                                 p.delta, p.epsilon, c)
+    defect = float(np.max(rows[2:]))  # np.max propagates a NaN
+    defect = defect if math.isfinite(defect) else math.inf
     # a name is formatted only for a check that fails
     checks = (("identity values", colloc_ok),
               ("A_top gap {0:.2e}", a_top_gap <= A_TOP_TOL),

@@ -434,6 +434,21 @@ def test_verify_takes_no_tuning_options(write_params, capsys, full, e):
             == checks["collocation"]["stream_defect"])
 
 
+@pytest.mark.parametrize("rel", [0.0, 1e-7])
+def test_verify_recurrence_residual_is_the_coeffs_residual(write_params, capsys, rel):
+    # the certificate's defect is the largest residual column entry of the
+    # ratio stream's rows 2..50, on the case and with q moved off it
+    path = write_params({**N2_FULL, "q": N2_FULL["q"] * (1.0 + rel)})
+    heunx.cli.main(["verify", "--params", path, "--e=" + N2_E])
+    value = json.loads(capsys.readouterr().out)["checks"]["recurrence_residual"]["value"]
+    assert heunx.cli.main(["coeffs", "--params", path, "--e=" + N2_E, "--source",
+                           "ratio", "--n-max", "50", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["n"] for r in rows] == list(range(51))
+    assert value == max(r["residual"] for r in rows[2:])
+    assert (value > 1e-9) == (rel > 0.0)
+
+
 def test_residual_rejects_singular_point(write_params):
     path = write_params(ANCHOR_FULL)
     out = run_cli("residual", "--params", path, "--z", "0.0")

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import coeff_p
-from heunx import (DivisionByZeroError, HeunParams, NonConvergenceError,
-                   NumericalError, _kernels, q_candidates_N0, q_candidates_N1,
-                   q_candidates_N2, solve_reduction_general)
+from heunx import (DivisionByZeroError, NonConvergenceError, NumericalError,
+                   _kernels, q_candidates_N0, q_candidates_N1, q_candidates_N2,
+                   solve_reduction_general)
 from heunx._kernels import RHO_SWITCH
-from heunx.params import is_nonpos_int, params_to_dict
+from heunx.params import is_nonpos_int
 from heunx.recurrence import NO_TERMINATION, termination_index
 
 
@@ -271,7 +271,7 @@ def _three_term_by_rows(a, q, al, be, ga, de, ep, nmax, n0):
             _forward_by_rows(a, q, al, be, ga, de, ep, c, nmax)
         return _kernels._certify_init(a, q, al, be, ga, de, ep, c)
     buf = min(max(int(math.ceil(52.0 / math.log(rho))), 40), 2000)
-    top = n0 - 1 if n0 <= nmax else nmax + buf
+    top = min(n0 - 1, nmax + buf)
     jstar = -1
     if is_nonpos_int(ep) and -round(ep) < top:
         jstar = -round(ep)
@@ -351,20 +351,19 @@ def test_fills_match_scalar_loops(fill_paths, path, nmax):
     assert is_nonpos_int(p.epsilon) == (path in ("split", "terminating"))
     assert (termination_index(p) < NO_TERMINATION) == (path == "terminating")
     want = _same_outcome(_stream_args(p, nmax))
-    if path != "terminating" or nmax > 2:
-        assert not isinstance(want, tuple)
-        assert len(want) == nmax + 1
+    assert not isinstance(want, tuple)
+    assert len(want) == nmax + 1
 
 
-def test_fills_past_an_unseeded_termination_raise_like_the_loops():
-    # for nmax < n0 = 4 the backward seed sits at nmax + buf, past the
-    # exact zero of P, so both raise on the pivot; from nmax = n0 on both run
+def test_fills_short_of_a_termination_seed_at_it_like_the_loops():
+    # for nmax < n0 = 4 the backward seed sits at n0 - 1, as from nmax = n0
+    # on, so each shorter stream is the head of the nmax = 4 one
     p = _n3_terminating()
     assert termination_index(p) == 4
+    full = _same_outcome(_stream_args(p, 4))
+    assert full[4] == 0.0 and np.all(full[1:4] != 0.0)
     for nmax in (1, 2, 3):
-        assert _same_outcome(_stream_args(p, nmax)) == (
-            DivisionByZeroError, _kernels._PIVOT)
-    assert not isinstance(_same_outcome(_stream_args(p, 4)), tuple)
+        assert np.array_equal(_same_outcome(_stream_args(p, nmax)), full[:nmax + 1])
 
 
 @pytest.mark.parametrize("a, ga, ep, text", [
@@ -381,75 +380,3 @@ def test_fill_errors_match_scalar_loops(a, ga, ep, text):
     for nmax in (5, 50):
         args = (a, q, al, be, ga, de, ep, nmax, NO_TERMINATION)
         assert _same_outcome(args) == (DivisionByZeroError, text)
-
-
-def _defect_by_arrays(a, q, al, be, ga, de, ep, es, nmax, n0):
-    """The largest row n >= 2 of the array kernels, NaN and inf as inf."""
-    g = ga + ep
-    with np.errstate(all="ignore"):
-        c = _kernels.two_term_ratio_stream(g, g - al, g - be,
-                                           np.asarray(es, dtype=np.float64), nmax, n0)
-        rows = _kernels.recurrence_residual_rows(a, q, al, be, ga, de, ep, c)
-    worst = float(np.max(rows[2:]))  # np.max propagates a NaN
-    return worst if math.isfinite(worst) else math.inf
-
-
-def _defect_args(p, es, q=None):
-    return (p.a, p.q if q is None else q, p.alpha, p.beta, p.gamma, p.delta,
-            p.epsilon, tuple(es), 50, termination_index(p))
-
-
-def test_stream_defect_matches_array_rows(random_cases):
-    # each case plain, with q moved 1e-7 relative and with e_1 scaled by
-    # 1.01: the scalar rows are the array rows' arithmetic in their order
-    failing = 0
-    for case in random_cases:
-        p, es = case.params, case.e_list
-        points = [_defect_args(p, es), _defect_args(p, es, q=p.q * (1.0 + 1e-7))]
-        if es:
-            points.append(_defect_args(p, (es[0] * 1.01, *es[1:])))
-        for args in points:
-            got = _kernels.stream_defect(*args)
-            assert got == _defect_by_arrays(*args)
-            failing += got > 1e-9
-    assert failing >= 100  # the moved points fail the certificate's bound
-
-
-def test_stream_defect_edge_rows():
-    n2 = q_candidates_N2(2.0, 2.5, 1.7, 0.6)[0]
-    terminating = q_candidates_N0(2.0, 2.3, 1.0, 0.9)[0].params
-    assert termination_index(terminating) == 1
-    # alpha 3e-13 off: P_0's factor g - alpha is snapped to an exact zero
-    near = HeunParams(**{**params_to_dict(terminating), "alpha": 2.3 + 3e-13})
-    # a tiny e_1 takes c_n near 1e305: |t1| + |t2| + |t3| overflows at rows
-    # 3 to 5, and the largest defect is one of those rows taken again
-    al, be, ga, ep = -1.42, 2.67, -0.59, -0.32
-    overflow = (2.68, -0.14, al, be, ga, 1.0 + al + be - ga - ep, ep, (1e-305,),
-                50, NO_TERMINATION)
-    # a generic stream growing like n^40, taken past the floats at n = 29
-    # by a tiny e_1; the rows before stay finite
-    al, be, ga, ep = -20.0, -20.5, 0.5, 0.5
-    growing = (2.0, 1.5, al, be, ga, 1.0 + al + be - ga - ep, ep, (1e-280,), 50,
-               NO_TERMINATION)
-    cases = {
-        "terminating": _defect_args(terminating, ()),
-        "near termination": _defect_args(near, ()),
-        "n3 terminating": _defect_args(_n3_terminating(), (1.5, 2.5, 3.5)),
-        # e_1 = -2 divides by zero in the ratio at n = 3
-        "pole e": _defect_args(n2.params, (-2.0, n2.e_list[1])),
-        "overflow": overflow,
-        "nan": growing,
-    }
-    got = {k: _kernels.stream_defect(*args) for k, args in cases.items()}
-    assert got == {k: _defect_by_arrays(*args) for k, args in cases.items()}
-    assert got["terminating"] == got["near termination"] == 0.0
-    assert got["pole e"] == got["nan"] == math.inf
-    assert got["overflow"] == 0.1949951615223444
-    g = ga + ep
-    with np.errstate(all="ignore"):
-        c = _kernels.two_term_ratio_stream(g, g - al, g - be, [1e-280], 50,
-                                           NO_TERMINATION)
-        rows = _kernels.recurrence_residual_rows(*growing[:7], c)
-    # the first NaN row comes late, so Python's max would drop it
-    assert np.isnan(rows[29]) and np.isfinite(rows[2:29]).all()
-    assert math.isfinite(max(rows[2:].tolist()))

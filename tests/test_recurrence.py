@@ -9,8 +9,8 @@ import heunx._kernels
 import heunx.cli
 from conftest import coeff_p
 from heunx import (CoefficientSource, DivisionByZeroError,
-                   HeunParams, PoleError, PreconditionError, ValidatedHeunParams,
-                   params_to_dict, q_candidates_N0, q_candidates_N2,
+                   HeunParams, PoleError, PreconditionError, ReductionCase,
+                   ValidatedHeunParams, params_to_dict, q_candidates_N0, q_candidates_N2,
                    residual_rows, solve_reduction_general, termination_index,
                    three_term_coefficients, two_term_coefficients)
 from heunx._kernels import _relation_rows, coeff_q, coeff_r
@@ -153,6 +153,30 @@ def test_terminating_backward_stream_splits_at_interior_P_zero():
     factored = two_term_coefficients(p, case.e_list, 50)
     assert np.max(np.abs(direct - factored)) <= 1e-12 * np.max(np.abs(factored))
     assert all(v == 0.0 for v in direct[4:])
+
+
+# certified order-0 cases with n0 = 1 (gamma + epsilon is beta, alpha), on
+# the backward and the forward path: c_1 = 0, so the relation at n = 1 is
+# Q_0 c_0 alone, and Q_0 rounds to a few eps of its summands, not to 0
+N0_ENDS_AT_1 = {
+    "backward": dict(a=3.0, q=3.9000000000000004, alpha=1.0, beta=0.8, gamma=1.3,
+                     delta=2.0, epsilon=-0.5000000000000002),
+    "forward": dict(a=-1.5, q=-0.8999999999999999, alpha=2.5, beta=1.0, gamma=0.6,
+                    delta=2.0, epsilon=1.9),
+}
+
+
+@pytest.mark.parametrize("path", ["backward", "forward"])
+def test_three_term_stream_ending_at_n0_1(path):
+    # the n = 1 relation is measured against Q_0's summands, so the stream
+    # ends at c_1 = 0 as the two-term one does
+    case = ReductionCase(HeunParams(**N0_ENDS_AT_1[path]), ())
+    p = case.params
+    assert termination_index(p) == 1
+    assert (abs(p.a / (p.a - 1.0)) > heunx._kernels.RHO_SWITCH) == (path == "backward")
+    direct = three_term_coefficients(p, 50)
+    assert np.array_equal(direct, two_term_coefficients(p, (), 50))
+    assert direct[0] == 1.0 and not direct[1:].any()
 
 
 def test_no_termination_for_anchor():

@@ -1,5 +1,6 @@
 """Reduction identity, closed-form q-conditions, and the general solver."""
 
+import math
 import random
 import re
 from dataclasses import replace
@@ -15,7 +16,7 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
                    collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
-                   two_term_coefficients, verify_reduction)
+                   termination_index, two_term_coefficients, verify_reduction)
 from heunx import HeunxError, _kernels
 from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _draw, _drop,
                              _forward_difference, _pencil, _polish, _q_polynomial,
@@ -283,6 +284,36 @@ def test_leading_coefficient_tracks_delta():
     assert not report.passed
     assert report.a_top == pytest.approx(-0.01, abs=1e-9)
     assert report.a_top_gap < 1e-9
+
+
+def test_certificate_defect_edge_rows():
+    terminating = q_candidates_N0(2.0, 2.3, 1.0, 0.9)[0].params
+    assert termination_index(terminating) == 1
+    # alpha 3e-13 off: P_0's factor g - alpha is snapped to an exact zero
+    near = HeunParams(**{**params_to_dict(terminating), "alpha": 2.3 + 3e-13})
+    n2 = q_candidates_N2(*N2_DRAW)[0]
+
+    def params(a, q, al, be, ga, ep):
+        return HeunParams(a=a, q=q, alpha=al, beta=be, gamma=ga,
+                          delta=1.0 + al + be - ga - ep, epsilon=ep)
+
+    defect = {
+        "terminating": verify_reduction(terminating, ()).stream_defect,
+        "near termination": verify_reduction(near, ()).stream_defect,
+        # e_1 = -2 divides by zero in the ratio at n = 3
+        "pole e": verify_reduction(n2.params, (-2.0, n2.e_list[1])).stream_defect,
+        # a tiny e_1 takes c_n near 1e305: |t1| + |t2| + |t3| overflows at
+        # rows 3 to 5, and the largest defect is one of those rows taken again
+        "overflow": verify_reduction(params(2.68, -0.14, -1.42, 2.67, -0.59, -0.32),
+                                     (1e-305,)).stream_defect,
+        # a generic stream growing like n^40, taken past the floats at n = 29
+        # by a tiny e_1: the NaN rows come after finite ones
+        "late nan": verify_reduction(params(2.0, 1.5, -20.0, -20.5, 0.5, 0.5),
+                                     (1e-280,)).stream_defect,
+    }
+    assert defect == {"terminating": 0.0, "near termination": 0.0,
+                      "pole e": math.inf, "overflow": 0.1949951615223444,
+                      "late nan": math.inf}
 
 
 def test_report_is_the_array_identity(random_cases):
