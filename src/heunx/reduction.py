@@ -22,15 +22,16 @@ so the certificate also checks the three-term relation on 50 coefficients.
 Every solver first validates its draw once (_draw), before any root is
 sought: no invariant reads q, so an invalid draw raises ValidationError at
 every N, and each root's params are the draw with its q. The closed forms of
-N <= 2 and the eigen solver hand every real root to one acceptance routine,
-_accept, so each of the N+1 roots comes back as a case or as one
+N <= 2 and the eigen solver hand every real root, with its e_k, to one
+acceptance routine, _accept, which alone drops a complex e-pair and a
+near-repeat, so each of the N+1 roots comes back as a case or as one
 "root q = ... dropped: <reason>" note. solve picks the solver for an order.
 
 verify_reduction runs once per accepted root and once per case a command
 builds. On its handful of nodes a numpy call costs more than its
 arithmetic, so it takes identity_terms once per node over Python floats.
-Its 50-row stream defect comes from the array kernels behind the residual
-column of `coeffs` (two_term_ratio_stream, recurrence_residual_rows).
+Its 50-row stream defect comes from the functions behind the residual
+column of `coeffs` (_kernels.two_term_ratio_stream, recurrence.residual_rows).
 _polish is Horner's rule over floats, with np.polyval's bits.
 """
 
@@ -45,7 +46,7 @@ from . import _kernels
 from .errors import NumericalError, PreconditionError
 from .params import (HeunParams, ValidatedHeunParams, check_order,
                      is_nonpos_int, require_valid)
-from .recurrence import termination_index
+from .recurrence import residual_rows, termination_index
 
 VERIFY_TOL = 1e-9       # collocation pass threshold, relative to summand scale
 A_TOP_TOL = 1e-8        # leading-coefficient agreement with 2+N-delta
@@ -90,7 +91,7 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     coefficient a_top, reported with how far it sits from its closed form
     2+N-delta. Also takes the largest scale-free three-term defect of the
     ratio stream c_0..c_50 (_kernels.two_term_ratio_stream and
-    recurrence_residual_rows, as `coeffs` takes its residual column), the
+    recurrence.residual_rows, as `coeffs` takes its residual column), the
     quantity `verify` reports as its recurrence residual; inf when a row is
     NaN or inf, as it is where the stream leaves the floats or divides by
     zero at a non-positive integer e_k.
@@ -117,9 +118,7 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     with np.errstate(all="ignore"):  # a row past the floats reads as inf below
         c = _kernels.two_term_ratio_stream(g, g - p.alpha, g - p.beta, es,
                                            STREAM_ROWS, termination_index(p))
-        rows = _kernels.recurrence_residual_rows(p.a, p.q, p.alpha, p.beta, p.gamma,
-                                                 p.delta, p.epsilon, c)
-    defect = float(np.max(rows[2:]))  # np.max propagates a NaN
+        defect = float(np.max(residual_rows(p, c)[2:]))  # np.max propagates a NaN
     defect = defect if math.isfinite(defect) else math.inf
     # a name is formatted only for a check that fails
     checks = (("identity values", colloc_ok),
@@ -177,24 +176,36 @@ def _drop(notes: list, q, why: str) -> None:
     notes.append(f"root q = {q!r} dropped: {why}")
 
 
-def _accept(params: HeunParams, es: tuple, idx: int, tol: float,
-            notes: list) -> list:
-    """[the case at (params, es)] when no e_k is a non-positive integer and
-    the certificate passes with a 50-row defect of at most tol; else [] and
-    one _drop note with the reason: the defect when it exceeds tol, else
-    the checks the certificate failed."""
-    if any(is_nonpos_int(e) for e in es):
-        _drop(notes, params.q, "an e_k is a non-positive integer")
-        return []
-    report = verify_reduction(params, es)
-    if report.passed and report.stream_defect <= tol:
-        return [ReductionCase(params, es, idx, report=report)]
-    if report.stream_defect > tol:
-        _drop(notes, params.q, f"ill-conditioned in double ({STREAM_ROWS}-row three-term "
-                               f"defect {report.stream_defect:.2e} > {tol:.0e})")
+def _real(es) -> bool:
+    """Whether no e_k has an imaginary part above 1e-9 (1 + |its real part|)."""
+    return all(abs(e.imag) <= 1e-9 * (1.0 + abs(e.real)) for e in es)
+
+
+def _accept(draw: ValidatedHeunParams, q: float, es, idx: int, tol: float,
+            cases: list, notes: list) -> None:
+    """The one decision on the real q-root q, number idx, with the e_k es
+    (complex values allowed). Appends the case at (replace(draw, q=q), es)
+    to cases, or one _drop note with the first reason that holds: the e_k
+    include a complex pair, q is within 1e-12 of the last case's q (a
+    near-repeat), an e_k is a non-positive integer, the 50-row defect
+    exceeds tol, or another check of the certificate failed."""
+    prev = cases[-1].params.q if cases else None
+    if not _real(es):
+        _drop(notes, q, "the e_k include a complex pair")
+    elif prev is not None and abs(q - prev) <= 1e-12 * (1.0 + abs(prev)):
+        _drop(notes, q, f"a near-repeat of root q = {prev!r}")
+    elif any(is_nonpos_int(e.real) for e in es):
+        _drop(notes, q, "an e_k is a non-positive integer")
     else:
-        _drop(notes, params.q, f"the certificate failed ({', '.join(report.failed)})")
-    return []
+        params, es = replace(draw, q=q), tuple(sorted(float(e.real) for e in es))
+        report = verify_reduction(params, es)
+        if report.passed and report.stream_defect <= tol:
+            cases.append(ReductionCase(params, es, idx, report=report))
+        elif report.stream_defect > tol:
+            _drop(notes, q, f"ill-conditioned in double ({STREAM_ROWS}-row three-term "
+                            f"defect {report.stream_defect:.2e} > {tol:.0e})")
+        else:
+            _drop(notes, q, f"the certificate failed ({', '.join(report.failed)})")
 
 
 def case_to_dict(case: ReductionCase) -> dict:
@@ -322,10 +333,9 @@ def _p_polynomial(diag: list, off: list, q: float) -> list:
 
 def _closed_form(a: float, alpha: float, beta: float, gamma: float, n_case: int,
                  notes: list | None = None) -> list:
-    """Order-N reductions, N <= 2: q on each root of det(qI - T), one within
-    1e-12 of the root below it dropped as a near-repeat, polished by one
-    Newton step; the e_k the negated roots of P (_p_polynomial). Each of the
-    N+1 q-roots is a case or one note appended to notes (_accept, _drop)."""
+    """Order-N reductions, N <= 2: q on each root of det(qI - T), polished by
+    one Newton step; the e_k the negated roots of P (_p_polynomial). Each of
+    the N+1 q-roots is a case or one note appended to notes (_accept, _drop)."""
     draw = _draw(a, alpha, beta, gamma, n_case)
     notes = [] if notes is None else notes
     diag, off = _tridiagonal(draw, n_case)
@@ -333,22 +343,10 @@ def _closed_form(a: float, alpha: float, beta: float, gamma: float, n_case: int,
     real, pairs = _roots(coeffs, f"order-{n_case} q")
     for r in pairs:
         _drop(notes, complex(r), "q is complex")
-    qs = []
-    for r in real:
-        if qs and abs(r - qs[-1]) <= 1e-12 * (1.0 + abs(qs[-1])):
-            _drop(notes, r, f"a near-repeat of root q = {qs[-1]!r}")
-        else:
-            qs.append(r)
-
     cases = []
-    for idx, q0 in enumerate(qs):
-        q = _polish(coeffs, q0)
+    for idx, q in enumerate(_polish(coeffs, r) for r in real):
         roots, pairs = _roots(_p_polynomial(diag, off, q), f"order-{n_case} e")
-        if pairs:
-            _drop(notes, q, "the e_k include a complex pair")
-            continue
-        es = tuple(sorted(-r for r in roots))
-        cases += _accept(replace(draw, q=q), es, idx, VERIFY_TOL, notes)
+        _accept(draw, q, [-r for r in roots + pairs], idx, VERIFY_TOL, cases, notes)
     return cases
 
 
@@ -390,12 +388,11 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
 
     The N+1 eigenvalues of the pencil (_pencil) are the q-roots. The e_k of
     a real one are the negated roots of its eigenvector's polynomial, those
-    of all real roots from one _kernels.companion_roots call, then (q, e)
-    is polished by _kernels.newton_general. Returns, sorted by q, the
-    cases whose certificate passes with a 50-row defect of at most
-    GENERAL_TOL. Every other root gets one note in notes with its reason:
-    complex q, a complex e-pair, a non-positive integer e_k, or
-    ill-conditioned in double with its defect.
+    of all real roots from one _kernels.companion_roots call; when they are
+    real, _kernels.newton_general polishes (q, e). Each real root with N
+    finite e_k goes to _accept at tol GENERAL_TOL. Returns the cases,
+    sorted by q; every other root gets one note in notes with its reason:
+    complex q, an infinite e_k, or the one _accept gives.
     """
     if n_case < 0:
         raise PreconditionError("reduction order N must be non-negative")
@@ -405,26 +402,23 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     if not (np.isfinite(big_a).all() and np.isfinite(big_b).all()):
         raise NumericalError(f"the order-{n_case} pencil leaves the floats")
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
-    cases = []
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
     for j in np.flatnonzero(~real):
         _drop(notes, complex(qs[j]), "q is complex")
     order = sorted(np.flatnonzero(real), key=lambda j: qs[j].real)
     # each eigenvector scaled by its largest entry, all columns at once
     xs = vecs[:, order] / vecs[np.argmax(np.abs(vecs[:, order]), axis=0), order]
-    e_roots = _kernels.companion_roots(xs.real[::-1].T)
-    for idx, (j, roots) in enumerate(zip(order, e_roots)):
-        q = float(qs[j].real)
-        roots = roots + (n_case + 2) / 2.0
-        if len(roots) < n_case:
+    cases = []
+    for idx, (j, roots) in enumerate(zip(order, _kernels.companion_roots(xs.real[::-1].T))):
+        q, es = float(qs[j].real), (-(roots + (n_case + 2) / 2.0)).tolist()
+        if len(es) < n_case:
             _drop(notes, q, "an e_k is infinite")
             continue
-        if np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))):
-            _drop(notes, q, "the e_k include a complex pair")
-            continue
-        q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, -roots.real)
-        q, es = float(q), tuple(sorted(float(e) for e in es))
-        cases += _accept(replace(draw, q=q), es, idx, GENERAL_TOL, notes)
+        if _real(es):
+            q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q,
+                                                  [e.real for e in es])
+            es = es.tolist()
+        _accept(draw, float(q), es, idx, GENERAL_TOL, cases, notes)
     return cases
 
 

@@ -3,7 +3,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -387,12 +386,29 @@ def test_general_solver_matches_N0_closed_form():
 
 
 def test_general_solver_matches_N1_closed_form():
-    closed = q_candidates_N1(*N1_DRAW)
-    general = solve_reduction_general(*N1_DRAW, 1)
-    assert len(general) == len(closed)
-    for c, g in zip(closed, general):
-        assert g.params.q == pytest.approx(c.params.q, abs=1e-9)
-        assert g.e_list == pytest.approx(c.e_list, abs=1e-9)
+    for draw in (N1_DRAW, N1_REPEAT):
+        closed = q_candidates_N1(*draw)
+        general = solve_reduction_general(*draw, 1)
+        assert len(general) == len(closed), draw
+        for c, g in zip(closed, general):
+            assert g.params.q == pytest.approx(c.params.q, abs=1e-9)
+            assert g.e_list == pytest.approx(c.e_list, abs=1e-9)
+
+
+def test_both_solvers_write_the_acceptance_notes():
+    # _accept decides every real root of both solvers: the double root of
+    # N1_REPEAT is one case and one near-repeat note, whichever solver
+    closed, closed_notes = _with_notes(q_candidates_N1, *N1_REPEAT)
+    general, general_notes = _with_notes(solve_reduction_general, *N1_REPEAT, 1)
+    assert closed_notes == general_notes == [
+        "root q = 15.5625 dropped: a near-repeat of root q = 15.5625"]
+    (c,), (g,) = closed, general
+    assert (c.params.q, c.q_root_index) == (g.params.q, g.q_root_index) == (15.5625, 0)
+    assert g.e_list == pytest.approx(c.e_list, abs=1e-12)
+    # the eigen solver's complex e-pair note
+    cases, notes = _with_notes(solve_reduction_general, *N2_DRAW, 3)
+    assert [c.q_root_index for c in cases] == [1, 2, 3]
+    assert notes == ["root q = 3.900959604987482 dropped: the e_k include a complex pair"]
 
 
 def test_general_solver_recovers_degenerate_N2_root():
@@ -522,16 +538,13 @@ def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
     for idx, j in enumerate(sorted(np.flatnonzero(real), key=lambda j: qs[j].real)):
         q = float(qs[j].real)
         x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
-        roots = np.roots(x.real[::-1]) + (n_case + 2) / 2.0
-        if len(roots) < n_case:
+        es = -(np.roots(x.real[::-1]) + (n_case + 2) / 2.0)
+        if len(es) < n_case:
             _drop(notes, q, "an e_k is infinite")
             continue
-        if np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots.real))):
-            _drop(notes, q, "the e_k include a complex pair")
-            continue
-        q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, -roots.real)
-        q, es = float(q), tuple(sorted(float(e) for e in es))
-        cases += _accept(replace(draw, q=q), es, idx, GENERAL_TOL, notes)
+        if not np.any(np.abs(es.imag) > 1e-9 * (1.0 + np.abs(es.real))):
+            q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, es.real)
+        _accept(draw, float(q), es, idx, GENERAL_TOL, cases, notes)
     return cases
 
 
