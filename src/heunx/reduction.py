@@ -48,13 +48,13 @@ from .params import (HeunParams, ValidatedHeunParams, check_order,
                      is_nonpos_int, require_valid)
 from .recurrence import residual_rows, termination_index
 
-VERIFY_TOL = 1e-9       # collocation pass threshold, relative to summand scale
+VERIFY_TOL = 1e-10      # identity values (over summand scale) and 50-row defect
 A_TOP_TOL = 1e-8        # leading-coefficient agreement with 2+N-delta
 STREAM_ROWS = 50        # ratio-stream rows c_0..c_50 the certificate checks
-# the general solver returns a root only two decades inside VERIFY_TOL:
+# from N = 3 on, _accept returns a root only a decade inside VERIFY_TOL:
 # rounding alone moves an ill-conditioned root's defect by a decade, so at
 # VERIFY_TOL the returned set would change with the last bit of the input
-GENERAL_TOL = VERIFY_TOL * 1e-2
+GENERAL_TOL = VERIFY_TOL * 0.1
 _PROBE_POINT = 0.3074202960516803  # off-grid, non-integer collocation point
 
 
@@ -181,14 +181,16 @@ def _real(es) -> bool:
     return all(abs(e.imag) <= 1e-9 * (1.0 + abs(e.real)) for e in es)
 
 
-def _accept(draw: ValidatedHeunParams, q: float, es, idx: int, tol: float,
+def _accept(draw: ValidatedHeunParams, q: float, es, idx: int,
             cases: list, notes: list) -> None:
     """The one decision on the real q-root q, number idx, with the e_k es
     (complex values allowed). Appends the case at (replace(draw, q=q), es)
     to cases, or one _drop note with the first reason that holds: the e_k
     include a complex pair, q is within 1e-12 of the last case's q (a
-    near-repeat), an e_k is a non-positive integer, the 50-row defect
-    exceeds tol, or another check of the certificate failed."""
+    near-repeat), an e_k is a non-positive integer, the 50-row defect exceeds
+    the margin of N = len(es) (VERIFY_TOL to N = 2, GENERAL_TOL beyond), or
+    another check of the certificate failed."""
+    tol = VERIFY_TOL if len(es) <= 2 else GENERAL_TOL
     prev = cases[-1].params.q if cases else None
     if not _real(es):
         _drop(notes, q, "the e_k include a complex pair")
@@ -335,7 +337,7 @@ def _closed_form(a: float, alpha: float, beta: float, gamma: float, n_case: int,
                  notes: list | None = None) -> list:
     """Order-N reductions, N <= 2: q on each root of det(qI - T), polished by
     one Newton step; the e_k the negated roots of P (_p_polynomial). Each of
-    the N+1 q-roots is a case or one note appended to notes (_accept, _drop)."""
+    the N+1 q-roots is a case within VERIFY_TOL or one note (_accept, _drop)."""
     draw = _draw(a, alpha, beta, gamma, n_case)
     notes = [] if notes is None else notes
     diag, off = _tridiagonal(draw, n_case)
@@ -346,7 +348,7 @@ def _closed_form(a: float, alpha: float, beta: float, gamma: float, n_case: int,
     cases = []
     for idx, q in enumerate(_polish(coeffs, r) for r in real):
         roots, pairs = _roots(_p_polynomial(diag, off, q), f"order-{n_case} e")
-        _accept(draw, q, [-r for r in roots + pairs], idx, VERIFY_TOL, cases, notes)
+        _accept(draw, q, [-r for r in roots + pairs], idx, cases, notes)
     return cases
 
 
@@ -390,7 +392,7 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     a real one are the negated roots of its eigenvector's polynomial, those
     of all real roots from one _kernels.companion_roots call; when they are
     real, _kernels.newton_general polishes (q, e). Each real root with N
-    finite e_k goes to _accept at tol GENERAL_TOL. Returns the cases,
+    finite e_k goes to _accept, at its margin for N. Returns the cases,
     sorted by q; every other root gets one note in notes with its reason:
     complex q, an infinite e_k, or the one _accept gives.
     """
@@ -418,7 +420,7 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
             q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q,
                                                   [e.real for e in es])
             es = es.tolist()
-        _accept(draw, float(q), es, idx, GENERAL_TOL, cases, notes)
+        _accept(draw, float(q), es, idx, cases, notes)
     return cases
 
 

@@ -425,7 +425,7 @@ def test_verify_takes_no_tuning_options(write_params, capsys, full, e):
         assert "unrecognized arguments" in capsys.readouterr().err
     heunx.cli.main(["verify", "--params", path, "--e=" + e])
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert checks["recurrence_residual"]["tol"] == heunx.cli.RECURRENCE_TOL
+    assert checks["recurrence_residual"]["tol"] == heunx.reduction.VERIFY_TOL
     assert checks["collocation"]["tol"] == heunx.reduction.VERIFY_TOL
     assert checks["ode_residual"]["tol"] == heunx.cli.ODE_TOL
     assert checks["cross_check"]["tol"] == heunx.cli.CROSS_TOL

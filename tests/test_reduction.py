@@ -1,5 +1,6 @@
 """Reduction identity, closed-form q-conditions, and the general solver."""
 
+import json
 import math
 import random
 import re
@@ -16,8 +17,8 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
                    termination_index, two_term_coefficients, verify_reduction)
-from heunx import HeunxError, _kernels
-from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, _accept, _draw, _drop,
+from heunx import HeunxError, _kernels, cli
+from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, VERIFY_TOL, _accept, _draw, _drop,
                              _forward_difference, _pencil, _polish, _q_polynomial,
                              _tridiagonal)
 
@@ -525,6 +526,61 @@ def test_general_solver_on_the_panel_draw():
         assert defect > GENERAL_TOL
 
 
+# order-2 draw near a = 1, alpha = 3 whose closed form meets a q-root at a
+# 50-row defect of 5.03e-10, above VERIFY_TOL, which `verify` gates it at
+REPRO = (1.0001162221567685, 3.000637104036315, 1.8723603027816722, 2.731792140087151)
+
+
+def test_closed_form_drops_a_root_verify_rejects():
+    cases, notes = solve(*REPRO, 2)
+    assert [(c.params.q, c.q_root_index) for c in cases] == [(8.195610422369889, 2)]
+    assert ("root q = 5.336696197444874 dropped: ill-conditioned in double "
+            "(50-row three-term defect 5.03e-10 > 1e-10)") in notes
+    assert len(cases) + len(notes) == 3
+
+
+def test_acceptance_margin_follows_the_order():
+    # the eigen solver at N = 2 accepts at VERIFY_TOL, as the closed form
+    # does: its polished root at a defect of 4.14e-11 is a case; from N = 3
+    # on the margin is GENERAL_TOL, a tenth of VERIFY_TOL
+    assert GENERAL_TOL == 1.0000000000000001e-11
+    cases, notes = _with_notes(solve_reduction_general, *REPRO, 2)
+    assert [c.params.q for c in cases] == pytest.approx([5.336696197444868, 8.1956],
+                                                       rel=1e-5)
+    assert GENERAL_TOL < cases[0].report.stream_defect <= VERIFY_TOL
+    assert notes == ["root q = 4.477653027027562 dropped: an e_k is a non-positive integer"]
+
+
+def _near_degenerate_draws(count):
+    """(a, alpha, beta, gamma) with a within 0.05 of 1, alpha within 0.01 of
+    3 and beta, gamma in [-3, 3], where order-2 roots are ill-conditioned."""
+    rng = random.Random(12)
+    return [(1.0 + rng.uniform(-0.05, 0.05), 3.0 + rng.uniform(-0.01, 0.01),
+             rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(count)]
+
+
+def test_every_closed_form_case_passes_verify(tmp_path, capsys):
+    # reduce and verify share one bound: `verify` passes the recurrence
+    # residual and the collocation of every case solve returns
+    path = tmp_path / "p.json"
+    count = 0
+    for draw in _near_degenerate_draws(60):
+        for n_case in (1, 2):
+            try:
+                cases, _ = solve(*draw, n_case)
+            except HeunxError:
+                continue
+            for case in cases:
+                path.write_text(json.dumps(params_to_dict(case.params)))
+                e = "--e=" + ",".join(map(repr, case.e_list))
+                assert cli.main(["verify", "--params", str(path), e]) in (0, 3)
+                checks = json.loads(capsys.readouterr().out)["checks"]
+                assert checks["recurrence_residual"]["passed"], (draw, n_case, case.params.q)
+                assert checks["collocation"]["passed"], (draw, n_case, case.params.q)
+                count += 1
+    assert count >= 250
+
+
 def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
     """solve_reduction_general with one np.roots call per real q-root: the
     reference the batched companion eigvals must reproduce to the bit."""
@@ -544,7 +600,7 @@ def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
             continue
         if not np.any(np.abs(es.imag) > 1e-9 * (1.0 + np.abs(es.real))):
             q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, es.real)
-        _accept(draw, float(q), es, idx, GENERAL_TOL, cases, notes)
+        _accept(draw, float(q), es, idx, cases, notes)
     return cases
 
 
