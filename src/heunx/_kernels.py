@@ -36,8 +36,8 @@ EPS = 2.0 ** -52
 # closer to 0 a series in z equals its origin value to the last bit, and
 # the 1/z^2 of a second derivative overflows; such a z is taken as 0
 NEAR_ORIGIN = 1e-150
-# successive small terms that stop an inner 2F1 series: the non-monotone
-# terms of negative parameters make a single small term an unsafe signal
+# successive small terms that stop an inner 2F1 series and the oracle's power
+# series: non-monotone terms make a single small term an unsafe signal
 CONSECUTIVE_SMALL = 3
 # forward recursion keeps full precision while the contaminating solution
 # mode |a/(a-1)|^n stays bounded; past this ratio the three-term stream
@@ -420,18 +420,24 @@ def newton_general(a, al, be, ga, n_case, q0, es0):
     return x[0], x[1:], fn / sc, fn <= NEWTON_TOL * sc
 
 
-def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
+def frobenius_fill(a, q, al, be, ga, de, ep, nmax, scale=None):
     """Power-series coefficients about the origin from the collected-power
     identity of the differential equation; b_0 = 1.
 
     Returns (b, radius): the radius of convergence is the distance from the
-    origin to the nearer of the singular points 1 and a. Run over Python
-    floats, b_k ~ radius^-k passes into inf and nan without a warning.
+    origin to the nearer of the singular points 1 and a. b runs to b_nmax
+    unless a scale >= 0 is given: then the fill stops after CONSECUTIVE_SMALL
+    successive terms |b_k| scale^k at or below EPS times the largest such
+    term so far, so b_nmax is a cap. Run over Python floats, b_k ~
+    radius^-k passes into inf and nan without a warning, and such a series
+    runs to the cap.
     """
     a, q, al, be, ga, de, ep = map(float, (a, q, al, be, ga, de, ep))
     b = [1.0]
     gde = ga + de + ep
     c1 = ga * (1.0 + a) + a * de + ep
+    power = top = 1.0  # scale^k and the largest |b_k| scale^k so far
+    small = 0
     for m in range(nmax):
         den = a * (m + 1.0) * (m + ga)
         if abs(den) < TINY:
@@ -440,6 +446,16 @@ def frobenius_fill(a, q, al, be, ga, de, ep, nmax):
         if m >= 1:
             t -= ((m - 1.0) * (m - 2.0) + gde * (m - 1.0) + al * be) * b[m - 1]
         b.append(t / den)
+        if scale is None:
+            continue
+        power *= scale
+        term = abs(b[-1]) * power
+        if term > top:
+            top = term
+        # a nan term, or any once the series has left the floats, is not small
+        small = small + 1 if term <= EPS * top < math.inf else 0
+        if small >= CONSECUTIVE_SMALL:
+            break
     return np.array(b), min(1.0, abs(a))
 
 

@@ -6,9 +6,11 @@ expansion machinery: cross_check takes the expansion's values, u(0) too,
 from its caller. The test suite re-checks order-by-order that the truncated
 series leaves no low-order residual, so this path certifies the main one
 without any common failure mode.
-cross_check runs Horner's rule over Python floats at its points. b_k grows
-like min(1, |a|)^-k, so for |a| below about 0.17 b_0..b_400 leave the
-floats; the deviation is then not finite, and the check fails on it.
+cross_check runs Horner's rule over Python floats at its points, on a
+series summed only until its terms at the largest |z| of those points have
+settled, with b_400 the cap. b_k grows like min(1, |a|)^-k, so for small
+|a| and a point near the safe radius b_k can leave the floats before the
+terms settle; the deviation is then not finite, and the check fails on it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .params import ValidatedHeunParams, is_nonpos_int
 from .reduction import ReductionCase
 
 SAFE_RADIUS_FACTOR = 0.9
-CROSS_CHECK_TERMS = 400    # cross_check sums the power series b_0..b_400
+CROSS_CHECK_TERMS = 400    # cross_check sums the power series to b_400 at most
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,11 @@ class FrobeniusSeries:
     radius_hint: float
 
 
-def frobenius_coefficients(p: ValidatedHeunParams, n_max: int) -> FrobeniusSeries:
-    """b_0 = 1 and successors from the collected-power identity.
+def frobenius_coefficients(p: ValidatedHeunParams, n_max: int, *,
+                           scale: float | None = None) -> FrobeniusSeries:
+    """b_0 = 1 and successors from the collected-power identity: b_0..b_n_max,
+    or, given a scale, up to the first CONSECUTIVE_SMALL successive terms
+    |b_k| scale^k at or below EPS times the largest (_kernels.frobenius_fill).
 
     Collecting the z^m coefficient of z(z-1)(z-a)u'' + [gamma(z-1)(z-a)
     + delta z(z-a) + epsilon z(z-1)]u' + (alpha beta z - q)u with
@@ -51,7 +56,7 @@ def frobenius_coefficients(p: ValidatedHeunParams, n_max: int) -> FrobeniusSerie
         raise PoleError(f"gamma = {p.gamma!r} is a non-positive integer; "
                         "no power-series solution with unit leading term")
     coeffs, radius = _kernels.frobenius_fill(p.a, p.q, p.alpha, p.beta, p.gamma,
-                                             p.delta, p.epsilon, int(n_max))
+                                             p.delta, p.epsilon, int(n_max), scale)
     return FrobeniusSeries(coefficients=coeffs, radius_hint=radius)
 
 
@@ -76,11 +81,14 @@ def cross_check(case: ReductionCase, evaluations, u0: float) -> float:
     Evaluation records at their own z, and the power series after matching
     the two at z = 0, where the series is b_0 = 1 and the expansion is u0,
     its value at the origin (the caller evaluates it with the points).
+    The series stops once its terms have settled at the largest |z|.
     A deviation that is not finite is the result and fails any bound."""
     if abs(u0) < 1e-280:
         raise PreconditionError("expansion vanishes at the origin; cannot normalize")
-    series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
-    uf = _series_values(series, [ev.z for ev in evaluations])
+    zs = [ev.z for ev in evaluations]
+    series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS,
+                                    scale=max(map(abs, zs), default=0.0))
+    uf = _series_values(series, zs)
     u = np.array([ev.u for ev in evaluations], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs(u - u0 * uf) / (np.abs(u) + 1e-300)

@@ -43,10 +43,14 @@ N2_E = "-1.591607978309986,-0.40839202169003186"
 # order-1 draw whose q-condition has no real root
 NO_ROOT_SEARCH = {"a": -0.5, "alpha": 0.2, "beta": 0.1, "gamma": 2.0,
                   "epsilon": -3.7}
-# terminating order-0 case at |a| < 0.17: the oracle's b_0..b_400 leave
-# the floats, so its cross-check has no finite value; safe radius 0.045
+# terminating order-0 case at |a| < 0.17: the oracle's b_k leave the floats
+# from k = 249 on, but at z = 0.02 its terms settle after 13; safe radius 0.045
 SMALL_A_FULL = {"a": 0.05, "q": 0.045, "alpha": 2.3, "beta": 1.0, "gamma": 0.9,
                 "delta": 2.0, "epsilon": 1.4}
+# the generic order-0 case of the same a: at z = 0.044 the oracle's b_k leave
+# the floats before its terms settle, so its cross-check has no finite value
+OVERFLOW_ORACLE_FULL = {"a": 0.05, "q": 0.435, "alpha": 2.3, "beta": 1.3,
+                        "gamma": 0.9, "delta": 2.0, "epsilon": 1.7}
 # the anchor at delta = 4 with both e_k at 1e160: the identity overflows
 OVERFLOW_E_FULL = {"a": 2.0, "q": 4.0, "alpha": 3.0, "beta": 2.0, "gamma": 1.0,
                    "delta": 4.0, "epsilon": 1.0}
@@ -488,9 +492,19 @@ def test_verify_generic_case_reports_forcing(write_params):
     assert "summation" not in checks
 
 
-def test_verify_overflowing_oracle_fails(write_params):
+def test_verify_small_a_cross_checks(write_params):
     path = write_params(SMALL_A_FULL)
     out = run_cli("verify", "--params", path, "--e=", "--z=0.02")
+    assert (out.returncode, out.stderr) == (0, "")
+    payload = json.loads(out.stdout)
+    assert payload["passed"] is True
+    assert payload["checks"]["cross_check"] == {"passed": True, "tol": 1e-07,
+                                                "value": 0.0}
+
+
+def test_verify_overflowing_oracle_fails(write_params):
+    path = write_params(OVERFLOW_ORACLE_FULL)
+    out = run_cli("verify", "--params", path, "--e=", "--z=0.044")
     assert out.returncode == 3
     assert out.stderr == ""  # no RuntimeWarning from the overflow
     payload = json.loads(out.stdout)

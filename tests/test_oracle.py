@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from heunx import (DomainError, HeunParams, PoleError, cross_check,
-                   evaluate_points, frobenius_coefficients, q_candidates_N0,
-                   q_candidates_N1)
+                   evaluate_points, frobenius_coefficients, params_from_dict,
+                   q_candidates_N0, q_candidates_N1)
+from heunx.cli import CROSS_TOL
 from heunx.oracle import CROSS_CHECK_TERMS, SAFE_RADIUS_FACTOR
 
 Z_GRID = (0.1, 0.25, 0.4)  # the acceptance grid
@@ -129,9 +130,11 @@ def test_generic_case_matches_homogeneous_series(anchor_case):
 
 def test_array_pass_matches_scalar_horner(random_cases):
     # one np.polyval over the points takes the loop's multiply-then-add
-    # steps in its order; the deviations are then the loop's to the bit
+    # steps in its order; the deviations are then the loop's to the bit, on
+    # the series stopped where its terms settle at the largest |z|
     for case in random_cases:
-        series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
+        series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS,
+                                        scale=max(Z_GRID))
         b = series.coefficients
         safe = SAFE_RADIUS_FACTOR * series.radius_hint
         origin, *evs = evaluate_points(case, (0.0, *Z_GRID))
@@ -147,13 +150,66 @@ def test_array_pass_matches_scalar_horner(random_cases):
 
 
 def test_overflowing_series_fails_cross_check():
-    # b_k grows like |a|^-k: at a = 0.05 b_0..b_400 leave the floats from
-    # k = 249 on, and the deviation at every point is not finite, where the
+    # b_k grows like |a|^-k: at a = 0.05 and z = 0.044, near the safe radius
+    # 0.045, the terms |b_k| z^k have not settled when b_k leaves the floats,
+    # so the fill runs to the cap and the deviation is not finite, where the
     # scalar pass's max dropped it and reported 0.0; a RuntimeWarning on the
     # way fails the test (pyproject.toml)
+    case = q_candidates_N0(0.05, 2.3, 1.3, 0.9)[0]
+    b = frobenius_coefficients(case.params, CROSS_CHECK_TERMS, scale=0.044).coefficients
+    origin, ev = evaluate_points(case, (0.0, 0.044))
+    value = cross_check(case, [ev], origin.u)
+    assert len(b) == CROSS_CHECK_TERMS + 1 and not np.isfinite(b).all()
+    assert not math.isfinite(value)
+
+
+def test_small_a_case_cross_checks():
+    # the terminating case (0.05, 2.3, 1.0, 0.9) at z = 0.02: its b_k leave
+    # the floats from k = 249 on, but the terms |b_k| 0.02^k settle after 13
     case = q_candidates_N0(0.05, 2.3, 1.0, 0.9)[0]
     b = frobenius_coefficients(case.params, CROSS_CHECK_TERMS).coefficients
-    origin, ev = evaluate_points(case, (0.0, 0.02))
-    value = cross_check(case, [ev], origin.u)
     assert np.isfinite(b[:249]).all() and not np.isfinite(b[249:]).any()
-    assert not math.isfinite(value)
+    assert len(frobenius_coefficients(case.params, CROSS_CHECK_TERMS,
+                                      scale=0.02).coefficients) == 13
+    origin, ev = evaluate_points(case, (0.0, 0.02))
+    assert cross_check(case, [ev], origin.u) <= CROSS_TOL
+
+
+def test_stopped_series_is_conservative(random_cases):
+    # the stopped cross-check against Horner over all of b_0..b_400, at the
+    # acceptance grid and at +-0.85 min(1, |a|): the same verdict at
+    # CROSS_TOL, and within 1e-10 wherever the full series stays finite
+    def full_deviation(b, evs, u0):
+        return max(abs(ev.u - u0 * horner_by_points(b, ev.z))
+                   / (abs(ev.u) + 1e-300) for ev in evs)
+
+    compared = 0
+    for case in random_cases:
+        series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
+        b = series.coefficients.tolist()
+        r = series.radius_hint
+        inside = [z for z in Z_GRID if z < SAFE_RADIUS_FACTOR * r]
+        for zs in (inside, [-0.85 * r, 0.85 * r]):
+            if not zs:
+                continue
+            origin, *evs = evaluate_points(case, (0.0, *zs))
+            got = cross_check(case, evs, origin.u)
+            want = full_deviation(b, evs, origin.u)
+            assert (got <= CROSS_TOL) == (want <= CROSS_TOL)
+            if math.isfinite(want):
+                assert abs(got - want) <= 1e-10
+                compared += 1
+    assert compared > 150
+
+
+def test_rising_series_runs_to_the_cap():
+    # a large draw whose terms |b_k| 0.4^k still rise at k = 400 is summed
+    # to the cap, as before the stop
+    p = params_from_dict({"a": -0.9078540252447835, "q": 162783.39391460922,
+                          "alpha": 967.4580786058814, "beta": 169.8544758656285,
+                          "gamma": 448.72675910580733, "delta": 2.0,
+                          "epsilon": 687.5857953657026})
+    b = frobenius_coefficients(p, CROSS_CHECK_TERMS, scale=0.4).coefficients
+    assert len(b) == CROSS_CHECK_TERMS + 1
+    assert abs(b[-1]) * 0.4 > abs(b[-2])
+
