@@ -17,7 +17,7 @@ from .errors import (DivisionByZeroError, DomainError, HeunxError,
 from .evaluator import (EvalStatus, Evaluation, SeriesControl,
                         evaluate_points, forced_residual, forcing_constant,
                         homogeneous_residual)
-from .oracle import FrobeniusSeries, cross_check, frobenius_coefficients
+from .oracle import cross_check
 from .params import (HeunParams, IssueCode, ValidatedHeunParams,
                      ValidationIssue, collect_issues, is_nonpos_int,
                      load_params_file, params_from_dict, params_to_dict,
@@ -32,13 +32,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientSource", "ConstraintReport", "DivisionByZeroError",
-    "DomainError", "EvalStatus", "Evaluation", "FrobeniusSeries",
+    "DomainError", "EvalStatus", "Evaluation",
     "HeunParams", "HeunxError", "IssueCode", "NonConvergenceError",
     "NumericalError", "PoleError", "PreconditionError", "ReductionCase",
     "SeriesControl", "SingularPointError", "ValidatedHeunParams",
     "ValidationError", "ValidationIssue", "case_to_dict", "collect_issues",
     "cross_check", "evaluate_points", "forced_residual", "forcing_constant",
-    "homogeneous_residual", "frobenius_coefficients",
+    "homogeneous_residual",
     "is_nonpos_int", "load_params_file", "params_from_dict", "params_to_dict",
     "q_candidates_N0", "q_candidates_N1", "q_candidates_N2", "require_valid",
     "residual_rows", "solve", "solve_reduction_general", "termination_index",

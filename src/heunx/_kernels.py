@@ -424,6 +424,17 @@ def frobenius_fill(a, q, al, be, ga, de, ep, nmax, scale=None):
     """Power-series coefficients about the origin from the collected-power
     identity of the differential equation; b_0 = 1.
 
+    Collecting the z^m coefficient of z(z-1)(z-a)u'' + [gamma(z-1)(z-a)
+    + delta z(z-a) + epsilon z(z-1)]u' + (alpha beta z - q)u with
+    u = sum b_n z^n gives
+
+        a(m+1)(m+gamma) b_{m+1} = [(1+a)m(m-1) + (gamma(1+a) + a delta
+            + epsilon)m + q] b_m - [(m-1)(m-2) + (gamma+delta+epsilon)(m-1)
+            + alpha beta] b_{m-1},
+
+    so the leading denominator needs gamma away from the non-positive
+    integers (a vanishing one raises PoleError).
+
     Returns (b, radius): the radius of convergence is the distance from the
     origin to the nearer of the singular points 1 and a. b runs to b_nmax
     unless a scale >= 0 is given: then the fill stops after CONSECUTIVE_SMALL

@@ -30,14 +30,16 @@ near-repeat, so each of the N+1 roots comes back as a case or as one
 verify_reduction runs once per accepted root and once per case a command
 builds. On its handful of nodes a numpy call costs more than its
 arithmetic, so it takes identity_terms once per node over Python floats.
-Its 50-row stream defect comes from the functions behind the residual
-column of `coeffs` (_kernels.two_term_ratio_stream, recurrence.residual_rows).
+Its 50-row stream defect comes from the kernels behind the residual column
+of `coeffs` (_kernels.two_term_ratio_stream, _kernels.recurrence_residual_rows),
+both under the one np.errstate of the certificate.
 _polish is Horner's rule over floats, with np.polyval's bits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +48,7 @@ from . import _kernels
 from .errors import NumericalError, PreconditionError
 from .params import (HeunParams, ValidatedHeunParams, check_order,
                      is_nonpos_int, require_valid)
-from .recurrence import residual_rows, termination_index
+from .recurrence import termination_index
 
 VERIFY_TOL = 1e-10      # identity values (over summand scale) and 50-row defect
 A_TOP_TOL = 1e-8        # leading-coefficient agreement with 2+N-delta
@@ -91,10 +93,10 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     coefficient a_top, reported with how far it sits from its closed form
     2+N-delta. Also takes the largest scale-free three-term defect of the
     ratio stream c_0..c_50 (_kernels.two_term_ratio_stream and
-    recurrence.residual_rows, as `coeffs` takes its residual column), the
-    quantity `verify` reports as its recurrence residual; inf when a row is
-    NaN or inf, as it is where the stream leaves the floats or divides by
-    zero at a non-positive integer e_k.
+    _kernels.recurrence_residual_rows, as `coeffs` takes its residual
+    column), the quantity `verify` reports as its recurrence residual; inf
+    when a row is NaN or inf, as it is where the stream leaves the floats or
+    divides by zero at a non-positive integer e_k.
     Passes iff all three hold: every identity value finite and within its
     bound, the gap within A_TOP_TOL and the defect within VERIFY_TOL;
     `failed` names the others.
@@ -118,7 +120,9 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     with np.errstate(all="ignore"):  # a row past the floats reads as inf below
         c = _kernels.two_term_ratio_stream(g, g - p.alpha, g - p.beta, es,
                                            STREAM_ROWS, termination_index(p))
-        defect = float(np.max(residual_rows(p, c)[2:]))  # np.max propagates a NaN
+        rows = _kernels.recurrence_residual_rows(p.a, p.q, p.alpha, p.beta, p.gamma,
+                                                 p.delta, p.epsilon, c)
+        defect = float(np.max(rows[2:]))  # np.max propagates a NaN
     defect = defect if math.isfinite(defect) else math.inf
     # a name is formatted only for a check that fails
     checks = (("identity values", colloc_ok),
@@ -394,15 +398,21 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     real, _kernels.newton_general polishes (q, e). Each real root with N
     finite e_k goes to _accept, at its margin for N. Returns the cases,
     sorted by q; every other root gets one note in notes with its reason:
-    complex q, an infinite e_k, or the one _accept gives.
+    complex q, an infinite e_k, or the one _accept gives. A pencil past the
+    floats raises NumericalError, from N = 162 on before it is built.
     """
     if n_case < 0:
         raise PreconditionError("reduction order N must be non-negative")
     draw = _draw(a, alpha, beta, gamma, n_case)
     notes = [] if notes is None else notes
+    leaves = f"the order-{n_case} pencil leaves the floats"
+    # B holds (N/2 + 1)^N, past the floats from N = 162 on for every draw:
+    # such an order raises before its three (N+1)^2 blocks are allocated
+    if n_case * math.log1p(n_case / 2.0) > math.log(sys.float_info.max):
+        raise NumericalError(leaves)
     big_a, big_b = _pencil(draw, n_case)
     if not (np.isfinite(big_a).all() and np.isfinite(big_b).all()):
-        raise NumericalError(f"the order-{n_case} pencil leaves the floats")
+        raise NumericalError(leaves)
     qs, vecs = np.linalg.eig(np.linalg.solve(big_b, big_a))
     real = np.abs(qs.imag) <= 1e-9 * (1.0 + np.abs(qs.real))
     for j in np.flatnonzero(~real):

@@ -51,6 +51,10 @@ SMALL_A_FULL = {"a": 0.05, "q": 0.045, "alpha": 2.3, "beta": 1.0, "gamma": 0.9,
 # the floats before its terms settle, so its cross-check has no finite value
 OVERFLOW_ORACLE_FULL = {"a": 0.05, "q": 0.435, "alpha": 2.3, "beta": 1.3,
                         "gamma": 0.9, "delta": 2.0, "epsilon": 1.7}
+# a valid order-0 case at gamma = -1: the oracle has no power series with a
+# unit leading term
+GAMMA_POLE_FULL = {"a": 2.0, "q": -2.25, "alpha": 1.5, "beta": 0.5, "gamma": -1.0,
+                   "delta": 2.0, "epsilon": 2.0}
 # the anchor at delta = 4 with both e_k at 1e160: the identity overflows
 OVERFLOW_E_FULL = {"a": 2.0, "q": 4.0, "alpha": 3.0, "beta": 2.0, "gamma": 1.0,
                    "delta": 4.0, "epsilon": 1.0}
@@ -511,6 +515,13 @@ def test_verify_overflowing_oracle_fails(write_params):
     assert payload["passed"] is False
     assert payload["checks"]["cross_check"] == {"passed": False, "tol": 1e-07,
                                                 "value": None}
+
+
+def test_verify_oracle_pole_exits_with_one_error_line(write_params):
+    out = run_cli("verify", "--params", write_params(GAMMA_POLE_FULL), "--e=")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: gamma = -1.0 is a non-positive integer; "
+                          "no power-series solution with unit leading term\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "residual"])

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from heunx import (DomainError, HeunParams, PoleError, cross_check,
-                   evaluate_points, frobenius_coefficients, params_from_dict,
-                   q_candidates_N0, q_candidates_N1)
+                   evaluate_points, params_from_dict, q_candidates_N0,
+                   q_candidates_N1)
+from heunx._kernels import frobenius_fill
 from heunx.cli import CROSS_TOL
 from heunx.oracle import CROSS_CHECK_TERMS, SAFE_RADIUS_FACTOR
 
 Z_GRID = (0.1, 0.25, 0.4)  # the acceptance grid
+
+
+def fill(p, n_max=CROSS_CHECK_TERMS, scale=None):
+    """(b, radius) of p's power series: b_0..b_n_max, or, given a scale,
+    up to where its terms settle, as cross_check fills it."""
+    return frobenius_fill(p.a, p.q, p.alpha, p.beta, p.gamma, p.delta,
+                          p.epsilon, n_max, scale)
 
 
 def horner_by_points(coefs, z):
@@ -23,11 +31,10 @@ def horner_by_points(coefs, z):
 
 
 def test_first_coefficients_anchor(anchor_case):
-    series = frobenius_coefficients(anchor_case.params, 5)
-    b = series.coefficients
+    b, radius = fill(anchor_case.params, 5)
     assert b[0] == 1.0
     assert b[1] == 2.0   # q/(a*gamma)
-    assert series.radius_hint == 1.0
+    assert radius == 1.0
 
 
 def test_constant_solution():
@@ -35,16 +42,18 @@ def test_constant_solution():
     # sees it: every coefficient beyond b_0 vanishes
     p = HeunParams(a=2.0, q=0.0, alpha=0.0, beta=1.3, gamma=0.9,
                    delta=0.4, epsilon=1.0)
-    series = frobenius_coefficients(p, 30)
-    assert series.coefficients[0] == 1.0
-    assert all(c == 0.0 for c in series.coefficients[1:])
+    b, _ = fill(p, 30)
+    assert b[0] == 1.0
+    assert all(c == 0.0 for c in b[1:])
 
 
 def test_gamma_pole_rejected():
-    p = HeunParams(a=2.0, q=1.0, alpha=1.5, beta=0.5, gamma=-1.0,
-                   delta=2.0, epsilon=2.0)
-    with pytest.raises(PoleError):
-        frobenius_coefficients(p, 10)
+    # a valid order-0 case at gamma = -1 has no power series with b_0 = 1
+    case = q_candidates_N0(2.0, 1.5, 0.5, -1.0)[0]
+    assert (case.params.q, case.params.epsilon) == (-2.25, 2.0)
+    origin, ev = evaluate_points(case, (0.0, 0.25))
+    with pytest.raises(PoleError, match="gamma = -1.0 is a non-positive integer"):
+        cross_check(case, [ev], origin.u)
 
 
 def test_series_satisfies_collected_powers(anchor_case):
@@ -52,7 +61,7 @@ def test_series_satisfies_collected_powers(anchor_case):
     # with plain polynomial convolutions; every power must cancel
     p = anchor_case.params
     n_max = 80
-    w = np.array(frobenius_coefficients(p, n_max).coefficients)
+    w, _ = fill(p, n_max)
     k = np.arange(len(w))
     w1 = (w * k)[1:]
     w2 = (w * k * (k - 1.0))[2:]
@@ -88,7 +97,7 @@ def test_growth_matches_radius():
     for case in cases:
         p = case.params
         radius = min(1.0, abs(p.a))
-        b = np.abs(frobenius_coefficients(p, 200).coefficients)
+        b = np.abs(fill(p, 200)[0])
         ks = np.arange(160, 201)
         ests = b[ks] ** (1.0 / ks)
         med = float(np.median(ests[ests > 0.0]))
@@ -133,10 +142,8 @@ def test_array_pass_matches_scalar_horner(random_cases):
     # steps in its order; the deviations are then the loop's to the bit, on
     # the series stopped where its terms settle at the largest |z|
     for case in random_cases:
-        series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS,
-                                        scale=max(Z_GRID))
-        b = series.coefficients
-        safe = SAFE_RADIUS_FACTOR * series.radius_hint
+        b, radius = fill(case.params, scale=max(Z_GRID))
+        safe = SAFE_RADIUS_FACTOR * radius
         origin, *evs = evaluate_points(case, (0.0, *Z_GRID))
         outside = [z for z in Z_GRID if abs(z) >= safe]
         if outside:
@@ -156,7 +163,7 @@ def test_overflowing_series_fails_cross_check():
     # scalar pass's max dropped it and reported 0.0; a RuntimeWarning on the
     # way fails the test (pyproject.toml)
     case = q_candidates_N0(0.05, 2.3, 1.3, 0.9)[0]
-    b = frobenius_coefficients(case.params, CROSS_CHECK_TERMS, scale=0.044).coefficients
+    b, _ = fill(case.params, scale=0.044)
     origin, ev = evaluate_points(case, (0.0, 0.044))
     value = cross_check(case, [ev], origin.u)
     assert len(b) == CROSS_CHECK_TERMS + 1 and not np.isfinite(b).all()
@@ -167,10 +174,9 @@ def test_small_a_case_cross_checks():
     # the terminating case (0.05, 2.3, 1.0, 0.9) at z = 0.02: its b_k leave
     # the floats from k = 249 on, but the terms |b_k| 0.02^k settle after 13
     case = q_candidates_N0(0.05, 2.3, 1.0, 0.9)[0]
-    b = frobenius_coefficients(case.params, CROSS_CHECK_TERMS).coefficients
+    b, _ = fill(case.params)
     assert np.isfinite(b[:249]).all() and not np.isfinite(b[249:]).any()
-    assert len(frobenius_coefficients(case.params, CROSS_CHECK_TERMS,
-                                      scale=0.02).coefficients) == 13
+    assert len(fill(case.params, scale=0.02)[0]) == 13
     origin, ev = evaluate_points(case, (0.0, 0.02))
     assert cross_check(case, [ev], origin.u) <= CROSS_TOL
 
@@ -185,9 +191,8 @@ def test_stopped_series_is_conservative(random_cases):
 
     compared = 0
     for case in random_cases:
-        series = frobenius_coefficients(case.params, CROSS_CHECK_TERMS)
-        b = series.coefficients.tolist()
-        r = series.radius_hint
+        b, r = fill(case.params)
+        b = b.tolist()
         inside = [z for z in Z_GRID if z < SAFE_RADIUS_FACTOR * r]
         for zs in (inside, [-0.85 * r, 0.85 * r]):
             if not zs:
@@ -209,7 +214,7 @@ def test_rising_series_runs_to_the_cap():
                           "alpha": 967.4580786058814, "beta": 169.8544758656285,
                           "gamma": 448.72675910580733, "delta": 2.0,
                           "epsilon": 687.5857953657026})
-    b = frobenius_coefficients(p, CROSS_CHECK_TERMS, scale=0.4).coefficients
+    b, _ = fill(p, scale=0.4)
     assert len(b) == CROSS_CHECK_TERMS + 1
     assert abs(b[-1]) * 0.4 > abs(b[-2])
 

@@ -17,7 +17,7 @@ from heunx import (HeunParams, PreconditionError, ReductionCase,
                    collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
                    termination_index, two_term_coefficients, verify_reduction)
-from heunx import HeunxError, _kernels, cli
+from heunx import HeunxError, NumericalError, _kernels, cli
 from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, VERIFY_TOL, _accept, _draw, _drop,
                              _forward_difference, _pencil, _polish, _q_polynomial,
                              _tridiagonal)
@@ -430,6 +430,25 @@ def test_general_solver_rejects_invalid_draw():
     # gamma+epsilon = alpha+beta-1-N lands on 0: forbidden for every q
     with pytest.raises(ValidationError):
         solve_reduction_general(2.0, 0.5, 1.5, 0.7, 1)
+
+
+def test_order_past_the_floats_builds_no_pencil(monkeypatch):
+    # B's entry (N/2 + 1)^N leaves the floats from N = 162 on, whatever the
+    # draw: such an order exits 4 before any (N+1)^2 block is built (80 GB
+    # each at N = 10^5); N = 161 still builds its pencil and fails through A
+    vander, built = np.vander, []
+
+    def vander_to_162_columns(x, n, increasing):
+        assert n <= 162, f"an order-{n - 1} pencil was built"
+        built.append(n)
+        return vander(x, n, increasing=increasing)
+
+    monkeypatch.setattr(np, "vander", vander_to_162_columns)
+    for n_case in (161, 162, 1000):
+        with pytest.raises(NumericalError,
+                           match=f"^the order-{n_case} pencil leaves the floats$"):
+            solve_reduction_general(*N2_DRAW, n_case)
+    assert built == [162] * 3
 
 
 def _guard_draw(rng):
