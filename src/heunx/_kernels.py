@@ -353,19 +353,18 @@ def identity_terms(a, q, al, be, ga, de, ep, es, n):
     return t1, t2, t3
 
 
-def _colloc_state(a, al, be, ga, n_case, q, es):
-    """(residual, scale, jacobian) of the collocation map at (q, e_1..e_N):
-    the identity values at n = 1..N+1, the largest summed summand magnitude,
-    and the exact Jacobian in (q, e_1..e_N). delta and epsilon are pinned by
-    the reduction. The q-dependent factors in front of P(n), P(n-1) and
+def _colloc_state(a, q, al, be, ga, de, ep, es):
+    """(residual, scale, jacobian) of the collocation map of an order-N draw
+    (reduction._draw), N = len(es), at (q, e_1..e_N): the identity values at
+    n = 1..N+1, the largest summed summand magnitude, and the exact Jacobian
+    in (q, e_1..e_N). The q-dependent factors in front of P(n), P(n-1) and
     P(n-2) come from one identity_terms call; q enters only through
     -q P(n-1), and e_k through each summand's e-product. The factors
     e_j + n, e_j - 1 + n, e_j - 2 + n form one (3, N, N+1) array; the
     products over j, and those without row k, are each one multiply-reduce,
     which runs in order of j as the scalar loop does (times 1.0 at j = k)."""
+    n_case = len(es)
     n = np.arange(1.0, n_case + 2.0)
-    de = n_case + 2.0
-    ep = 1.0 + al + be - ga - de
     f = np.array(identity_terms(a, q, al, be, ga, de, ep, es[:0], n))
     x = (np.asarray(es, dtype=np.float64)[None, :, None]
          - np.array([0.0, 1.0, 2.0])[:, None, None]) + n
@@ -395,23 +394,23 @@ def companion_roots(rows):
     return [next(eig) if ok else np.roots(row) for row, ok in zip(rows, plain)]
 
 
-def newton_general(a, al, be, ga, n_case, q0, es0):
-    """Newton polish of a reduction (q, e_1..e_N) on the collocation map,
-    with the exact Jacobian; a step is kept only while it lowers the largest
-    residual, for at most POLISH_STEPS steps. Each step evaluates the
-    identity once (_colloc_state).
+def newton_general(a, q0, al, be, ga, de, ep, es0):
+    """Newton polish of a reduction (q, e_1..e_N) of the order-N draw
+    (reduction._draw) from (q0, es0), with the exact Jacobian; a step is kept
+    only while it lowers the largest residual, for at most POLISH_STEPS
+    steps. Each step evaluates the identity once (_colloc_state).
 
     Returns (q, es, scaled_residual, converged), converged meaning the
     scaled residual is within NEWTON_TOL.
     """
     x = np.concatenate(([q0], es0))
-    f, sc, jac = _colloc_state(a, al, be, ga, n_case, x[0], x[1:])
+    f, sc, jac = _colloc_state(a, x[0], al, be, ga, de, ep, x[1:])
     for _ in range(POLISH_STEPS):
         try:
             xt = x - np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
             break  # singular Jacobian: keep the last point
-        ft, st, jt = _colloc_state(a, al, be, ga, n_case, xt[0], xt[1:])
+        ft, st, jt = _colloc_state(a, xt[0], al, be, ga, de, ep, xt[1:])
         if not np.max(np.abs(ft)) < np.max(np.abs(f)):
             break
         x, f, sc, jac = xt, ft, st, jt

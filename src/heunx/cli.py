@@ -125,15 +125,10 @@ def cmd_reduce(ns) -> int:
     n_case = ns.n
     if n_case < 0:
         raise PreconditionError("--n must be non-negative")
-    de = float(n_case + 2)
     # q is solved for; a file without delta takes the one N implies
-    p0 = load_params_file(ns.params, optional={"q": 0.0, "delta": de})
+    p0 = load_params_file(ns.params, optional={"q": 0.0, "delta": n_case + 2.0})
     check_order(p0, n_case)
-    ep_expected = 1.0 + p0.alpha + p0.beta - p0.gamma - de
-    if abs(p0.epsilon - ep_expected) > 1e-9:
-        raise PreconditionError(
-            f"epsilon = {p0.epsilon!r} violates the exponent-sum relation at "
-            f"delta = {de!r} (expected {ep_expected!r})")
+    require_valid(p0)   # as every full file of its cases is validated
 
     cases, notes = solve(p0.a, p0.alpha, p0.beta, p0.gamma, n_case)
 

@@ -17,6 +17,7 @@ from enum import Enum
 from .errors import PreconditionError, ValidationError
 
 FUCHSIAN_TOL = 1e-12
+FUCHSIAN_ROUNDING = 8 * 2.0 ** -52  # 8 units of roundoff of the largest term
 SINGULARITY_TOL = 1e-12
 INT_SNAP = 1e-9
 
@@ -65,13 +66,17 @@ class HeunParams:
 
 
 def collect_issues(p: HeunParams) -> list[ValidationIssue]:
-    """Every violated invariant, not just the first."""
+    """Every violated invariant, not just the first. The exponent-sum bound
+    FUCHSIAN_TOL widens to FUCHSIAN_ROUNDING times the relation's largest
+    term, as an epsilon derived from it in floats is off by up to one unit."""
     issues = []
     resid = 1.0 + p.alpha + p.beta - (p.gamma + p.delta + p.epsilon)
-    if abs(resid) > FUCHSIAN_TOL:
+    tol = max(FUCHSIAN_TOL, FUCHSIAN_ROUNDING * max(
+        1.0, abs(p.alpha), abs(p.beta), abs(p.gamma), abs(p.delta), abs(p.epsilon)))
+    if not abs(resid) <= tol < math.inf:   # a non-finite term closes no relation
         issues.append(ValidationIssue(
             IssueCode.FUCHSIAN_VIOLATED,
-            f"1+alpha+beta - (gamma+delta+epsilon) = {resid:.3e} exceeds {FUCHSIAN_TOL}",
+            f"1+alpha+beta - (gamma+delta+epsilon) = {resid:.3e} exceeds {tol:.3g}",
             resid,
         ))
     if abs(p.a) < SINGULARITY_TOL or abs(p.a - 1.0) < SINGULARITY_TOL:

@@ -248,8 +248,8 @@ def _polish(coeffs, x: float) -> float:
 
 
 def _draw(a, alpha, beta, gamma, n_case) -> ValidatedHeunParams:
-    """The order-N draw at q = 0: delta = N+2 and epsilon from the exponent
-    sum, validated. No invariant reads q, so replace(draw, q=q) is valid."""
+    """The order-N draw at q = 0, the one source of its delta = N+2 and its
+    epsilon from the exponent sum; validated, and no invariant reads q."""
     de = float(n_case + 2)
     ep = 1.0 + alpha + beta - gamma - de
     return require_valid(HeunParams(a=a, q=0.0, alpha=alpha, beta=beta,
@@ -420,6 +420,7 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
     order = sorted(np.flatnonzero(real), key=lambda j: qs[j].real)
     # each eigenvector scaled by its largest entry, all columns at once
     xs = vecs[:, order] / vecs[np.argmax(np.abs(vecs[:, order]), axis=0), order]
+    after_q = (draw.alpha, draw.beta, draw.gamma, draw.delta, draw.epsilon)
     cases = []
     for idx, (j, roots) in enumerate(zip(order, _kernels.companion_roots(xs.real[::-1].T))):
         q, es = float(qs[j].real), (-(roots + (n_case + 2) / 2.0)).tolist()
@@ -427,7 +428,7 @@ def solve_reduction_general(a: float, alpha: float, beta: float, gamma: float,
             _drop(notes, q, "an e_k is infinite")
             continue
         if _real(es):
-            q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q,
+            q, es, _, _ = _kernels.newton_general(draw.a, q, *after_q,
                                                   [e.real for e in es])
             es = es.tolist()
         _accept(draw, float(q), es, idx, cases, notes)

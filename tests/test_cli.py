@@ -180,6 +180,52 @@ def test_reduce_csv_matches_json(write_params, capsys, draw, n, rows):
             for c in cases] == rows
 
 
+def test_reduce_validates_epsilon_as_every_command(write_params, capsys):
+    # the search file's epsilon meets the bound of every full file: 5e-10
+    # off the exponent sum exits 2, as verify and eval on its cases would;
+    # 3e-13 off is within it, and reduce solves the draw as the exact file
+    alpha, beta, gamma = 2.5, 1.7, 0.6
+    exact = 1.0 + alpha + beta - gamma - 4.0
+    runs = []
+    for off in (0.0, 3e-13, 5e-10):
+        path = write_params({"a": 2.0, "alpha": alpha, "beta": beta, "gamma": gamma,
+                             "epsilon": exact + off})
+        runs.append((heunx.cli.main(["reduce", "--params", path, "--n", "2"]),
+                     *capsys.readouterr()))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+    code, out, err = runs[2]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid parameters: ") and err.count("\n") == 1, err
+
+
+def test_reduce_cases_pass_with_the_search_files_epsilon(write_params, capsys):
+    # a search file passes exactly when the full files of its cases do: each
+    # case reduce returns, written with the search file's own epsilon (some
+    # a few 1e-13 off the exponent sum, some 5e-10), is one eval accepts
+    rng = np.random.default_rng(39)
+    found = rejected = 0
+    for _ in range(12):
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(1.5, 3.0)
+        alpha, beta, gamma = rng.uniform(-3.0, 3.0, size=3).tolist()
+        for n_case in range(5):
+            off = float(rng.choice((0.0, 3e-13, -3e-13, 5e-10)))
+            search = {"a": float(a), "alpha": alpha, "beta": beta, "gamma": gamma,
+                      "epsilon": 1.0 + alpha + beta - gamma - (n_case + 2.0) + off}
+            code = heunx.cli.main(["reduce", "--params", write_params(search),
+                                   "--n", str(n_case)])
+            out, err = capsys.readouterr()
+            rejected += code == 2
+            for item in json.loads(out)["cases"] if code == 0 else ():
+                full = dict(search, q=item["q"], delta=n_case + 2.0)
+                argv = ["eval", "--params", write_params(full, "full.json"),
+                        "--e=" + ",".join(map(repr, item["e"])), "--z", "0.3"]
+                assert heunx.cli.main(argv) == 0, (search, n_case, capsys.readouterr())
+                capsys.readouterr()
+                found += 1
+    assert found >= 40 and rejected >= 5, (found, rejected)
+
+
 def test_reduce_rejects_unknown_key(write_params):
     path = write_params(dict(ANCHOR_SEARCH, zeta=1.0))
     out = run_cli("reduce", "--params", path, "--n", "0")

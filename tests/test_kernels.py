@@ -13,6 +13,7 @@ from heunx import (DivisionByZeroError, NonConvergenceError, NumericalError,
 from heunx._kernels import RHO_SWITCH
 from heunx.params import is_nonpos_int
 from heunx.recurrence import NO_TERMINATION, termination_index
+from heunx.reduction import _draw
 
 
 def _f21_by_terms(a, b, c, z, rel_tol, max_terms, consec):
@@ -165,28 +166,27 @@ def test_closed_weights_match_mpmath(form_cases):
     assert worst <= 1e-12
 
 
-def _colloc_terms(a, al, be, ga, n_case, q, es):
-    de = n_case + 2.0
-    ep = 1.0 + al + be - ga - de
+def _colloc_terms(a, q, al, be, ga, de, ep, es):
     return _kernels.identity_terms(a, q, al, be, ga, de, ep, es,
-                                   np.arange(1.0, n_case + 2.0))
+                                   np.arange(1.0, len(es) + 2.0))
 
 
-def _colloc_residual(a, al, be, ga, n_case, q, es):
+def _colloc_residual(a, q, al, be, ga, de, ep, es):
     """Identity values at n = 1..N+1, summed from the full identity_terms."""
-    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
+    t1, t2, t3 = _colloc_terms(a, q, al, be, ga, de, ep, es)
     return t1 + t2 + t3
 
 
-def _colloc_scale(a, al, be, ga, n_case, q, es):
-    t1, t2, t3 = _colloc_terms(a, al, be, ga, n_case, q, es)
+def _colloc_scale(a, q, al, be, ga, de, ep, es):
+    t1, t2, t3 = _colloc_terms(a, q, al, be, ga, de, ep, es)
     return np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
 
 
-def _colloc_jacobian(a, al, be, ga, n_case, q, es):
+def _colloc_jacobian(a, q, al, be, ga, de, ep, es):
     """Exact Jacobian in (q, e_1..e_N), its own identity_terms call."""
+    n_case = len(es)
     n = np.arange(1.0, n_case + 2.0)
-    f1, f2, f3 = _colloc_terms(a, al, be, ga, n_case, q, es[:0])
+    f1, f2, f3 = _kernels.identity_terms(a, q, al, be, ga, de, ep, es[:0], n)
     jac = np.zeros((n_case + 1, n_case + 1))
     jac[:, 0] = -1.0
     for k in range(n_case):
@@ -204,13 +204,15 @@ def _colloc_jacobian(a, al, be, ga, n_case, q, es):
 @pytest.mark.parametrize("n_case", range(9))
 def test_colloc_state_matches_separate_evaluations(n_case):
     # one identity evaluation gives the residual, scale and Jacobian that
-    # three separate evaluations give, to the bit
+    # three separate evaluations give, to the bit, at the draw's delta and
+    # epsilon
     rng = np.random.default_rng(n_case)
     for _ in range(20):
         a, al, be, ga = rng.uniform(-3.0, 3.0, size=4)
         q = rng.uniform(-30.0, 30.0)
         es = rng.uniform(-4.0, 4.0, size=n_case)
-        args = (a, al, be, ga, n_case, q, es)
+        draw = _draw(a, al, be, ga, n_case)
+        args = (a, q, al, be, ga, draw.delta, draw.epsilon, es)
         res, scale, jac = _kernels._colloc_state(*args)
         assert np.array_equal(res, _colloc_residual(*args))
         assert scale == _colloc_scale(*args)

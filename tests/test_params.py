@@ -1,5 +1,7 @@
 """Validation rules and JSON round-tripping for the parameter record."""
 
+import math
+
 import pytest
 
 from heunx import (HeunParams, IssueCode, PreconditionError, ValidatedHeunParams,
@@ -36,6 +38,12 @@ def test_fuchsian_violation_detected():
 def test_fuchsian_tolerance_is_tight():
     # 1e-13 off the exponent-sum relation still counts as closed
     assert collect_issues(make(delta=2.0 + 1e-13)) == []
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_term_violates_the_relation(value):
+    # the bound scales with the largest term, which must not let inf or nan pass
+    assert IssueCode.FUCHSIAN_VIOLATED in codes(make(alpha=value))
 
 
 @pytest.mark.parametrize("a", [0.0, 1.0, 1.0 - 1e-13])

@@ -12,7 +12,7 @@ import pytest
 
 import tridiagonal
 from conftest import case_gap, degree_claim_defect, identity_at
-from heunx import (HeunParams, PreconditionError, ReductionCase,
+from heunx import (HeunParams, IssueCode, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
                    collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
@@ -488,6 +488,23 @@ def test_every_order_validates_its_draw():
                 assert len(cases) + len(notes) == n_case + 1, (draw, n_case)
 
 
+def test_draw_meets_its_own_exponent_sum_at_any_scale():
+    # the draw's epsilon is off the relation by the rounding of its own
+    # derivation, up to about a unit of roundoff of the largest term; that
+    # was 7.3e-12 at alpha ~ 4.6e4, and about 28% of these draws failed on it
+    rng = random.Random(39)
+    for _ in range(1000):
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(1.5, 3.0)
+        alpha, beta, gamma = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 12.0)
+                              for _ in range(3))
+        for n_case in range(9):
+            try:
+                _draw(a, alpha, beta, gamma, n_case)
+            except ValidationError as exc:   # a large negative value is an integer
+                codes = [issue.code for issue in exc.issues]
+                assert IssueCode.FUCHSIAN_VIOLATED not in codes, (a, alpha, beta, gamma)
+
+
 # the reduce-sweep benchmark's panel draw at seed 1
 PANEL_DRAW = (2.1539588706302815, -0.07290833992181946, -1.4725033248918347,
               1.5176724071367766)
@@ -618,7 +635,9 @@ def _solve_root_by_root(a, alpha, beta, gamma, n_case, notes):
             _drop(notes, q, "an e_k is infinite")
             continue
         if not np.any(np.abs(es.imag) > 1e-9 * (1.0 + np.abs(es.real))):
-            q, es, _, _ = _kernels.newton_general(a, alpha, beta, gamma, n_case, q, es.real)
+            q, es, _, _ = _kernels.newton_general(draw.a, q, draw.alpha, draw.beta,
+                                                  draw.gamma, draw.delta, draw.epsilon,
+                                                  es.real)
         _accept(draw, float(q), es, idx, cases, notes)
     return cases
 
