@@ -34,7 +34,7 @@ from .params import (check_order, load_params_file, params_to_dict,
                      require_valid)
 from .recurrence import (CoefficientSource, stream_columns,
                          three_term_coefficients, two_term_coefficients)
-from .reduction import (A_TOP_TOL, STREAM_ROWS, VERIFY_TOL, ReductionCase,
+from .reduction import (STREAM_ROWS, VERIFY_TOL, ReductionCase,
                         case_to_dict, solve, verify_reduction)
 
 EXIT_OK = 0
@@ -142,7 +142,7 @@ def cmd_reduce(ns) -> int:
         payload = {
             "cases": [case_to_dict(c) for c in cases],
             "notes": notes,
-            "tolerances": {"verify_tol": VERIFY_TOL, "a_top_tol": A_TOP_TOL},
+            "tolerances": {"verify_tol": VERIFY_TOL},
         }
         _print_json(payload)
     return EXIT_OK if cases else EXIT_NO_SOLUTION
@@ -205,7 +205,6 @@ def cmd_verify(ns) -> int:
         "recurrence_residual": {"value": report.stream_defect, "tol": VERIFY_TOL,
                                 "passed": report.stream_defect <= VERIFY_TOL},
         "collocation": {"passed": report.passed, "tol": VERIFY_TOL,
-                        "a_top_gap": report.a_top_gap,
                         "stream_defect": report.stream_defect,
                         "values": list(report.identity_values)},
     }

@@ -6,12 +6,10 @@ the ODE (tests/tridiagonal.py), lets the coefficient ratio c_n/c_{n-1}
 factor through N auxiliary shifts e_1..e_N. The residual of the factored
 ansatz against the recurrence is itself a polynomial in the index n of
 degree N+1, so vanishing at N+2 collocation points certifies the reduction
-without any symbolic algebra. The leading coefficient of that polynomial
-is 2+N-delta independently of q and the e_k, which gives a second, free
-cross-check: verify_reduction reports it as a_top and gates its gap at
-A_TOP_TOL. That the n^(N+2) coefficient vanishes (the degree claim) is a
-fact of the algebra, not a check of a case, so only the tests take that
-difference (acceptance criterion 3).
+without any symbolic algebra. That its leading coefficient is 2+N-delta,
+independently of q and the e_k, and that its n^(N+2) coefficient vanishes
+(the degree claim) are facts of the algebra, not checks of a case, so only
+the tests take those differences (acceptance criterion 3).
 
 The closed form of N <= 2 (_closed_form) takes q from the roots of
 det(qI - T) and the e_k from the minors of qI - T (_p_polynomial). The
@@ -51,7 +49,6 @@ from .params import (HeunParams, ValidatedHeunParams, check_order,
 from .recurrence import termination_index
 
 VERIFY_TOL = 1e-10      # identity values (over summand scale) and 50-row defect
-A_TOP_TOL = 1e-8        # leading-coefficient agreement with 2+N-delta
 STREAM_ROWS = 50        # ratio-stream rows c_0..c_50 the certificate checks
 # from N = 3 on, _accept returns a root only a decade inside VERIFY_TOL:
 # rounding alone moves an ill-conditioned root's defect by a decade, so at
@@ -60,21 +57,10 @@ GENERAL_TOL = VERIFY_TOL * 0.1
 _PROBE_POINT = 0.3074202960516803  # off-grid, non-integer collocation point
 
 
-def _forward_difference(values, order: int) -> float:
-    """Delta^order values[0] / order!: the n^order coefficient of a
-    polynomial sampled at n = 0..order."""
-    acc = 0.0
-    for k in range(order + 1):
-        acc += (-1.0) ** (order - k) * math.comb(order, k) * values[k]
-    return float(acc / math.factorial(order))
-
-
 @dataclass(frozen=True)
 class ConstraintReport:
     collocation_points: tuple
     identity_values: tuple
-    a_top: float
-    a_top_gap: float
     stream_defect: float
     failed: tuple       # each failed check as the certificate error names it
 
@@ -86,36 +72,31 @@ class ConstraintReport:
 def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
     """The reduction certificate.
 
-    Evaluates the identity once, at n = 0..N+3 plus one off-grid
-    non-integer point. The values at n = 1..N+3 and at that point are each
-    checked against VERIFY_TOL times the local summand scale (floored at
-    1). The values at n = 0..N+1 give the forward-difference leading
-    coefficient a_top, reported with how far it sits from its closed form
-    2+N-delta. Also takes the largest scale-free three-term defect of the
-    ratio stream c_0..c_50 (_kernels.two_term_ratio_stream and
-    _kernels.recurrence_residual_rows, as `coeffs` takes its residual
-    column), the quantity `verify` reports as its recurrence residual; inf
-    when a row is NaN or inf, as it is where the stream leaves the floats or
-    divides by zero at a non-positive integer e_k.
-    Passes iff all three hold: every identity value finite and within its
-    bound, the gap within A_TOP_TOL and the defect within VERIFY_TOL;
-    `failed` names the others.
+    Evaluates the identity once, at n = 1..N+3 plus one off-grid
+    non-integer point, and checks each value against VERIFY_TOL times the
+    local summand scale (floored at 1). Also takes the largest scale-free
+    three-term defect of the ratio stream c_0..c_50
+    (_kernels.two_term_ratio_stream and _kernels.recurrence_residual_rows,
+    as `coeffs` takes its residual column), the quantity `verify` reports as
+    its recurrence residual; inf when a row is NaN or inf, as it is where
+    the stream leaves the floats or divides by zero at a non-positive
+    integer e_k.
+    Passes iff both hold: every identity value finite and within its bound,
+    and the defect within VERIFY_TOL; `failed` names each that fails.
     """
     es = tuple(float(e) for e in e_list)
     n_case = len(es)
 
     # Python floats pass into inf and nan without a warning; an identity
     # past the floats fails below
-    nodes = [float(n) for n in range(n_case + 4)] + [_PROBE_POINT]
+    nodes = [float(n) for n in range(1, n_case + 4)] + [_PROBE_POINT]
     terms = [_kernels.identity_terms(p.a, p.q, p.alpha, p.beta, p.gamma,
                                      p.delta, p.epsilon, es, n) for n in nodes]
     lhs = [t1 + t2 + t3 for t1, t2, t3 in terms]
     # an inf value passes the bound when its scale is inf too
     colloc_ok = all(math.isfinite(v)
                     and abs(v) <= VERIFY_TOL * max(abs(t1) + abs(t2) + abs(t3), 1.0)
-                    for v, (t1, t2, t3) in zip(lhs[1:], terms[1:]))
-    a_top = _forward_difference(lhs, n_case + 1)
-    a_top_gap = abs(a_top - (2.0 + n_case - p.delta))
+                    for v, (t1, t2, t3) in zip(lhs, terms))
     g = p.gamma + p.epsilon
     with np.errstate(all="ignore"):  # a row past the floats reads as inf below
         c = _kernels.two_term_ratio_stream(g, g - p.alpha, g - p.beta, es,
@@ -124,19 +105,15 @@ def verify_reduction(p: HeunParams, e_list=()) -> ConstraintReport:
                                                  p.delta, p.epsilon, c)
         defect = float(np.max(rows[2:]))  # np.max propagates a NaN
     defect = defect if math.isfinite(defect) else math.inf
-    # a name is formatted only for a check that fails
-    checks = (("identity values", colloc_ok),
-              ("A_top gap {0:.2e}", a_top_gap <= A_TOP_TOL),
-              ("{2}-row defect {1:.2e}", defect <= VERIFY_TOL))
+    failed = [] if colloc_ok else ["identity values"]
+    if defect > VERIFY_TOL:
+        failed.append(f"{STREAM_ROWS}-row defect {defect:.2e}")
 
     return ConstraintReport(
-        collocation_points=tuple(nodes[1:]),
-        identity_values=tuple(lhs[1:]),
-        a_top=a_top,
-        a_top_gap=a_top_gap,
+        collocation_points=tuple(nodes),
+        identity_values=tuple(lhs),
         stream_defect=defect,
-        failed=tuple(name.format(a_top_gap, defect, STREAM_ROWS)
-                     for name, ok in checks if not ok),
+        failed=tuple(failed),
     )
 
 
@@ -225,7 +202,6 @@ def case_to_dict(case: ReductionCase) -> dict:
         "report": {
             "points": list(rep.collocation_points),
             "values": list(rep.identity_values),
-            "A_top": rep.a_top,
             "passed": rep.passed,
         },
     }

@@ -19,7 +19,6 @@ from heunx import (DivisionByZeroError, SeriesControl, ValidationError,
 from heunx import _kernels
 from heunx.evaluator import _sum_all
 from heunx.params import INT_SNAP
-from heunx.reduction import _forward_difference
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "N=0 anchor: q=4, c_1=0.5, c_2=0.3 from both routes within 1e-13, < 0.1 s",
@@ -97,6 +96,23 @@ def identity_at(p, es, n):
                                          p.delta, p.epsilon,
                                          np.asarray(es, dtype=np.float64), n)
     return t1 + t2 + t3, abs(t1) + abs(t2) + abs(t3)
+
+
+def _forward_difference(values, order: int) -> float:
+    """Delta^order values[0] / order!: the n^order coefficient of a
+    polynomial sampled at n = 0..order."""
+    acc = 0.0
+    for k in range(order + 1):
+        acc += (-1.0) ** (order - k) * math.comb(order, k) * values[k]
+    return float(acc / math.factorial(order))
+
+
+def leading_coefficient(p, es):
+    """The identity's n^(N+1) coefficient, Delta^(N+1) identity(0) / (N+1)!
+    over n = 0..N+1: 2+N-delta whatever q and the e_k, wherever the
+    exponent-sum relation is closed."""
+    order = len(es) + 1
+    return _forward_difference(identity_at(p, es, np.arange(order + 1.0))[0], order)
 
 
 def degree_claim_defect(p, es):

@@ -572,13 +572,13 @@ def test_verify_oracle_pole_exits_with_one_error_line(write_params):
 
 @pytest.mark.parametrize("command", ["eval", "residual"])
 def test_certificate_error_names_failed_checks(write_params, command):
-    # the identity overflows and its A_top gap is nan; the 50-row defect is
-    # 0 and passes, so the error names only the first two
+    # the identity overflows; the 50-row defect is 0 and passes, so the
+    # error names only the identity values
     path = write_params(OVERFLOW_E_FULL)
     out = run_cli(command, "--params", path, f"--e={OVERFLOW_E}", "--z=0.1")
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == ("error: verification failed for the proposed "
-                          "reduction (identity values, A_top gap nan)\n")
+                          "reduction (identity values)\n")
 
 
 def _no_constant(name):
@@ -947,18 +947,23 @@ def test_reduce_extreme_draw_notes_every_root(write_params, capsys):
 
 
 @pytest.mark.parametrize("draw, n, notes", [
-    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 2.6}, 0,
-     ["root q = 6e+149 dropped: the certificate failed (A_top gap 6.36e+134)"]),
-    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 1.6}, 1,
-     ["root q = 1.2000000000000007e+150 dropped: the certificate failed "
-      "(A_top gap 9.29e+282)",
-      "root q = 1.599999999999999e+150 dropped: the certificate failed "
-      "(A_top gap 3.18e+134)"]),
+    # a = 1e150: each root passes its identity values and its 50-row defect
+    # (2.0e-16 to 5.0e-16; 1.7e-16 to 4.9e-16 in 40 digits), so exit 0
+    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 2.6}, 0, []),
+    ({"a": 1e150, "alpha": 2.5, "beta": 1.7, "gamma": 0.6, "epsilon": 1.6}, 1, []),
+    # beta ~ 8e78 rounds g - beta to 0, so the stream ends at c_1 = 0 and
+    # its defect is 0, while the identity at n = 1 is its whole scale
+    ({"a": 1.0502703743933192e+33, "alpha": -0.041969682138935996,
+      "beta": 8.149930798739455e+78, "gamma": 110362.22673741786,
+      "epsilon": 8.149930798739455e+78}, 0,
+     ["root q = -8.491980803816874e+78 dropped: the certificate failed "
+      "(identity values)"]),
 ])
 def test_drop_note_names_the_failed_check(write_params, capsys, draw, n, notes):
-    # the defects were 1.97e-16 and 3.77e-16, which the note put above 1e-09
     code, out, err = _reduce_in_process(write_params, capsys, draw, n)
-    assert (code, err, json.loads(out)["notes"]) == (3, "", notes)
+    payload = json.loads(out)
+    assert (code, err, payload["notes"]) == (3 if notes else 0, "", notes)
+    assert len(payload["cases"]) + len(notes) == n + 1
 
 
 # cases that `reduce` returns on large draws, as it prints q and e

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
@@ -11,16 +12,15 @@ import numpy as np
 import pytest
 
 import tridiagonal
-from conftest import case_gap, degree_claim_defect, identity_at
+from conftest import case_gap, degree_claim_defect, identity_at, leading_coefficient
 from heunx import (HeunParams, IssueCode, PreconditionError, ReductionCase,
                    ValidatedHeunParams, ValidationError, case_to_dict,
                    collect_issues, params_to_dict, q_candidates_N0, q_candidates_N1,
                    q_candidates_N2, residual_rows, solve, solve_reduction_general,
                    termination_index, two_term_coefficients, verify_reduction)
 from heunx import HeunxError, NumericalError, _kernels, cli
-from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, VERIFY_TOL, _accept, _draw, _drop,
-                             _forward_difference, _pencil, _polish, _q_polynomial,
-                             _tridiagonal)
+from heunx.reduction import (_PROBE_POINT, GENERAL_TOL, STREAM_ROWS, VERIFY_TOL, _accept,
+                             _draw, _drop, _pencil, _polish, _q_polynomial, _tridiagonal)
 
 ANCHOR = ValidatedHeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                              delta=2.0, epsilon=3.0)
@@ -146,8 +146,8 @@ def test_perturbed_q_fails_verification():
     p = HeunParams(**{**params_to_dict(case.params), "q": case.params.q + 1e-3})
     report = verify_reduction(p, case.e_list)
     assert not report.passed
-    # the identity and the 50-row defect fail, the A_top gap (free of q)
-    # holds, and the certificate error names the two that failed
+    # the identity and the 50-row defect fail, and the certificate error
+    # names both
     failed = ("identity values", "50-row defect 6.14e-04")
     assert report.failed == failed
     with pytest.raises(PreconditionError, match=re.escape(f"({', '.join(failed)})")):
@@ -268,22 +268,25 @@ def test_verify_report_anchor():
     assert report.collocation_points[:3] == (1.0, 2.0, 3.0)
     probe = report.collocation_points[-1]
     assert abs(probe - round(probe)) > 1e-3
-    # N = 0: the identity is A_0 + A_1 n with both near zero
-    assert abs(report.a_top) < 1e-12
-    assert report.a_top_gap < 1e-12
+    # N = 0: the identity is A_0 + A_1 n with both near zero, A_1 = 2+N-delta
+    a_top = leading_coefficient(ANCHOR, ())
+    assert abs(a_top) < 1e-12
+    assert abs(a_top - (2.0 - ANCHOR.delta)) < 1e-12
     # the probe point is reproducible
     assert verify_reduction(ANCHOR, ()).collocation_points == report.collocation_points
 
 
 def test_leading_coefficient_tracks_delta():
     # delta moved off N+2 while epsilon keeps the exponent sum closed:
-    # the leading coefficient becomes 2+N-delta = -0.01 and the case fails
+    # the leading coefficient becomes 2+N-delta = -0.01, so the identity
+    # values (and the 50-row defect) fail the certificate
     p = HeunParams(a=2.0, q=4.0, alpha=3.0, beta=2.0, gamma=1.0,
                    delta=2.01, epsilon=2.99)
+    a_top = leading_coefficient(p, ())
+    assert a_top == pytest.approx(-0.01, abs=1e-9)
+    assert abs(a_top - (2.0 - p.delta)) < 1e-9
     report = verify_reduction(p, ())
-    assert not report.passed
-    assert report.a_top == pytest.approx(-0.01, abs=1e-9)
-    assert report.a_top_gap < 1e-9
+    assert report.failed == ("identity values", "50-row defect 8.35e-04")
 
 
 def test_certificate_defect_edge_rows():
@@ -319,7 +322,8 @@ def test_certificate_defect_edge_rows():
 def test_report_is_the_array_identity(random_cases):
     # verify_reduction evaluates the identity node by node over Python
     # floats; one identity_terms call over the node array gives the same bits,
-    # on the certified point and with q moved off it
+    # on the certified point and with q moved off it, where the leading
+    # coefficient 2+N-delta = 0 holds as well
     for case in random_cases:
         p, es = case.params, case.e_list
         moved = HeunParams(**{**params_to_dict(p), "q": p.q * (1.0 + 1e-7)})
@@ -327,8 +331,7 @@ def test_report_is_the_array_identity(random_cases):
             nodes = np.array(report.collocation_points)
             assert report.identity_values == tuple(
                 identity_at(params, es, nodes)[0].tolist())
-            head = identity_at(params, es, np.arange(case.N + 2.0))[0]
-            assert report.a_top == _forward_difference(head, case.N + 1)
+            assert abs(leading_coefficient(params, es)) <= 1e-7
 
 
 def test_leading_coefficient_closed_form_property():
@@ -342,7 +345,7 @@ def test_leading_coefficient_closed_form_property():
         p = HeunParams(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma,
                        delta=delta, epsilon=epsilon)
         es = tuple(rng.uniform(0.2, 3.0, size=n_case))
-        a_top = verify_reduction(p, es).a_top
+        a_top = leading_coefficient(p, es)
         scale = max(max(identity_at(p, es, float(k))[1]
                         for k in range(n_case + 2)), 1.0)
         assert abs(a_top - (2.0 + n_case - delta)) <= 1e-7 * scale
@@ -585,6 +588,57 @@ def test_acceptance_margin_follows_the_order():
                                                        rel=1e-5)
     assert GENERAL_TOL < cases[0].report.stream_defect <= VERIFY_TOL
     assert notes == ["root q = 4.477653027027562 dropped: an e_k is a non-positive integer"]
+
+
+# alpha ~ 4.6e4 (its epsilon one unit of roundoff off the exponent sum)
+# and a = 1e150: q is large against the identity's O(1) leading
+# coefficient, so a forward difference of the identity values carries
+# their rounding far above 1e-8, yet every root below is a true reduction
+LARGE_DRAW = (2.6630978947709836, 46292.47763090493, -2.1614799190726655,
+              -0.31856641595004476)
+HUGE_A_DRAW = (1e150, 2.5, 1.7, 0.6)
+
+
+def _mp_stream_defect(case):
+    """The largest scale-free defect R_n c_n + Q_{n-1} c_{n-1} + P_{n-2} c_{n-2},
+    n = 2..50, of the two-term ratio stream, in 40-digit arithmetic from the
+    case's floats."""
+    with mpmath.workdps(40):
+        a, q, al, be, ga, de, ep = map(mpmath.mpf, astuple(case.params))
+        es = [mpmath.mpf(e) for e in case.e_list]
+        g = ga + ep
+        c = [mpmath.mpf(1)]
+        for n in range(1, STREAM_ROWS + 1):
+            ratio = (g - al - 1 + n) * (g - be - 1 + n) / ((g - 1 + n) * n)
+            for e in es:
+                ratio *= (e + n) / (e - 1 + n)
+            c.append(c[-1] * ratio)
+        worst = mpmath.mpf(0)
+        for n in range(2, STREAM_ROWS + 1):
+            m = n - 2
+            terms = ((1 - a) * n * (g + n - 1) * c[n],
+                     (-(1 - a) * (n - 1) * (g + n - 2) + a * (n - de) * (n - 1 + ep)
+                      + a * al * be - q) * c[n - 1],
+                     -a / (m + g) * (m + ep) * (m + g - al) * (m + g - be) * c[m])
+            scale = sum(map(abs, terms))
+            if scale:
+                worst = max(worst, abs(sum(terms)) / scale)
+        return float(worst)
+
+
+@pytest.mark.parametrize("draw, n_case, qs, complex_pairs", [
+    (LARGE_DRAW, 1, [-192631.66777160618, -146355.6843107547], 0),
+    (LARGE_DRAW, 2, [-238907.5824868165, -192638.59138522585], 1),
+    (HUGE_A_DRAW, 0, [6e149], 0),
+    (HUGE_A_DRAW, 1, [1.2000000000000007e+150, 1.599999999999999e+150], 0),
+], ids=["large-N1", "large-N2", "huge-a-N0", "huge-a-N1"])
+def test_large_draws_return_every_true_reduction(draw, n_case, qs, complex_pairs):
+    cases, notes = solve(*draw, n_case)
+    assert [c.params.q for c in cases] == qs
+    assert all("the e_k include a complex pair" in note for note in notes)
+    assert len(notes) == complex_pairs and len(cases) + len(notes) == n_case + 1
+    for case in cases:
+        assert _mp_stream_defect(case) <= VERIFY_TOL
 
 
 def _near_degenerate_draws(count):
