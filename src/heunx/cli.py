@@ -11,6 +11,11 @@ row, takes every cell from one row-major list. For JSON that gives the
 bytes of json.dumps(..., sort_keys=True, indent=2), whose stdlib encoder
 walks a dict per row in pure Python whenever indent is set. CSV prints a
 non-finite float as its repr (nan).
+
+`main` builds only the subparser its first word names (all five for any
+other first word, so top-level help and errors keep their bytes). All five
+took about half of an in-process closed-form `reduce` call, one takes about
+a quarter of that; the parser is still built on every call, not cached.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ EXIT_NUMERICAL = 4
 # verify's gates besides VERIFY_TOL; each is printed as its check's "tol"
 ODE_TOL = 1e-7
 CROSS_TOL = 1e-7
+
+# in the order of `heunx -h`
+COMMANDS = ("reduce", "coeffs", "eval", "verify", "residual")
 
 _SOURCES = {
     "closed": CoefficientSource.GAMMA_CLOSED_FORM,
@@ -237,12 +245,20 @@ def cmd_verify(ns) -> int:
     return EXIT_OK if passed else EXIT_NO_SOLUTION
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """heunx's parser, with only `command`'s subparser when it names one of
+    COMMANDS, else all five. One subparser takes the metavar listing all
+    five, so usage lines keep their bytes; the full build leaves it unset,
+    as its errors name the action "command". Each func is the cmd_* bound
+    now, so perfbench/tracer.py's rebound wrappers are the ones called."""
     parser = argparse.ArgumentParser(
         prog="heunx",
         description="Two-term reductions of the general Heun recurrence: "
                     "search, coefficient tables, evaluation, certification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    names, metavar = COMMANDS, None
+    if command in COMMANDS:
+        names, metavar = (command,), "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def common(sp):
         sp.add_argument("--params", required=True,
@@ -250,39 +266,44 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--e", default="",
                         help="comma-separated e_1..e_N (empty for N=0)")
 
-    sp = sub.add_parser("reduce", help="find (q, e_1..e_N) reduction cases")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--n", type=int, required=True, help="reduction order N")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=cmd_reduce)
+    if "reduce" in names:
+        sp = sub.add_parser("reduce", help="find (q, e_1..e_N) reduction cases")
+        sp.add_argument("--params", required=True)
+        sp.add_argument("--n", type=int, required=True, help="reduction order N")
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.set_defaults(func=cmd_reduce)
 
-    sp = sub.add_parser("coeffs", help="coefficient table c_0..c_nmax")
-    common(sp)
-    sp.add_argument("--n-max", type=int, default=50)
-    sp.add_argument("--source", choices=tuple(_SOURCES), default="closed")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=cmd_coeffs)
+    if "coeffs" in names:
+        sp = sub.add_parser("coeffs", help="coefficient table c_0..c_nmax")
+        common(sp)
+        sp.add_argument("--n-max", type=int, default=50)
+        sp.add_argument("--source", choices=tuple(_SOURCES), default="closed")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.set_defaults(func=cmd_coeffs)
 
-    sp = sub.add_parser("eval", help="u, u', u'' and residual on a z grid")
-    common(sp)
-    sp.add_argument("--rel-tol", type=float, default=1e-14,
-                    help="relative bound a row's rounding bounds must meet "
-                         "for its JSON status to read Converged; no effect "
-                         "under --format csv, which has no status column")
-    sp.add_argument("--z", required=True, help="comma-separated evaluation points")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=cmd_eval)
+    if "eval" in names:
+        sp = sub.add_parser("eval", help="u, u', u'' and residual on a z grid")
+        common(sp)
+        sp.add_argument("--rel-tol", type=float, default=1e-14,
+                        help="relative bound a row's rounding bounds must meet "
+                             "for its JSON status to read Converged; no effect "
+                             "under --format csv, which has no status column")
+        sp.add_argument("--z", required=True, help="comma-separated evaluation points")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("verify", help="full certification of a reduction")
-    common(sp)
-    sp.add_argument("--z", default="0.1,0.25,0.4")
-    sp.set_defaults(func=cmd_verify)
+    if "verify" in names:
+        sp = sub.add_parser("verify", help="full certification of a reduction")
+        common(sp)
+        sp.add_argument("--z", default="0.1,0.25,0.4")
+        sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("residual", help="equation residuals on a z grid")
-    common(sp)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=cmd_residual)
+    if "residual" in names:
+        sp = sub.add_parser("residual", help="equation residuals on a z grid")
+        common(sp)
+        sp.add_argument("--z", required=True)
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.set_defaults(func=cmd_residual)
     return parser
 
 
@@ -299,9 +320,8 @@ def _attach_negative_lists(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(_attach_negative_lists(
-        sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_lists(sys.argv[1:] if argv is None else argv)
+    ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return ns.func(ns)
     except (ValidationError, PreconditionError, DomainError, PoleError,

@@ -1,6 +1,7 @@
 """Black-box checks of the command-line interface via subprocess, plus one
 in-process count of the summations each command makes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -629,6 +630,61 @@ def test_list_may_start_with_a_minus(write_params, args):
     joined = run_cli(command, "--params", path, f"{option}={value}")
     assert spaced.returncode == 0 and joined.returncode == 0
     assert spaced.stdout == joined.stdout
+
+
+def _parse_exit(parse, capsys, argv):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+# main builds the named command's subparser alone; its help and errors, and
+# those of every other argv, must read as the full parser's: the usage line
+# of one subparser still lists all five commands, and the full parser still
+# names the subparsers action "command" in its errors
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("bogus",), ("--params", "x", "reduce"),
+    *[(command, "-h") for command in heunx.cli.COMMANDS],
+    ("reduce", "--params", "{path}", "--n", "0", "--bogus"),
+    ("residual", "--params", "{path}", "--z", "0.1", "--rel-tol", "1e-3"),
+    ("coeffs", "--params", "{path}", "--source", "nope"),
+    ("reduce", "--params", "x", "--n", "zz"),
+])
+def test_help_and_errors_read_as_the_full_parser(write_params, capsys, argv):
+    path = write_params(ANCHOR_FULL)
+    argv = [tok.format(path=path) for tok in argv]
+    full = _parse_exit(heunx.cli.build_parser().parse_args, capsys, argv)
+    assert _parse_exit(heunx.cli.main, capsys, argv) == full
+    assert full[0] in (0, 2) and full[1] + full[2]
+    if argv in ([], ["bogus"]):
+        assert ("argument command: " if argv else "required: command\n") in full[2]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (("reduce", "--params", "{path}", "--n", "0"), 1),
+    *[((command, "-h"), 1) for command in heunx.cli.COMMANDS],
+    (("--help",), 5),
+    (("bogus",), 5),
+])
+def test_main_builds_the_named_commands_subparser(write_params, monkeypatch,
+                                                  capsys, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    argv = [tok.format(path=write_params(ANCHOR_SEARCH)) for tok in argv]
+    try:
+        heunx.cli.main(argv)
+    except SystemExit:
+        pass
+    assert len(names) == built
+    if built == 1:
+        assert names == argv[:1]
 
 
 # eval, residual and verify read the closed form and never sum: verify

@@ -51,6 +51,14 @@ def test_tracer_sees_closed_and_general_reduce(tmp_path):
     solvers = [rec[2] for rec in spans.spans
                if rec[2] in ("reduction.closed", "reduction.general")]
     assert solvers == ["reduction.closed", "reduction.general"]
+    # main looks cmd_reduce up when it builds its parser, so the rebound
+    # wrapper is the one called: one cmd_reduce span under each main span
+    # (span records: id, name, key, t0, t1, parent id, ...)
+    mains = [rec[0] for rec in spans.spans if rec[1] == "main"]
+    assert len(mains) == 2
+    for main in mains:
+        children = [rec[1] for rec in spans.spans if rec[5] == main]
+        assert children == ["cmd_reduce"]
 
 
 # the N = 2 bench case of tests/test_cli.py
